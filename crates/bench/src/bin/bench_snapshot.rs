@@ -60,14 +60,26 @@ fn main() {
 fn experiments(fast: bool) -> Vec<(&'static str, Vec<String>)> {
     let serve_requests = if fast { "40" } else { "120" };
     vec![
-        ("interp_throughput", vec!["--fast".into(), "--json".into()]),
+        // `--engine all`: the snapshot carries rows for every engine,
+        // the default (lanes) included.
+        (
+            "interp_throughput",
+            vec!["--engine".into(), "all".into(), "--fast".into(), "--json".into()],
+        ),
         (
             // The IV.C streaming pair: same binary, pipe-graph path. Its
             // report lands under `interp_throughput_ivc`, so the first
             // snapshot carrying it shows up as new rows (warned, not
             // failed) against older baselines.
             "interp_throughput",
-            vec!["--kernel".into(), "ivc".into(), "--fast".into(), "--json".into()],
+            vec![
+                "--kernel".into(),
+                "ivc".into(),
+                "--engine".into(),
+                "all".into(),
+                "--fast".into(),
+                "--json".into(),
+            ],
         ),
         (
             // The mixed-workload preset: every payoff class in the

@@ -255,7 +255,14 @@ pub struct CompiledKernel {
     /// reports that must match the tree-walker.
     pos_of_pc: Vec<(u32, u32)>,
     private_bytes: usize,
+    /// Row of each register in the lanes engine's pointer plane
+    /// ([`NO_PTR_ROW`] for scalar registers): only pointer-typed
+    /// registers get a row of [`PtrValue`]s.
+    ptr_rows: Vec<u32>,
 }
+
+/// [`CompiledKernel::ptr_rows`] entry of a scalar register.
+const NO_PTR_ROW: u32 = u32::MAX;
 
 impl CompiledKernel {
     /// Flatten `func` into bytecode. The function must be verified
@@ -365,6 +372,19 @@ impl CompiledKernel {
             }
         }
 
+        let mut next_row = 0;
+        let ptr_rows = func
+            .reg_types
+            .iter()
+            .map(|ty| match ty {
+                Type::Ptr(..) => {
+                    next_row += 1;
+                    next_row - 1
+                }
+                Type::Scalar(_) => NO_PTR_ROW,
+            })
+            .collect();
+
         CompiledKernel {
             name: func.name.clone(),
             params: func.params.clone(),
@@ -374,6 +394,7 @@ impl CompiledKernel {
             block_starts,
             pos_of_pc,
             private_bytes: func.private_bytes,
+            ptr_rows,
         }
     }
 
@@ -400,6 +421,14 @@ impl CompiledKernel {
     fn pos(&self, pc: usize) -> (usize, usize) {
         let (b, i) = self.pos_of_pc[pc];
         (b as usize, i as usize)
+    }
+
+    /// Pointer-plane row of pointer-typed register `r`.
+    #[inline]
+    fn ptr_row(&self, r: u32) -> usize {
+        let row = self.ptr_rows[r as usize];
+        debug_assert_ne!(row, NO_PTR_ROW, "r{r} is not a pointer register");
+        row as usize
     }
 }
 
@@ -1119,6 +1148,22 @@ fn lanes_contiguous(lanes: &[usize]) -> bool {
     lanes[lanes.len() - 1] - lanes[0] + 1 == lanes.len()
 }
 
+/// Copy register row `s` to row `d` (row bases of one plane) across the
+/// lanes of a group.
+#[inline(always)]
+fn lanes_copy<T: Copy>(plane: &mut [T], lanes: &[usize], d: usize, s: usize) {
+    if lanes_contiguous(lanes) {
+        // Register rows are disjoint (or identical, for a no-op mov), so
+        // the dense case is a memmove.
+        let (lo, n) = (lanes[0], lanes.len());
+        plane.copy_within(s + lo..s + lo + n, d + lo);
+    } else {
+        for &l in lanes {
+            plane[d + l] = plane[s + l];
+        }
+    }
+}
+
 /// Apply a binary f64 op across the lanes of a group, SoA cells layout.
 #[inline(always)]
 fn lanes_f64_bin(
@@ -1220,8 +1265,9 @@ fn lanes_i64_cmp(
 ///
 /// Where [`BytecodeRun`] dispatches every op once per work-item,
 /// `LanesRun` keeps a structure-of-arrays register file (`W` lanes per
-/// register, bit-packed `u64` cells for scalars, a parallel plane for
-/// pointers) and dispatches each op *once per SIMT group*, running its
+/// register, bit-packed `u64` cells for scalars, and a compact pointer
+/// plane with rows for the pointer-typed registers only) and dispatches
+/// each op *once per SIMT group*, running its
 /// inner loop across all live lanes. Control divergence splits a group;
 /// lanes that trap or reach a barrier are masked out and their outcome
 /// recorded.
@@ -1249,7 +1295,8 @@ pub struct LanesRun<'k> {
     w: usize,
     /// Scalar register cells, SoA: register `r` of lane `l` is at `r*w + l`.
     cells: Vec<u64>,
-    /// Pointer registers, same indexing.
+    /// Pointer registers, SoA by pointer row: pointer register `r` of
+    /// lane `l` is at `kernel.ptr_row(r)*w + l`.
     ptrs: Vec<PtrValue>,
     /// Per-lane private arenas, stride `private_bytes`.
     private: Vec<u8>,
@@ -1289,17 +1336,20 @@ impl<'k> LanesRun<'k> {
         // Zero cells are the zero-init of every scalar type (false, 0,
         // 0.0); pointer registers start at the poison buffer id.
         let mut cells = vec![0u64; nregs * w];
-        let mut ptrs = Vec::with_capacity(nregs * w);
+        let ptr_regs = kernel.ptr_rows.iter().filter(|&&row| row != NO_PTR_ROW).count();
+        let mut ptrs = Vec::with_capacity(ptr_regs * w);
         for ty in &kernel.reg_types {
-            let p = match ty {
-                Type::Ptr(space, _) => PtrValue::new(*space, u32::MAX),
-                Type::Scalar(_) => PtrValue::new(AddressSpace::Private, u32::MAX),
-            };
-            ptrs.extend(std::iter::repeat_n(p, w));
+            if let Type::Ptr(space, _) = ty {
+                ptrs.extend(std::iter::repeat_n(PtrValue::new(*space, u32::MAX), w));
+            }
         }
+        // Binding puts pointers only in pointer-typed parameters.
         for (r, v) in bound.iter().enumerate() {
             match *v {
-                Value::Ptr(p) => ptrs[r * w..(r + 1) * w].fill(p),
+                Value::Ptr(p) => {
+                    let row = kernel.ptr_row(r as u32) * w;
+                    ptrs[row..row + w].fill(p)
+                }
                 v => cells[r * w..(r + 1) * w].fill(encode_scalar(v)),
             }
         }
@@ -1420,6 +1470,26 @@ impl<'k> LanesRun<'k> {
         }
     }
 
+    /// The region the lanes of a group access through pointers into
+    /// `p0`'s buffer, as `(base, len, stride)`: lane `l` reaches byte `o`
+    /// at `base + l*stride + o`, valid when `o + size <= len`. A global,
+    /// local or constant buffer is one region for every lane (stride 0);
+    /// private memory is each lane's own arena. `None` when the memory
+    /// exposes no raw view.
+    fn lane_region(
+        &mut self,
+        mem: &mut dyn Memory,
+        p0: PtrValue,
+    ) -> Option<(*mut u8, usize, usize)> {
+        match p0.space {
+            AddressSpace::Private => {
+                let pb = self.kernel.private_bytes;
+                Some((self.private.as_mut_ptr(), pb, pb))
+            }
+            space => mem.raw_region(space, p0.buffer).map(|(base, len)| (base, len, 0)),
+        }
+    }
+
     /// Execute one phase (all running lanes until barrier/retire/trap)
     /// as a worklist of lockstep groups, then settle the step budget.
     ///
@@ -1438,6 +1508,7 @@ impl<'k> LanesRun<'k> {
         let w = self.w;
         let pb = kernel.private_bytes;
         let idx = |r: u32, l: usize| r as usize * w + l;
+        let pidx = |r: u32, l: usize| kernel.ptr_row(r) * w + l;
         // Fetches a lane may consume before the shared budget would have
         // run dry even with every other lane charging nothing.
         let budget = self.step_limit - self.steps;
@@ -1471,9 +1542,10 @@ impl<'k> LanesRun<'k> {
                 match &kernel.code[g.pc] {
                     Op::Const { dst, idx: ci } => {
                         let contig = lanes_contiguous(&g.lanes);
-                        let (d, lo, n) = (*dst as usize * w, g.lanes[0], g.lanes.len());
+                        let (lo, n) = (g.lanes[0], g.lanes.len());
                         match kernel.consts[*ci as usize] {
                             Value::Ptr(p) => {
+                                let d = kernel.ptr_row(*dst) * w;
                                 if contig {
                                     self.ptrs[d + lo..d + lo + n].fill(p);
                                 } else {
@@ -1483,6 +1555,7 @@ impl<'k> LanesRun<'k> {
                                 }
                             }
                             v => {
+                                let d = *dst as usize * w;
                                 let bits = encode_scalar(v);
                                 if contig {
                                     self.cells[d + lo..d + lo + n].fill(bits);
@@ -1495,19 +1568,14 @@ impl<'k> LanesRun<'k> {
                         }
                     }
                     Op::Mov { dst, src } => {
-                        let (d, s) = (*dst as usize * w, *src as usize * w);
-                        if lanes_contiguous(&g.lanes) {
-                            // Register rows are disjoint (or identical, for
-                            // a no-op mov), so the dense case is a memmove
-                            // on both planes.
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            self.cells.copy_within(s + lo..s + lo + n, d + lo);
-                            self.ptrs.copy_within(s + lo..s + lo + n, d + lo);
+                        // Mov operands share one type (verified), so only
+                        // the plane that type lives in is copied.
+                        if kernel.ptr_rows[*dst as usize] == NO_PTR_ROW {
+                            let (d, s) = (*dst as usize * w, *src as usize * w);
+                            lanes_copy(&mut self.cells, &g.lanes, d, s);
                         } else {
-                            for &l in &g.lanes {
-                                self.cells[d + l] = self.cells[s + l];
-                                self.ptrs[d + l] = self.ptrs[s + l];
-                            }
+                            let (d, s) = (kernel.ptr_row(*dst) * w, kernel.ptr_row(*src) * w);
+                            lanes_copy(&mut self.ptrs, &g.lanes, d, s);
                         }
                         self.stats.ops.mov += nl;
                     }
@@ -1780,17 +1848,26 @@ impl<'k> LanesRun<'k> {
                         self.stats.ops.wi_query += nl;
                     }
                     Op::Gep { dst, base, index, elem } => {
-                        let (d, b, x) =
-                            (*dst as usize * w, *base as usize * w, *index as usize * w);
+                        let (d, b, x) = (
+                            kernel.ptr_row(*dst) * w,
+                            kernel.ptr_row(*base) * w,
+                            *index as usize * w,
+                        );
+                        // An `int` index cell holds its bits zero-extended;
+                        // the offset sign-extends them, as `Value::as_i64`.
+                        let int32 =
+                            kernel.reg_types[*index as usize] == Type::Scalar(ScalarType::I32);
+                        let offset =
+                            |bits: u64| if int32 { bits as i32 as i64 } else { bits as i64 };
                         if lanes_contiguous(&g.lanes) {
                             let (lo, n) = (g.lanes[0], g.lanes.len());
                             for i in lo..lo + n {
-                                let off = self.cells[x + i] as i64;
+                                let off = offset(self.cells[x + i]);
                                 self.ptrs[d + i] = self.ptrs[b + i].offset_by(off, *elem);
                             }
                         } else {
                             for &l in &g.lanes {
-                                let off = self.cells[x + l] as i64;
+                                let off = offset(self.cells[x + l]);
                                 self.ptrs[d + l] = self.ptrs[b + l].offset_by(off, *elem);
                             }
                         }
@@ -1801,24 +1878,22 @@ impl<'k> LanesRun<'k> {
                         // Resolve the buffer once for the whole group: in
                         // race-free kernels a group's lanes nearly always
                         // address one buffer (a uniform base plus per-lane
-                        // offsets). Lanes that miss the resolved region —
-                        // different buffer, out of bounds, bool loads (which
+                        // offsets), or each its own private arena. Lanes
+                        // that miss the resolved region — different
+                        // buffer, out of bounds, bool loads (which
                         // canonicalize through `Value`) — take the per-lane
                         // slow path, which also produces the exact walker
                         // error payloads.
-                        let p0 = self.ptrs[idx(*ptr, g.lanes[0])];
-                        let fast = if p0.space != AddressSpace::Private && *ty != ScalarType::Bool {
-                            mem.raw_region(p0.space, p0.buffer)
-                        } else {
-                            None
-                        };
+                        let p0 = self.ptrs[pidx(*ptr, g.lanes[0])];
+                        let fast =
+                            if *ty == ScalarType::Bool { None } else { self.lane_region(mem, p0) };
                         let mut k = 0;
-                        if let Some((base, rlen)) = fast {
+                        if let Some((base, rlen, stride)) = fast {
                             let contig = lanes_contiguous(&g.lanes);
                             let lo = g.lanes[0];
                             while k < g.lanes.len() {
                                 let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = self.ptrs[idx(*ptr, l)];
+                                let p = self.ptrs[pidx(*ptr, l)];
                                 if p.space != p0.space || p.buffer != p0.buffer {
                                     break;
                                 }
@@ -1828,19 +1903,17 @@ impl<'k> LanesRun<'k> {
                                     break;
                                 };
                                 // SAFETY: `o + len <= rlen` was just checked
-                                // against the region the memory exposed;
-                                // cross-group races are excluded by the
-                                // race-freedom contract of `raw_region`.
+                                // against the lane's region (see
+                                // `lane_region`); cross-group races are
+                                // excluded by the race-freedom contract of
+                                // `raw_region`.
                                 let bits = unsafe {
+                                    let at = base.add(l * stride + o);
                                     if len == 8 {
-                                        u64::from_le(base.add(o).cast::<u64>().read_unaligned())
+                                        u64::from_le(at.cast::<u64>().read_unaligned())
                                     } else {
                                         let mut raw = [0u8; 8];
-                                        std::ptr::copy_nonoverlapping(
-                                            base.add(o),
-                                            raw.as_mut_ptr(),
-                                            len,
-                                        );
+                                        std::ptr::copy_nonoverlapping(at, raw.as_mut_ptr(), len);
                                         u64::from_le_bytes(raw)
                                     }
                                 };
@@ -1854,7 +1927,7 @@ impl<'k> LanesRun<'k> {
                             survivors.clear();
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
-                                let p = self.ptrs[idx(*ptr, l)];
+                                let p = self.ptrs[pidx(*ptr, l)];
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_load(&self.private[l * pb..(l + 1) * pb], p, *ty)
                                 } else {
@@ -1888,20 +1961,19 @@ impl<'k> LanesRun<'k> {
                         // exact little-endian bit patterns
                         // `Value::to_le_bytes` would produce (bool
                         // included: cells are canonical 0/1).
-                        let p0 = self.ptrs[idx(*ptr, g.lanes[0])];
-                        let fast = if matches!(p0.space, AddressSpace::Global | AddressSpace::Local)
-                        {
-                            mem.raw_region(p0.space, p0.buffer)
-                        } else {
+                        let p0 = self.ptrs[pidx(*ptr, g.lanes[0])];
+                        let fast = if p0.space == AddressSpace::Constant {
                             None
+                        } else {
+                            self.lane_region(mem, p0)
                         };
                         let mut k = 0;
-                        if let Some((base, rlen)) = fast {
+                        if let Some((base, rlen, stride)) = fast {
                             let contig = lanes_contiguous(&g.lanes);
                             let lo = g.lanes[0];
                             while k < g.lanes.len() {
                                 let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = self.ptrs[idx(*ptr, l)];
+                                let p = self.ptrs[pidx(*ptr, l)];
                                 if p.space != p0.space || p.buffer != p0.buffer {
                                     break;
                                 }
@@ -1911,18 +1983,16 @@ impl<'k> LanesRun<'k> {
                                     break;
                                 };
                                 let bits = self.cells[idx(*val, l)];
-                                // SAFETY: bounds checked above; race-freedom
-                                // per the `raw_region` contract.
+                                // SAFETY: bounds checked above against the
+                                // lane's region; race-freedom per the
+                                // `raw_region` contract.
                                 unsafe {
+                                    let at = base.add(l * stride + o);
                                     if len == 8 {
-                                        base.add(o).cast::<u64>().write_unaligned(bits.to_le());
+                                        at.cast::<u64>().write_unaligned(bits.to_le());
                                     } else {
                                         let raw = bits.to_le_bytes();
-                                        std::ptr::copy_nonoverlapping(
-                                            raw.as_ptr(),
-                                            base.add(o),
-                                            len,
-                                        );
+                                        std::ptr::copy_nonoverlapping(raw.as_ptr(), at, len);
                                     }
                                 }
                                 k += 1;
@@ -1934,7 +2004,7 @@ impl<'k> LanesRun<'k> {
                             survivors.clear();
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
-                                let p = self.ptrs[idx(*ptr, l)];
+                                let p = self.ptrs[pidx(*ptr, l)];
                                 let v = decode_scalar(*ty, self.cells[idx(*val, l)]);
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_store(&mut self.private[l * pb..(l + 1) * pb], p, v)
@@ -1985,7 +2055,7 @@ impl<'k> LanesRun<'k> {
                         let mut survivors = pool.pop().unwrap_or_default();
                         survivors.clear();
                         for &l in &g.lanes {
-                            let p = self.ptrs[idx(*pipe, l)];
+                            let p = self.ptrs[pidx(*pipe, l)];
                             match pipes.try_read(p.buffer, *ty) {
                                 Err(msg) => {
                                     any_bad = true;
@@ -2016,7 +2086,7 @@ impl<'k> LanesRun<'k> {
                         let mut survivors = pool.pop().unwrap_or_default();
                         survivors.clear();
                         for &l in &g.lanes {
-                            let p = self.ptrs[idx(*pipe, l)];
+                            let p = self.ptrs[pidx(*pipe, l)];
                             let bits = self.cells[idx(*val, l)];
                             match pipes.try_write(p.buffer, *ty, bits) {
                                 Err(msg) => {
@@ -2240,7 +2310,7 @@ fn bc_private_store(arena: &mut [u8], p: PtrValue, v: Value) -> Result<(), ExecE
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::interp::{VecMemory, WorkGroupRun};
+    use crate::interp::{GlobalArena, VecMemory, WorkGroupRun, WorkerMemory};
     use crate::mathlib::ExactMath;
 
     /// Run `func` under all three engines over the same NDRange with
@@ -2628,6 +2698,295 @@ mod tests {
             });
             assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "local={local}");
             assert_eq!(ws, ls, "local={local}");
+        }
+    }
+
+    /// The engine a [`run_ndrange`] call dispatches each group on.
+    #[derive(Debug, Clone, Copy)]
+    enum Engine {
+        Walk,
+        Bytecode,
+        Lanes,
+    }
+
+    /// Run one group to completion (a stall is the deadlock trap).
+    fn run_group(
+        func: &Function,
+        compiled: &CompiledKernel,
+        engine: Engine,
+        shape: GroupShape,
+        args: &[KernelArgValue],
+        mem: &mut dyn Memory,
+        pipes: &mut PipeHub,
+    ) -> Result<ExecStats, ExecError> {
+        let (outcome, stats) = match engine {
+            Engine::Walk => {
+                let mut r = WorkGroupRun::new(func, shape, args, 0)?;
+                (r.run_resumable(mem, &ExactMath, pipes)?, r.into_stats())
+            }
+            Engine::Bytecode => {
+                let mut r = BytecodeRun::new(compiled, shape, args, 0)?;
+                (r.run_resumable(mem, &ExactMath, pipes)?, r.into_stats())
+            }
+            Engine::Lanes => {
+                let mut r = LanesRun::new(compiled, shape, args, 0)?;
+                (r.run_resumable(mem, &ExactMath, pipes)?, r.into_stats())
+            }
+        };
+        match outcome {
+            RunOutcome::Complete => Ok(stats),
+            RunOutcome::Stalled => Err(pipe_deadlock_trap()),
+        }
+    }
+
+    /// Run an NDRange the way the runtime fans a launch out: contiguous
+    /// group ranges over `workers` threads sharing one global arena, a
+    /// local arena per worker, statistics merged in group order and the
+    /// lowest failing range's error reported. A single worker (or a
+    /// single group, such as a pipe task) runs on this thread against
+    /// `pipes`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_ndrange(
+        func: &Function,
+        compiled: &CompiledKernel,
+        engine: Engine,
+        workers: usize,
+        (global, local): (usize, usize),
+        arena: &mut GlobalArena,
+        bind: &(dyn Fn(&mut WorkerMemory<'_, '_>) -> Vec<KernelArgValue> + Sync),
+        pipes: &mut PipeHub,
+    ) -> Result<ExecStats, ExecError> {
+        let groups = global / local;
+        let shared = arena.shared();
+        let run_range = |range: std::ops::Range<usize>, pipes: &mut PipeHub| {
+            let mut mem = WorkerMemory::new(&shared);
+            let mut total = ExecStats::with_blocks(func.blocks.len());
+            for group in range {
+                mem.clear_locals();
+                let args = bind(&mut mem);
+                let shape = GroupShape::linear(global, local, group);
+                total.merge(&run_group(func, compiled, engine, shape, &args, &mut mem, pipes)?);
+            }
+            Ok(total)
+        };
+        if workers.min(groups) <= 1 {
+            return run_range(0..groups, pipes);
+        }
+        let chunk = groups.div_ceil(workers);
+        let results: Vec<Result<ExecStats, ExecError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..groups)
+                .step_by(chunk)
+                .map(|lo| {
+                    let run_range = &run_range;
+                    scope.spawn(move || {
+                        run_range(lo..(lo + chunk).min(groups), &mut PipeHub::default())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        });
+        let mut total = ExecStats::with_blocks(func.blocks.len());
+        for r in results {
+            total.merge(&r?);
+        }
+        Ok(total)
+    }
+
+    /// A kernel that keeps a global, a local, a constant and a private
+    /// pointer live across a divergent branch (`p = cond ? a : b` for
+    /// each, so the SSA pipeline makes four pointer phis and out-of-ssa
+    /// lowers them to pointer `Mov`s), builds the else-arm pointers from
+    /// chained `Gep`s, and reads `*(pl + bad_local)` and
+    /// `*(pp + bad_private)` through the moved local and private pointers
+    /// — out of bounds unless both offsets are 0. With `pipe`, the
+    /// result also round-trips through a pipe parameter (which makes the
+    /// kernel a single-work-item task).
+    fn pointer_kernel(pipe: bool) -> Function {
+        use crate::ir::BinOp;
+        use AddressSpace::{Constant, Global, Local, Private};
+        use ScalarType::{F64, I64};
+        let ptr = |space| Type::ptr(space, F64);
+        let mut b = FunctionBuilder::new("ptrs", true);
+        let out = b.param("out", ptr(Global));
+        let scratch = b.param("scratch", ptr(Local));
+        let table = b.param("table", ptr(Constant));
+        let pipe = pipe.then(|| b.param("p", ptr(AddressSpace::Pipe)));
+        let flip = b.param("flip", Type::Scalar(I64));
+        let bad_local = b.param("bad_local", Type::Scalar(I64));
+        let bad_private = b.param("bad_private", Type::Scalar(I64));
+        let arr = b.alloc_private(2 * 8, F64);
+        let lid = b.local_id(0);
+        let gid = b.global_id(0);
+        let lid_f = b.cast(lid, I64, F64);
+        let one = b.const_i64(1);
+        // scratch[lid] = lid; arr = {lid, 2 lid}; barrier
+        let slot = b.gep(scratch, lid, F64);
+        b.store(slot, lid_f, F64);
+        b.store(arr, lid_f, F64);
+        let arr1 = b.gep(arr, one, F64);
+        let twice = b.fadd(lid_f, lid_f, F64);
+        b.store(arr1, twice, F64);
+        b.barrier();
+        // Divergent on odd/even lanes; `flip` swaps the arms.
+        let two = b.const_i64(2);
+        let zero = b.const_i64(0);
+        let sum = b.bin(BinOp::Add, I64, lid, flip);
+        let parity = b.bin(BinOp::Rem, I64, sum, two);
+        let cond = b.cmp(CmpOp::Eq, I64, parity, zero);
+        let (pg, pl) = (b.fresh(ptr(Global)), b.fresh(ptr(Local)));
+        let (pc, pp) = (b.fresh(ptr(Constant)), b.fresh(ptr(Private)));
+        let (then_bb, else_bb, join) = (b.create_block(), b.create_block(), b.create_block());
+        b.branch(cond, then_bb, else_bb);
+        b.switch_to(then_bb);
+        let g = b.gep(out, gid, F64);
+        b.mov_into(pg, g);
+        let l = b.gep(scratch, lid, F64);
+        b.mov_into(pl, l);
+        let c = b.gep(table, lid, F64);
+        b.mov_into(pc, c);
+        b.mov_into(pp, arr);
+        b.jump(join);
+        b.switch_to(else_bb);
+        // out + (gid + 1) - 1, scratch + 1 + (lid - 1), table + 1 + lid;
+        // the -1 is an `int` index, which must sign-extend.
+        let gid1 = b.bin(BinOp::Add, I64, gid, one);
+        let one32 = b.const_i32(1);
+        let minus1 = b.un(UnOp::Neg, ScalarType::I32, one32);
+        let g1 = b.gep(out, gid1, F64);
+        let g2 = b.gep(g1, minus1, F64);
+        b.mov_into(pg, g2);
+        let lid0 = b.bin(BinOp::Sub, I64, lid, one);
+        let l1 = b.gep(scratch, one, F64);
+        let l2 = b.gep(l1, lid0, F64);
+        b.mov_into(pl, l2);
+        let c1 = b.gep(table, one, F64);
+        let c2 = b.gep(c1, lid, F64);
+        b.mov_into(pc, c2);
+        b.mov_into(pp, arr1);
+        b.jump(join);
+        b.switch_to(join);
+        let vl = b.load(pl, F64);
+        let vc = b.load(pc, F64);
+        let vp = b.load(pp, F64);
+        let probe_l = b.gep(pl, bad_local, F64);
+        let vbl = b.load(probe_l, F64);
+        let probe_p = b.gep(pp, bad_private, F64);
+        let vbp = b.load(probe_p, F64);
+        let s1 = b.fadd(vl, vc, F64);
+        let s2 = b.fadd(s1, vp, F64);
+        let s3 = b.fadd(s2, vbl, F64);
+        let mut v = b.fadd(s3, vbp, F64);
+        if let Some(p) = pipe {
+            b.pipe_write(p, v, F64);
+            v = b.pipe_read(p, F64);
+        }
+        b.store(pg, v, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn compact_pointer_plane_matches_walker_through_moves_geps_and_traps() {
+        use crate::ir::Module;
+        use crate::passes::Pipeline;
+        for pipe in [false, true] {
+            let module = Module::from_functions("ptrs", vec![pointer_kernel(pipe)]);
+            let (module, _) = Pipeline::for_build(false, false).run(module);
+            let func = module.kernel("ptrs").expect("kernel").clone();
+            crate::verify::verify_function(&func).expect("pipeline output verifies");
+            let compiled = CompiledKernel::compile(&func);
+
+            // The shapes under test survived the pipeline.
+            let ptr_space = |r: u32| match compiled.reg_types[r as usize] {
+                Type::Ptr(space, _) => Some(space),
+                Type::Scalar(_) => None,
+            };
+            let mut moved = Vec::new();
+            let mut geps = Vec::new();
+            for op in &compiled.code {
+                match *op {
+                    Op::Mov { dst, .. } => moved.extend(ptr_space(dst)),
+                    Op::Gep { dst, base, .. } => geps.push((dst, base)),
+                    _ => {}
+                }
+            }
+            use AddressSpace::{Constant, Global, Local, Private};
+            for space in [Global, Local, Constant, Private] {
+                assert!(moved.contains(&space), "a {space:?} pointer moves: {compiled}");
+            }
+            assert!(
+                geps.iter().any(|&(_, base)| geps.iter().any(|&(d, _)| d == base)),
+                "gep chain"
+            );
+            let ptr_regs = compiled.ptr_rows.iter().filter(|&&r| r != NO_PTR_ROW).count();
+            assert!(ptr_regs < compiled.reg_types.len(), "pointer plane is compact");
+
+            let (global, local) = if pipe { (1, 1) } else { (24, 8) };
+            let bads = [(0, 0), (1 << 20, 0), (0, 1 << 20)];
+            for flip in [0, 1] {
+                for (bad_local, bad_private) in bads {
+                    let mut outcomes = Vec::new();
+                    for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+                        for workers in [1, 4] {
+                            let mut arena = GlobalArena::new();
+                            let out = arena.alloc(global * 8);
+                            let table = arena.alloc((local + 1) * 8);
+                            for (i, x) in arena.bytes_mut(table).chunks_mut(8).enumerate() {
+                                x.copy_from_slice(&(0.5 + i as f64).to_le_bytes());
+                            }
+                            let mut hub = PipeHub::default();
+                            let pipe_id = hub.create(ScalarType::F64, 4);
+                            let bind = |mem: &mut WorkerMemory<'_, '_>| {
+                                let mut args = vec![
+                                    KernelArgValue::GlobalBuffer(out),
+                                    KernelArgValue::LocalBuffer(mem.alloc_local(local * 8)),
+                                    KernelArgValue::GlobalBuffer(table),
+                                ];
+                                if pipe {
+                                    args.push(KernelArgValue::Pipe(pipe_id));
+                                }
+                                args.push(KernelArgValue::Scalar(Value::I64(flip)));
+                                args.push(KernelArgValue::Scalar(Value::I64(bad_local)));
+                                args.push(KernelArgValue::Scalar(Value::I64(bad_private)));
+                                args
+                            };
+                            let run = run_ndrange(
+                                &func,
+                                &compiled,
+                                engine,
+                                workers,
+                                (global, local),
+                                &mut arena,
+                                &bind,
+                                &mut hub,
+                            );
+                            let outcome = run
+                                .map(|stats| (stats, arena.bytes(out).to_vec()))
+                                .map_err(|e| e.to_string());
+                            outcomes.push(((engine, workers), outcome));
+                        }
+                    }
+                    let what = format!("pipe={pipe} flip={flip} bad=({bad_local}, {bad_private})");
+                    let reference = &outcomes[0].1;
+                    for (run, outcome) in &outcomes[1..] {
+                        assert_eq!(outcome, reference, "{run:?} differs from the walker: {what}");
+                    }
+                    match reference {
+                        Ok((stats, _)) => {
+                            assert_eq!((bad_local, bad_private), (0, 0), "{what}");
+                            assert!(stats.ops.mov > 0, "pointer moves executed: {what}");
+                        }
+                        Err(e) => {
+                            assert_ne!((bad_local, bad_private), (0, 0), "{what}: {e}");
+                            let space = if bad_local != 0 { "local" } else { "private" };
+                            assert!(
+                                e.contains("out of bounds") && e.contains(space),
+                                "{what}: {e}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -44,7 +44,7 @@ pub struct AcceleratorConfig {
     /// results are identical for every count).
     pub workers: Option<usize>,
     /// Kernel execution engine override (`None` = the queue default:
-    /// `BOP_SIM_ENGINE`, else bytecode). A wall-clock knob only — all
+    /// `BOP_SIM_ENGINE`, else lanes). A wall-clock knob only — all
     /// engines (walk, bytecode, lanes) are bit-identical.
     pub engine: Option<Engine>,
     /// Per-work-group instruction budget override (`None` = the queue
@@ -162,8 +162,8 @@ impl AcceleratorBuilder {
 
     /// Select the kernel execution engine (walk, bytecode, or the
     /// lane-vectorized `lanes`) for every session this
-    /// accelerator opens (default: the queue's `BOP_SIM_ENGINE` /
-    /// bytecode heuristic). A wall-clock knob only — prices, statistics
+    /// accelerator opens (default: the queue's `BOP_SIM_ENGINE`, else
+    /// lanes). A wall-clock knob only — prices, statistics
     /// and the simulated clock are identical on every engine.
     pub fn engine(mut self, engine: Engine) -> AcceleratorBuilder {
         self.config.engine = Some(engine);

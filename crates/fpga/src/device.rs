@@ -184,7 +184,9 @@ impl DeviceProgram for FpgaProgram {
     fn report(&self) -> BuildReport {
         BuildReport {
             device: self.device_name.clone(),
-            kernels: self.schedules.keys().cloned().collect(),
+            // Module order, as the other devices report it (the schedule
+            // map's order would change from build to build).
+            kernels: self.module.kernels().map(|k| k.name.clone()).collect(),
             clock_hz: self.fit.fmax_hz,
             resources: Some(self.fit.resources),
             logic_utilization: Some(self.fit.logic_util),
@@ -231,6 +233,27 @@ mod tests {
         size_t g = get_global_id(0);
         y[g] = a * x[g] + y[g];
     }";
+
+    #[test]
+    fn report_lists_kernels_in_the_same_order_on_every_build() {
+        // The two-kernel streaming program (producer + consumer): every
+        // build must list its kernels identically.
+        let src = include_str!("../../core/kernels/streaming.cl")
+            .replace("REAL", "double")
+            .replace("PRIVN", "33");
+        let ctx = Context::new(FpgaDevice::de4());
+        let build = || {
+            Program::from_source(&ctx, "streaming.cl", &src, &BuildOptions::default())
+                .expect("fits")
+                .report()
+                .kernels
+        };
+        let first = build();
+        assert_eq!(first.len(), 2, "producer and consumer: {first:?}");
+        for _ in 0..16 {
+            assert_eq!(build(), first, "kernel order changed between builds");
+        }
+    }
 
     #[test]
     fn compile_reports_resources_and_clock() {

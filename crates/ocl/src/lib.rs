@@ -15,9 +15,10 @@
 //! `clGetEventProfilingInfo` would.
 //!
 //! Programs are optimised by the runtime pass pipeline and flattened to
-//! register bytecode at build time; launches execute on the bytecode
-//! engine by default ([`queue::Engine`], `BOP_SIM_ENGINE`), with the
-//! tree-walking interpreter available as the bit-identical reference.
+//! register bytecode at build time; launches execute it on the
+//! lane-vectorized engine by default ([`queue::Engine`],
+//! `BOP_SIM_ENGINE`), with the tree-walking interpreter available as the
+//! bit-identical reference.
 //!
 //! For paper-scale workloads (10^9 tree nodes) functional interpretation is
 //! replaced by a caller-supplied statistics model

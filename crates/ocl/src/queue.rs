@@ -32,20 +32,22 @@ use std::sync::Mutex;
 
 /// Which kernel execution engine an NDRange launch uses. All engines are
 /// bit-identical — same prices, statistics, counters, traces and error
-/// messages; bytecode and lanes are simply faster wall-clock.
+/// messages; bytecode and lanes are simply faster wall-clock. Lanes is
+/// the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The `bop-clir` tree-walking interpreter ([`WorkGroupRun`]) — the
     /// reference engine.
     Walk,
-    /// The compiled register-bytecode engine ([`BytecodeRun`]); falls back
+    /// The compiled register-bytecode engine ([`BytecodeRun`]), one
+    /// work-item at a time; falls back to the walker for kernels with no
+    /// cached bytecode.
+    Bytecode,
+    /// The lane-vectorized bytecode engine ([`LanesRun`]), the default:
+    /// each op dispatches once per SIMT group and executes across all
+    /// work-item lanes of a structure-of-arrays register file. Falls back
     /// to the walker for kernels with no cached bytecode.
     #[default]
-    Bytecode,
-    /// The lane-vectorized bytecode engine ([`LanesRun`]): each op
-    /// dispatches once per SIMT group and executes across all work-item
-    /// lanes of a structure-of-arrays register file. Falls back to the
-    /// walker for kernels with no cached bytecode.
     Lanes,
 }
 
@@ -72,7 +74,7 @@ pub fn parse_engine(s: &str) -> Option<Engine> {
 }
 
 /// Engine used when none is configured: `BOP_SIM_ENGINE` if set to a name
-/// [`parse_engine`] accepts, else the bytecode engine.
+/// [`parse_engine`] accepts, else the lanes engine.
 fn default_engine() -> Engine {
     std::env::var("BOP_SIM_ENGINE").ok().and_then(|v| parse_engine(&v)).unwrap_or_default()
 }
@@ -371,7 +373,7 @@ impl CommandQueue {
     }
 
     /// Select the kernel execution engine for NDRange launches (default:
-    /// `BOP_SIM_ENGINE`, else the bytecode engine). Purely a wall-clock
+    /// `BOP_SIM_ENGINE`, else the lanes engine). Purely a wall-clock
     /// knob: all engines produce bit-identical results, statistics,
     /// counters, traces and errors.
     pub fn set_engine(&self, engine: Engine) {

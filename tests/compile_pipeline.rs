@@ -1,12 +1,13 @@
 //! Integration: the compile pipeline (passes -> verify -> bytecode) and
 //! the engine-equivalence contract.
 //!
-//! The tree-walking interpreter is the reference semantics; the register
-//! bytecode engine is the default hot path. The first half pins down the
-//! differential guarantee — both of the paper's host programs on all
-//! three device models must produce bit-identical prices, merged
-//! `ExecStats`, `QueueCounters` and exported traces on either engine at
-//! any worker count. The second half covers the knobs and failure modes
+//! The tree-walking interpreter is the reference semantics; the
+//! lane-vectorized bytecode engine is the default hot path. The first
+//! half pins down the differential guarantee — both of the paper's host
+//! programs on all three device models must produce bit-identical
+//! prices, merged `ExecStats`, `QueueCounters` and exported traces on
+//! every engine at any worker count, and so must runs with no engine
+//! configured. The second half covers the knobs and failure modes
 //! around the pipeline: engine/step-limit selection (builder and env
 //! syntax), the structured error for pass-corrupted IR, compile metrics,
 //! and program sharing across pooled shards.
@@ -15,6 +16,7 @@ use bop_core::hostprog::optimized::OptimizedHost;
 use bop_core::hostprog::straightforward::StraightforwardHost;
 use bop_core::{devices, Accelerator, KernelArch, Precision};
 use bop_finance::types::OptionParams;
+use bop_obs::{MetricsRegistry, Series};
 use bop_ocl::queue::{parse_engine, parse_step_limit};
 use bop_ocl::{BuildOptions, CommandQueue, Context, Device, Engine, Program};
 use std::sync::Arc;
@@ -27,11 +29,20 @@ struct Outcome {
     sim_s: f64,
 }
 
-fn run_host(device: Arc<dyn Device>, arch: KernelArch, engine: Engine, workers: usize) -> Outcome {
+/// Run `arch`'s host program on a fresh queue; `engine: None` leaves the
+/// queue on its default engine.
+fn run_host(
+    device: Arc<dyn Device>,
+    arch: KernelArch,
+    engine: Option<Engine>,
+    workers: usize,
+) -> Outcome {
     let ctx = Context::new(device);
     let queue = CommandQueue::new(&ctx);
     queue.set_workers(workers);
-    queue.set_engine(engine);
+    if let Some(engine) = engine {
+        queue.set_engine(engine);
+    }
     queue.enable_trace();
     let program = Program::from_source(
         &ctx,
@@ -71,12 +82,13 @@ fn bytecode_and_lanes_engines_are_bit_identical_to_the_tree_walker() {
     let device_of = [devices::fpga, devices::gpu, devices::cpu];
     for arch in archs {
         for make in device_of {
-            let reference = run_host(make(), arch, Engine::Walk, 1);
-            for engine in [Engine::Bytecode, Engine::Lanes] {
+            let reference = run_host(make(), arch, Some(Engine::Walk), 1);
+            // `None`: the engine a queue runs on when none is configured.
+            for engine in [Some(Engine::Bytecode), Some(Engine::Lanes), None] {
                 for workers in [1, 3] {
                     let bc = run_host(make(), arch, engine, workers);
                     let what = format!(
-                        "{arch:?} on {:?}, {engine} engine, {workers} worker(s)",
+                        "{arch:?} on {:?}, engine {engine:?}, {workers} worker(s)",
                         make().info().kind
                     );
                     assert_eq!(bc.prices, reference.prices, "prices differ: {what}");
@@ -176,7 +188,7 @@ fn engine_knob_round_trips_and_env_syntax_parses() {
     assert_eq!(queue.engine(), Engine::Bytecode);
     queue.set_engine(Engine::Lanes);
     assert_eq!(queue.engine(), Engine::Lanes);
-    assert_eq!(Engine::default(), Engine::Bytecode, "bytecode is the default hot path");
+    assert_eq!(Engine::default(), Engine::Lanes, "lanes is the default hot path");
 
     // The BOP_SIM_ENGINE value syntax.
     for (s, want) in [
@@ -241,27 +253,57 @@ fn step_limit_traps_runaway_kernels_and_lifts_on_raise() {
     assert_eq!(err.to_string(), walk_err.to_string(), "identical trap report on both engines");
 }
 
+/// The series of a registry that depend only on simulated execution:
+/// queue and interpreter counters, simulated kernel seconds and energy.
+/// Compile timings are wall-clock and left out.
+fn simulated_series(registry: &MetricsRegistry) -> Vec<Series> {
+    registry
+        .snapshot()
+        .into_iter()
+        .filter(|s| {
+            let (Series::Counter { name, .. }
+            | Series::Gauge { name, .. }
+            | Series::Hist { name, .. }) = s;
+            ["ocl.", "clir.", "energy."].iter().any(|p| name.starts_with(p))
+        })
+        .collect()
+}
+
+/// `Accelerator::price` on kernels IV.B and IV.C on the FPGA model: the
+/// pricing run, its session trace, calibration statistics and every
+/// simulated metric are the walker's on every engine, and with no engine
+/// configured.
 #[test]
 fn accelerator_engine_knob_is_wall_clock_only() {
-    let price = |engine: Option<Engine>| {
-        let mut b = Accelerator::builder(devices::fpga())
-            .arch(KernelArch::Optimized)
-            .precision(Precision::Double)
-            .n_steps(32);
-        if let Some(e) = engine {
-            b = b.engine(e);
+    for arch in [KernelArch::Optimized, KernelArch::Streaming] {
+        let price = |engine: Option<Engine>| {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut b = Accelerator::builder(devices::fpga())
+                .arch(arch)
+                .precision(Precision::Double)
+                .n_steps(32)
+                .metrics(registry.clone());
+            if let Some(e) = engine {
+                b = b.engine(e);
+            }
+            let acc = b.build().expect("builds");
+            let run = acc.price_with_session_trace(&[OptionParams::example(); 4]).expect("prices");
+            let calibration = acc.measure_per_option(16).expect("measures");
+            (run, calibration, simulated_series(&registry))
+        };
+        let walk = price(Some(Engine::Walk));
+        assert!(
+            walk.2.iter().any(|s| matches!(s, Series::Counter { name, .. } if name == "clir.ops")),
+            "{arch:?}: kernels published interpreter statistics"
+        );
+        for engine in [Some(Engine::Bytecode), Some(Engine::Lanes), None] {
+            let run = price(engine);
+            let what = format!("{arch:?}, engine {engine:?}");
+            assert_eq!(run.0, walk.0, "{what}: pricing run or session trace differs");
+            assert_eq!(run.1, walk.1, "{what}: calibration ExecStats differ");
+            assert_eq!(run.2, walk.2, "{what}: simulated metrics differ");
         }
-        b.build().expect("builds").price(&[OptionParams::example(); 4]).expect("prices")
-    };
-    let walk = price(Some(Engine::Walk));
-    let bytecode = price(Some(Engine::Bytecode));
-    let lanes = price(Some(Engine::Lanes));
-    let auto = price(None);
-    assert_eq!(walk.prices, bytecode.prices, "prices independent of engine");
-    assert_eq!(walk.prices, lanes.prices, "lanes prices independent of engine");
-    assert_eq!(walk.elapsed_s, bytecode.elapsed_s, "simulated time independent of engine");
-    assert_eq!(walk.elapsed_s, lanes.elapsed_s, "lanes simulated time independent of engine");
-    assert_eq!(auto.prices, bytecode.prices, "default engine gives the same prices");
+    }
 }
 
 #[test]

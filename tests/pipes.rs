@@ -133,11 +133,14 @@ struct Outcome {
     sim_s: f64,
 }
 
-fn run_streaming(engine: Engine, workers: usize) -> Outcome {
+/// `engine: None` leaves the queue on its default engine.
+fn run_streaming(engine: Option<Engine>, workers: usize) -> Outcome {
     let n_steps = 32;
     let ctx = Context::new(devices::fpga());
     let queue = CommandQueue::new(&ctx);
-    queue.set_engine(engine);
+    if let Some(engine) = engine {
+        queue.set_engine(engine);
+    }
     queue.set_workers(workers);
     let program = Program::from_source(
         &ctx,
@@ -165,17 +168,20 @@ fn run_streaming(engine: Engine, workers: usize) -> Outcome {
 
 #[test]
 fn producer_consumer_pair_is_bit_identical_across_engines_and_workers() {
-    let reference = run_streaming(Engine::Walk, 1);
+    let reference = run_streaming(Some(Engine::Walk), 1);
     assert!(
         reference.consumer_stats.pipe_read_stalls > 0,
         "the consumer must outpace the producer at least once"
     );
+    // `None`: the engine a queue runs on when none is configured.
     for (engine, workers) in [
-        (Engine::Walk, 4),
-        (Engine::Bytecode, 1),
-        (Engine::Bytecode, 4),
-        (Engine::Lanes, 1),
-        (Engine::Lanes, 4),
+        (Some(Engine::Walk), 4),
+        (Some(Engine::Bytecode), 1),
+        (Some(Engine::Bytecode), 4),
+        (Some(Engine::Lanes), 1),
+        (Some(Engine::Lanes), 4),
+        (None, 1),
+        (None, 4),
     ] {
         let outcome = run_streaming(engine, workers);
         assert_eq!(reference, outcome, "{engine:?} with {workers} workers diverged");

@@ -6,7 +6,10 @@
 use bop_core::{AcceleratorConfig, Error, PayoffSuite, RiskRequest};
 use bop_finance::payoff::{BarrierKind, Payoff};
 use bop_finance::{workload, OptionParams};
-use bop_serve::{OutputSet, PricingRequest, PricingService, ServeConfig};
+use bop_obs::{MetricsRegistry, Series};
+use bop_ocl::Engine;
+use bop_serve::{OutputSet, PricingRequest, PricingResponse, PricingService, ServeConfig};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn gpu_config(n_steps: usize) -> AcceleratorConfig {
@@ -128,6 +131,78 @@ fn price_and_greeks_flow_through_every_payoff() {
         );
     }
     assert_eq!(metrics.counter_total("serve.greeks.options"), 4);
+}
+
+/// The series of a registry that depend only on simulated execution:
+/// queue and interpreter counters, simulated kernel seconds, energy and
+/// the calibrated shard rates. Compile timings and serve latencies are
+/// wall-clock and left out.
+fn simulated_series(registry: &MetricsRegistry) -> Vec<Series> {
+    registry
+        .snapshot()
+        .into_iter()
+        .filter(|s| {
+            let (Series::Counter { name, .. }
+            | Series::Gauge { name, .. }
+            | Series::Hist { name, .. }) = s;
+            ["ocl.", "clir.", "energy.", "serve.shard.rate"].iter().any(|p| name.starts_with(p))
+        })
+        .collect()
+}
+
+/// Price and Greeks bit patterns of a served response.
+fn response_bits(r: &PricingResponse) -> Vec<u64> {
+    let g = r.greeks.expect("greeks requested");
+    [r.price, g.price, g.delta, g.gamma, g.theta, g.vega, g.rho]
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// With no engine configured, serving runs on the default engine; its
+/// prices, Greeks and every simulated statistic (calibration included)
+/// must be the walker's, bit for bit.
+#[test]
+fn default_engine_serving_is_bit_identical_to_the_walker() {
+    let serve = |engine: Option<Engine>| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut config = gpu_config(24);
+        config.engine = engine;
+        config.metrics = Some(registry.clone());
+        let suite = PayoffSuite::from_config(config).expect("suite builds");
+        let service = PricingService::start_with_metrics(
+            vec![suite],
+            ServeConfig {
+                probe_batch: 4,
+                max_linger: Duration::from_millis(1),
+                ..Default::default()
+            },
+            registry.clone(),
+        )
+        .expect("starts");
+        // One request at a time, so batching cannot depend on timing.
+        let bits: Vec<Vec<u64>> = all_payoffs()
+            .into_iter()
+            .map(|payoff| {
+                let request = PricingRequest {
+                    payoff,
+                    params: OptionParams::example(),
+                    outputs: OutputSet::PRICE | OutputSet::GREEKS,
+                };
+                response_bits(&service.price(vec![request]).expect("prices")[0])
+            })
+            .collect();
+        service.shutdown();
+        (bits, simulated_series(&registry))
+    };
+    let (walk_bits, walk_series) = serve(Some(Engine::Walk));
+    let (bits, series) = serve(None);
+    assert_eq!(bits, walk_bits, "prices and Greeks differ from the walker");
+    assert_eq!(series, walk_series, "simulated statistics differ from the walker");
+    assert!(
+        walk_series.iter().any(|s| matches!(s, Series::Counter { name, .. } if name == "clir.ops")),
+        "kernels published interpreter statistics"
+    );
 }
 
 #[test]
