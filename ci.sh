@@ -27,10 +27,13 @@ cargo clippy --all-targets -- -D warnings
 
 # Smoke-run the serving layer end to end: a bounded, seeded open-loop
 # stream through the batching service, with the JSON report parsed to
-# guard the {experiment, rows, counters, wall_s} schema.
+# guard the {experiment, rows, counters, wall_s} schema and the
+# micro-batcher's closure-reason counters.
 echo "== serve_load smoke =="
 ./target/release/serve_load --requests 40 --rate 5000 --shards 2 --seed 7 --json \
-  | grep -q '"experiment":"serve_load"'
+  > /tmp/serve_load_smoke.json
+grep -q '"experiment":"serve_load"' /tmp/serve_load_smoke.json
+grep -q '"serve.batches.closed' /tmp/serve_load_smoke.json
 
 # Mixed market-risk workload: every payoff class in the stream, half the
 # requests also computing Greeks. The per-payoff and greeks counters in

@@ -15,9 +15,15 @@
 //!            [--json] [--json-out <path>]
 //! ```
 //!
+//! `--linger-us U` (default 500) bounds how long the oldest queued
+//! request waits for a batch to fill *while a batch is in flight*; on an
+//! idle pool a partial batch dispatches at once, whatever `U` is.
+//!
 //! Latency is reported as tail percentiles (p50/p95/p99 of
-//! `serve.latency_s`) with a queue-wait / linger / execution breakdown,
-//! and energy as cumulative joules with options/J and
+//! `serve.latency_s`) with a queue-wait / linger / shard-wait /
+//! execution breakdown, the split of batch closures by reason
+//! (`serve.batches.closed.{full,pool_idle,linger,shutdown}`), and
+//! energy as cumulative joules with options/J and
 //! joules-per-million-requests — the paper's efficiency metric carried
 //! through to the serving layer.
 //!
@@ -49,6 +55,10 @@ use bop_obs::{ExperimentReport, MetricsRegistry};
 use bop_serve::{OutputSet, PricingRequest, PricingService, ServeConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Why the micro-batcher closed a batch: the `reason` label values of
+/// the `serve.batches.closed` counter.
+const CLOSE_REASONS: [&str; 4] = ["full", "pool_idle", "linger", "shutdown"];
 
 struct LoadOpts {
     requests: usize,
@@ -325,11 +335,19 @@ fn main() {
         }
         let p95 = |name: &str| metrics.histogram(name, &[]).map_or(f64::NAN, |h| h.quantile(0.95));
         println!(
-            "  breakdown (p95): queue wait {:.6} s, linger {:.6} s, exec {:.6} s",
+            "  breakdown (p95): queue wait {:.6} s, linger {:.6} s, shard wait {:.6} s, exec {:.6} s",
             p95("serve.queue_wait_s"),
             p95("serve.linger_s"),
+            p95("serve.shard_wait_s"),
             p95("serve.exec_s"),
         );
+        let closed: Vec<String> = CLOSE_REASONS
+            .iter()
+            .map(|r| {
+                format!("{} {r}", metrics.counter_value("serve.batches.closed", &[("reason", r)]))
+            })
+            .collect();
+        println!("  batches closed: {}", closed.join(", "));
         println!(
             "  energy: {joules:.3} J ({busy_s:.6} s device-busy) -> {options_per_j:.1} options/J, {joules_per_mreq:.1} J per million requests"
         );
@@ -375,6 +393,7 @@ fn main() {
     for (row, metric) in [
         ("serve.queue_wait.p95", "serve.queue_wait_s"),
         ("serve.linger.p95", "serve.linger_s"),
+        ("serve.shard_wait.p95", "serve.shard_wait_s"),
         ("serve.exec.p95", "serve.exec_s"),
     ] {
         if let Some(h) = metrics.histogram(metric, &[]) {
@@ -389,6 +408,12 @@ fn main() {
         report.push("serve.batch.mean_options", None, b.mean(), "options");
     }
     report.set_counter("serve.greeks.options", greeks_options);
+    for r in CLOSE_REASONS {
+        report.set_counter(
+            format!("serve.batches.closed.{r}"),
+            metrics.counter_value("serve.batches.closed", &[("reason", r)]),
+        );
+    }
     for p in payoff_classes {
         let n = metrics.counter_value("serve.payoff.options", &[("payoff", p)]);
         if n > 0 {

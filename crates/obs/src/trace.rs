@@ -38,6 +38,8 @@ pub enum SpanCategory {
     ServeQueueWait,
     /// A micro-batch lingering/forming in the batcher.
     ServeBatch,
+    /// A dispatched micro-batch waiting in a shard queue for its worker.
+    ServeShardWait,
     /// One pricing attempt of a micro-batch on a shard.
     ServeExec,
     /// A local retry marker after a retryable fault.
@@ -59,6 +61,7 @@ impl SpanCategory {
             SpanCategory::ServeRequest => "serve.request",
             SpanCategory::ServeQueueWait => "serve.queue_wait",
             SpanCategory::ServeBatch => "serve.batch",
+            SpanCategory::ServeShardWait => "serve.shard_wait",
             SpanCategory::ServeExec => "serve.exec",
             SpanCategory::ServeRetry => "serve.retry",
             SpanCategory::ServeRedispatch => "serve.redispatch",

@@ -8,11 +8,15 @@ use std::time::Duration;
 /// |------|---------|---------|
 /// | `queue_capacity` | max queued requests before typed rejection | 64 |
 /// | `max_batch` | micro-batch target, in options | 32 |
-/// | `max_linger` | max wait of the oldest queued request | 2 ms |
+/// | `max_linger` | max wait of the oldest queued request while a batch is in flight | 2 ms |
 /// | `probe_batch` | batch size used to calibrate shard rates | 256 |
 /// | `max_retries` | local re-prices of a batch after a retryable fault | 2 |
 /// | `retry_backoff_s` | simulated-time backoff base per retry, seconds | 1 ms |
 /// | `quarantine_after` | consecutive exhausted batches before quarantine | 3 |
+///
+/// The batcher closes a partial batch as soon as no shard has a batch
+/// queued or running, so `max_linger` only costs time while work is in
+/// flight — the only time waiting can still fill a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Maximum number of requests held in the submission queue. A submit
@@ -22,8 +26,12 @@ pub struct ServeConfig {
     /// soon as this many options are queued (requests are split at batch
     /// boundaries and reassembled transparently).
     pub max_batch: usize,
-    /// Maximum time the oldest queued request may linger before the
-    /// batcher dispatches a partial batch.
+    /// Maximum wait of the oldest queued request while a batch is in
+    /// flight, before the batcher dispatches a partial batch. On an idle
+    /// pool (no healthy shard with a batch queued or running) a partial
+    /// batch dispatches at once, and workers wake the batcher whenever
+    /// they free backlog, so a lingering request leaves as soon as the
+    /// pool drains.
     pub max_linger: Duration,
     /// Probe batch size for calibrating each shard's marginal rate at
     /// startup (the rates feed the scheduler's backlog/rate policy).

@@ -15,8 +15,10 @@
 //! ```text
 //!  submit() ──► bounded queue ──► micro-batcher ──► shard scheduler
 //!    │            (capacity,        (max_batch,       (argmin of
-//!    │             typed reject)     max_linger)       backlog/rate)
-//!    ▼                                                     │
+//!    │             typed reject)     pool idle,        backlog/rate)
+//!    │                               max_linger)           │
+//!    │                                   ▲ wake on         ▼
+//!    ▼                                   └─ backlog freed ─┤
 //!  Ticket ◄───────── price aggregation ◄────────── shard workers
 //! ```
 //!
@@ -25,10 +27,15 @@
 //! * **Backpressure is typed, never blocking.** A full queue returns
 //!   [`Error::Rejected`] with the observed depth and capacity; callers
 //!   decide whether to retry, shed, or route elsewhere.
-//! * **Requests linger in the queue.** The batcher only extracts work
-//!   when a full batch is ready, the oldest request has waited
-//!   `max_linger`, or the service is shutting down. Until then requests
-//!   count against `queue_capacity`, which makes rejection deterministic.
+//! * **Requests linger only behind in-flight work.** The batcher
+//!   extracts work when a full batch is ready, when no healthy shard has
+//!   a batch queued or running (the pool is idle, so waiting could not
+//!   fill a batch), when the oldest request has waited `max_linger`, or
+//!   when the service is shutting down. Workers wake the batcher whenever
+//!   they free backlog, so a lingering request leaves as soon as the
+//!   pool drains. Until then requests count against `queue_capacity`, which
+//!   makes rejection deterministic behind a busy pool. Each closure is
+//!   counted in `serve.batches.closed{reason}`.
 //! * **Batching never changes results.** Per-option prices are
 //!   independent of batch composition (each work-group prices one
 //!   option) and Greeks are assembled from deterministic device bumps
@@ -52,11 +59,14 @@
 //!   fault-free run (`tests/chaos.rs`).
 //! * **Every request is observable.** `submit` assigns a [`RequestId`];
 //!   with [`PricingService::enable_tracing`] the service records queue
-//!   wait, batch linger, and per-attempt execution spans — each pricing
-//!   session's simulated queue commands merged in underneath — into one
-//!   Chrome/Perfetto trace ([`PricingService::export_trace`]). Latency
+//!   wait, batch linger, shard wait, and per-attempt execution spans —
+//!   each pricing session's simulated queue commands merged in
+//!   underneath — into one Chrome/Perfetto trace
+//!   ([`PricingService::export_trace`]). Queue wait, shard wait and the
+//!   execution attempts tile each request's lifetime. Latency
 //!   breakdown histograms (`serve.queue_wait_s`, `serve.linger_s`,
-//!   `serve.exec_s`, `serve.latency_s`) feed p50/p95/p99 reporting, and
+//!   `serve.shard_wait_s`, `serve.exec_s`, `serve.latency_s`) feed
+//!   p50/p95/p99 reporting, and
 //!   cumulative `energy.joules` / `energy.busy_s` gauges (per device
 //!   and per shard, from simulated busy time × modeled watts) feed
 //!   options/J accounting.

@@ -105,6 +105,17 @@ impl ShardScheduler {
         st.pick_among(&self.rates, n_options, healthy.into_iter())
     }
 
+    /// Whether no schedulable shard has a batch queued or running: every
+    /// healthy shard's backlog is 0. Quarantined shards do not count as
+    /// busy unless every shard is quarantined — the same fallback
+    /// [`ShardScheduler::pick`] uses. The batcher closes a partial batch
+    /// at once on an idle pool, since lingering cannot fill it.
+    pub fn pool_idle(&self) -> bool {
+        let st = self.state.lock().expect("scheduler lock");
+        let all_out = st.quarantined.iter().all(|&q| q);
+        st.pending.iter().zip(&st.quarantined).all(|(&p, &q)| p == 0 || (q && !all_out))
+    }
+
     /// Mark `n_options` completed on `shard`, freeing its backlog.
     pub fn complete(&self, shard: usize, n_options: usize) {
         let mut st = self.state.lock().expect("scheduler lock");
@@ -186,6 +197,30 @@ mod tests {
         // instead of stalling the batcher.
         s.quarantine(0);
         assert_eq!(s.pick(8), 1, "fully-quarantined pool still schedules");
+    }
+
+    #[test]
+    fn pool_idle_ignores_quarantined_backlog_unless_all_are_out() {
+        let s = ShardScheduler::new(vec![100.0, 100.0]);
+        assert!(s.pool_idle(), "a fresh pool is idle");
+        assert_eq!(s.pick(4), 0);
+        assert!(!s.pool_idle(), "one busy shard makes the pool busy");
+        s.complete(0, 4);
+        assert!(s.pool_idle(), "completion drains the pool");
+        // A quarantined shard's leftover backlog does not count...
+        assert_eq!(s.pick(4), 0);
+        s.quarantine(0);
+        assert!(s.pool_idle(), "quarantined backlog is not schedulable work");
+        assert_eq!(s.pick(4), 1);
+        assert!(!s.pool_idle(), "the healthy shard is busy");
+        s.complete(1, 4);
+        assert!(s.pool_idle());
+        // ...until every shard is out: then the whole pool schedules
+        // again, and every backlog counts.
+        s.quarantine(1);
+        assert!(!s.pool_idle(), "fully-quarantined pool counts shard 0's backlog");
+        s.complete(0, 4);
+        assert!(s.pool_idle());
     }
 
     #[test]

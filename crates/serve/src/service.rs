@@ -7,17 +7,24 @@
 //!   request (bounded queue, never blocks) or returns a typed
 //!   rejection.
 //! * The **batcher** thread sleeps until a full batch's worth of options
-//!   is queued, the oldest request has lingered `max_linger`, or
-//!   shutdown starts; it then extracts one micro-batch — splitting
-//!   requests at the batch boundary *and at payoff-class changes*, so
-//!   every batch prices on a single kernel — picks a shard by
-//!   completion horizon, and hands the batch over.
+//!   is queued, no shard has a batch queued or running (the pool is
+//!   idle, so lingering could not fill a batch), the oldest request has
+//!   lingered `max_linger` behind in-flight work, or shutdown starts. It
+//!   then extracts one micro-batch — splitting requests at the batch
+//!   boundary *and at payoff-class changes*, so every batch prices on a
+//!   single kernel — counts why it closed (`serve.batches.closed`,
+//!   reason `full`, `pool_idle`, `linger` or `shutdown`), picks a shard
+//!   by completion horizon, and hands the batch over. Workers wake the
+//!   batcher whenever they free shard backlog, so a request lingering
+//!   behind in-flight work dispatches as soon as the pool drains.
 //! * Each **shard worker** owns one [`PayoffSuite`] (the four compiled
 //!   payoff kernels of one device). It drops past-deadline chunks with
 //!   [`Error::DeadlineExceeded`], prices the rest in a single
 //!   `price_risk` call — Greeks bumps riding in the same device batch —
 //!   and scatters [`PricingResponse`]s back through each request's
-//!   aggregator.
+//!   aggregator. The time a batch spends in the shard queue, from
+//!   dispatch to the worker's pop, is its shard wait
+//!   (`serve.shard_wait_s`, and a `serve.shard_wait` span when tracing).
 //!
 //! Failure policy (exercised by `tests/chaos.rs` under injected
 //! faults): a retryable error ([`Error::is_retryable`], i.e. an
@@ -218,8 +225,11 @@ struct Batch {
     /// never bounce around the pool forever.
     attempts: usize,
     /// Span id of the batch's `serve.batch` linger span, when tracing;
-    /// execution attempts parent to it.
+    /// shard waits and execution attempts parent to it.
     span: Option<u64>,
+    /// When the batch was last handed to a shard queue, on the tracer
+    /// clock; the worker's pop closes the batch's shard wait.
+    pushed_s: f64,
 }
 
 struct PendingRequest {
@@ -239,8 +249,22 @@ struct QueueState {
 
 struct Shared {
     config: ServeConfig,
+    scheduler: ShardScheduler,
     state: Mutex<QueueState>,
+    /// Wakes the batcher: a submission, shutdown, or freed shard backlog
+    /// (a lingering partial batch may close once the pool is idle).
     work_ready: Condvar,
+}
+
+impl Shared {
+    /// Free `n_options` of `shard`'s backlog and wake the batcher. The
+    /// notify runs under the service lock, so it cannot fall between the
+    /// batcher's pool-idle check and its wait.
+    fn complete(&self, shard: usize, n_options: usize) {
+        self.scheduler.complete(shard, n_options);
+        let _st = self.state.lock().expect("service lock");
+        self.work_ready.notify_one();
+    }
 }
 
 struct ShardQueue {
@@ -298,7 +322,6 @@ impl ShardQueue {
 /// A running pricing service. See the crate docs for the pipeline.
 pub struct PricingService {
     shared: Arc<Shared>,
-    scheduler: Arc<ShardScheduler>,
     metrics: Arc<MetricsRegistry>,
     tracer: Arc<RequestTracer>,
     next_request_id: AtomicU64,
@@ -348,9 +371,9 @@ impl PricingService {
                 *rate,
             );
         }
-        let scheduler = Arc::new(ShardScheduler::new(rates));
         let shared = Arc::new(Shared {
             config,
+            scheduler: ShardScheduler::new(rates),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 queued_options: 0,
@@ -366,28 +389,21 @@ impl PricingService {
             .enumerate()
             .map(|(i, acc)| {
                 let queues = shard_queues.clone();
-                let scheduler = scheduler.clone();
+                let shared = shared.clone();
                 let metrics = metrics.clone();
                 let tracer = tracer.clone();
-                let config = shared.config.clone();
-                thread::spawn(move || {
-                    worker_loop(i, acc, &queues, &scheduler, &metrics, &tracer, &config)
-                })
+                thread::spawn(move || worker_loop(i, acc, &queues, &shared, &metrics, &tracer))
             })
             .collect();
         let batcher = {
             let shared = shared.clone();
-            let scheduler = scheduler.clone();
             let shard_queues = shard_queues.clone();
             let metrics = metrics.clone();
             let tracer = tracer.clone();
-            thread::spawn(move || {
-                batcher_loop(&shared, &scheduler, &shard_queues, &metrics, &tracer)
-            })
+            thread::spawn(move || batcher_loop(&shared, &shard_queues, &metrics, &tracer))
         };
         Ok(PricingService {
             shared,
-            scheduler,
             metrics,
             tracer,
             next_request_id: AtomicU64::new(1),
@@ -528,7 +544,7 @@ impl PricingService {
 
     /// The shard scheduler (rates and live backlog).
     pub fn scheduler(&self) -> &ShardScheduler {
-        &self.scheduler
+        &self.shared.scheduler
     }
 
     /// Number of shards in the pool.
@@ -620,7 +636,7 @@ fn extract(st: &mut QueueState, max_batch: usize) -> Batch {
             break 'requests;
         }
     }
-    Batch { chunks, n_options, class: class.unwrap_or(""), attempts: 0, span: None }
+    Batch { chunks, n_options, class: class.unwrap_or(""), attempts: 0, span: None, pushed_s: 0.0 }
 }
 
 /// Comma-joined deduplicated ids of the requests a chunk list serves,
@@ -644,15 +660,14 @@ fn request_ids(chunks: &[Chunk]) -> String {
 
 fn batcher_loop(
     shared: &Shared,
-    scheduler: &ShardScheduler,
     shard_queues: &[Arc<ShardQueue>],
     metrics: &MetricsRegistry,
     tracer: &RequestTracer,
 ) {
     loop {
-        let mut batch = {
+        let (mut batch, reason) = {
             let mut st = shared.state.lock().expect("service lock");
-            loop {
+            let reason = loop {
                 if st.queue.is_empty() {
                     if st.shutting_down {
                         return; // fully drained
@@ -660,22 +675,32 @@ fn batcher_loop(
                     st = shared.work_ready.wait(st).expect("service lock");
                     continue;
                 }
-                let oldest = st.queue.front().expect("non-empty").enqueued_at;
-                if st.queued_options >= shared.config.max_batch
-                    || oldest.elapsed() >= shared.config.max_linger
-                    || st.shutting_down
-                {
-                    break;
+                // Close a batch when it is full, when no shard has work
+                // queued or running (lingering could not fill it), when
+                // the oldest request has lingered `max_linger` behind
+                // in-flight work, or on shutdown. Workers wake this wait
+                // whenever they free backlog (`Shared::complete`).
+                let lingered = st.queue.front().expect("non-empty").enqueued_at.elapsed();
+                if st.queued_options >= shared.config.max_batch {
+                    break "full";
                 }
-                let linger_left = shared.config.max_linger.saturating_sub(oldest.elapsed());
-                let (guard, _) =
-                    shared.work_ready.wait_timeout(st, linger_left).expect("service lock");
-                st = guard;
-            }
+                if shared.scheduler.pool_idle() {
+                    break "pool_idle";
+                }
+                if lingered >= shared.config.max_linger {
+                    break "linger";
+                }
+                if st.shutting_down {
+                    break "shutdown";
+                }
+                let linger_left = shared.config.max_linger - lingered;
+                st = shared.work_ready.wait_timeout(st, linger_left).expect("service lock").0;
+            };
             let batch = extract(&mut st, shared.config.max_batch);
             publish_queue_gauges(metrics, &st);
-            batch
+            (batch, reason)
         };
+        metrics.inc("serve.batches.closed", &[("reason", reason)], 1);
         // Latency breakdown: how long each chunk waited in the
         // submission queue, and how long the batch's oldest request
         // lingered before dispatch (both wall clock).
@@ -725,12 +750,14 @@ fn batcher_loop(
             });
             batch.span = Some(batch_span);
         }
-        let shard = scheduler.pick(batch.n_options);
+        // The shard wait starts where the queue wait ends.
+        batch.pushed_s = now_s;
+        let shard = shared.scheduler.pick(batch.n_options);
         if let Err(batch) = shard_queues[shard].push(batch) {
             // Unreachable in the normal lifecycle (queues close only
             // after the batcher exits), but a lost batch would hang its
             // callers forever, so fail it rather than drop it.
-            scheduler.complete(shard, batch.n_options);
+            shared.complete(shard, batch.n_options);
             for chunk in &batch.chunks {
                 let rejection = Rejection {
                     depth: 0,
@@ -749,25 +776,26 @@ fn worker_loop(
     shard: usize,
     suite: PayoffSuite,
     queues: &[Arc<ShardQueue>],
-    scheduler: &ShardScheduler,
+    shared: &Shared,
     metrics: &MetricsRegistry,
     tracer: &RequestTracer,
-    config: &ServeConfig,
 ) {
+    let (config, scheduler) = (&shared.config, &shared.scheduler);
     let label = shard.to_string();
     // Consecutive micro-batches that exhausted their local retries here.
     // One success resets it; reaching `quarantine_after` takes the shard
     // out of scheduling.
     let mut failure_streak = 0usize;
     'batches: while let Some(batch) = queues[shard].pop() {
+        record_shard_wait(&batch, shard, metrics, tracer);
         // Batches routed here before the quarantine took effect are
         // handed to a healthy peer without consuming a redispatch
         // attempt — this shard never touched them.
         let batch = if scheduler.is_quarantined(shard) {
             let n_options = batch.n_options;
-            match redispatch(shard, batch, queues, scheduler, metrics, tracer, &label) {
+            match redispatch(shard, batch, queues, shared, metrics, tracer, &label) {
                 None => {
-                    scheduler.complete(shard, n_options);
+                    shared.complete(shard, n_options);
                     continue 'batches;
                 }
                 Some(batch) => batch, // no healthy peer: price it here anyway
@@ -791,7 +819,7 @@ fn worker_loop(
             }
         }
         if live.is_empty() {
-            scheduler.complete(shard, batch.n_options);
+            shared.complete(shard, batch.n_options);
             continue 'batches;
         }
         let risk: Vec<RiskRequest> = live
@@ -855,7 +883,7 @@ fn worker_loop(
         }
         // Free the backlog before touching aggregators: a caller woken
         // by the final fill must observe the scheduler already drained.
-        scheduler.complete(shard, batch.n_options);
+        shared.complete(shard, batch.n_options);
         match result {
             Ok((results, run)) => {
                 failure_streak = 0;
@@ -906,8 +934,9 @@ fn worker_loop(
                             class: batch.class,
                             attempts,
                             span: batch.span,
+                            pushed_s: 0.0,
                         };
-                        match redispatch(shard, redo, queues, scheduler, metrics, tracer, &label) {
+                        match redispatch(shard, redo, queues, shared, metrics, tracer, &label) {
                             None => continue 'batches,
                             Some(returned) => live = returned.chunks,
                         }
@@ -921,6 +950,34 @@ fn worker_loop(
                 }
             }
         }
+    }
+}
+
+/// Close a popped batch's shard wait — from its push onto `shard`'s
+/// queue to the worker's pop — in the `serve.shard_wait_s` histogram
+/// and, when tracing, a `serve.shard_wait` span parented like the
+/// execution attempts that follow it.
+fn record_shard_wait(
+    batch: &Batch,
+    shard: usize,
+    metrics: &MetricsRegistry,
+    tracer: &RequestTracer,
+) {
+    let now_s = tracer.now_s();
+    metrics.observe("serve.shard_wait_s", &[], (now_s - batch.pushed_s).max(0.0));
+    if tracer.is_enabled() {
+        let id = tracer.next_id();
+        tracer.push(TraceSpan {
+            id,
+            parent: batch.span,
+            name: format!("shard wait ({} {} options)", batch.n_options, batch.class),
+            category: SpanCategory::ServeShardWait,
+            track: format!("shard {shard}"),
+            queued_s: batch.pushed_s,
+            start_s: batch.pushed_s,
+            end_s: now_s,
+            args: vec![("request_ids".into(), request_ids(&batch.chunks))],
+        });
     }
 }
 
@@ -997,16 +1054,17 @@ fn risk_attempt(
 /// caller's responsibility.
 fn redispatch(
     shard: usize,
-    batch: Batch,
+    mut batch: Batch,
     queues: &[Arc<ShardQueue>],
-    scheduler: &ShardScheduler,
+    shared: &Shared,
     metrics: &MetricsRegistry,
     tracer: &RequestTracer,
     label: &str,
 ) -> Option<Batch> {
-    let Some(target) = scheduler.pick_for_redispatch(batch.n_options, shard) else {
+    let Some(target) = shared.scheduler.pick_for_redispatch(batch.n_options, shard) else {
         return Some(batch);
     };
+    batch.pushed_s = tracer.now_s();
     let n_options = batch.n_options;
     let span_parent = batch.span;
     let ids = tracer.is_enabled().then(|| request_ids(&batch.chunks));
@@ -1035,7 +1093,7 @@ fn redispatch(
             None
         }
         Err(batch) => {
-            scheduler.complete(target, n_options);
+            shared.complete(target, n_options);
             Some(batch)
         }
     }

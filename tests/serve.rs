@@ -10,7 +10,7 @@ use bop_obs::{MetricsRegistry, Series};
 use bop_ocl::Engine;
 use bop_serve::{OutputSet, PricingRequest, PricingResponse, PricingService, ServeConfig};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn gpu_config(n_steps: usize) -> AcceleratorConfig {
     let mut config = AcceleratorConfig::new(bop_core::devices::gpu());
@@ -34,6 +34,25 @@ fn options(n: usize, seed: u64) -> Vec<OptionParams> {
 
 fn batch(n: usize, seed: u64) -> Vec<PricingRequest> {
     options(n, seed).into_iter().map(PricingRequest::from_style).collect()
+}
+
+/// Lattice size for tests that need a shard kept busy.
+const LONG_STEPS: usize = 128;
+
+/// A request that keeps a [`LONG_STEPS`] shard busy for a long time next
+/// to a few submissions (0.1-0.3 s on a 2-core x86 host): 64 American
+/// options, each with its Greeks bumps.
+fn long_request() -> Vec<PricingRequest> {
+    options(64, 77).into_iter().map(|p| PricingRequest::with_greeks(p, Payoff::American)).collect()
+}
+
+/// Block until the batcher has dispatched something to the pool.
+fn wait_until_dispatched(service: &PricingService) {
+    let start = Instant::now();
+    while service.scheduler().backlog().iter().sum::<u64>() == 0 {
+        assert!(start.elapsed() < Duration::from_secs(30), "nothing was dispatched");
+        std::thread::sleep(Duration::from_micros(200));
+    }
 }
 
 fn all_payoffs() -> [Payoff; 4] {
@@ -207,10 +226,12 @@ fn default_engine_serving_is_bit_identical_to_the_walker() {
 
 #[test]
 fn full_queue_rejects_with_typed_backpressure_and_drains_on_shutdown() {
-    // capacity 2, huge batch target, long linger: submissions stay
-    // queued, so the third submit is deterministically rejected.
+    // capacity 2, huge batch target, long linger, and the only shard
+    // busy with a long request: submissions stay queued (a partial batch
+    // closes early only on an idle pool), so the third submit is
+    // deterministically rejected.
     let service = PricingService::start(
-        vec![gpu_suite(32)],
+        vec![gpu_suite(LONG_STEPS)],
         ServeConfig {
             queue_capacity: 2,
             max_batch: 100,
@@ -219,6 +240,8 @@ fn full_queue_rejects_with_typed_backpressure_and_drains_on_shutdown() {
         },
     )
     .expect("starts");
+    let busy = service.submit(long_request(), None).expect("occupies the shard");
+    wait_until_dispatched(&service);
     let a = service.submit(batch(2, 1), None).expect("first fits");
     let b = service.submit(batch(2, 2), None).expect("second fits");
     let err = service.submit(batch(2, 3), None).expect_err("third must be rejected");
@@ -232,13 +255,74 @@ fn full_queue_rejects_with_typed_backpressure_and_drains_on_shutdown() {
     }
     let metrics = service.metrics().clone();
     assert_eq!(metrics.counter_value("serve.requests.rejected", &[("reason", "full")]), 1);
-    assert_eq!(metrics.counter_total("serve.requests.accepted"), 2);
+    // The two that fit, plus the request occupying the shard.
+    assert_eq!(metrics.counter_total("serve.requests.accepted"), 3);
 
     // Shutdown must flush the two lingering requests, not drop them.
     service.shutdown();
     assert_eq!(a.wait().expect("drained").len(), 2);
     assert_eq!(b.wait().expect("drained").len(), 2);
-    assert_eq!(metrics.counter_total("serve.requests.completed"), 2);
+    assert_eq!(busy.wait().expect("priced").len(), 64);
+    assert_eq!(metrics.counter_total("serve.requests.completed"), 3);
+}
+
+#[test]
+fn a_lingering_request_dispatches_as_soon_as_the_pool_drains() {
+    // One shard and a linger far beyond the test's patience: B, queued
+    // while A occupies the shard, leaves the queue early only through
+    // the wake the worker sends when A's completion drains the pool.
+    let service = PricingService::start(
+        vec![gpu_suite(LONG_STEPS)],
+        ServeConfig { max_linger: Duration::from_secs(60), ..ServeConfig::default() },
+    )
+    .expect("starts");
+    let a = service.submit(long_request(), None).expect("accepted");
+    wait_until_dispatched(&service);
+    let b = service.submit(batch(2, 3), None).expect("accepted");
+    assert_eq!(a.wait().expect("prices").len(), 64);
+    let a_done = Instant::now();
+    assert_eq!(b.wait().expect("prices").len(), 2);
+    let gap = a_done.elapsed();
+    assert!(gap < Duration::from_secs(5), "B waited {gap:?} after A finished");
+    let metrics = service.metrics().clone();
+    service.shutdown();
+    assert_eq!(metrics.counter_value("serve.batches.closed", &[("reason", "linger")]), 0);
+}
+
+#[test]
+fn sequential_requests_on_an_idle_pool_close_as_pool_idle() {
+    let service = PricingService::start(
+        gpu_pool(32, 2),
+        ServeConfig { max_linger: Duration::from_secs(60), ..ServeConfig::default() },
+    )
+    .expect("starts");
+    let n = 5;
+    for i in 0..n {
+        assert_eq!(service.price(batch(2, 60 + i)).expect("prices").len(), 2);
+    }
+    let metrics = service.metrics().clone();
+    service.shutdown();
+    assert_eq!(metrics.counter_value("serve.batches.closed", &[("reason", "pool_idle")]), n);
+    assert_eq!(metrics.counter_total("serve.batches.closed"), n, "every batch closed early");
+}
+
+#[test]
+fn a_burst_beyond_max_batch_closes_full_batches() {
+    let service = PricingService::start(
+        vec![gpu_suite(32)],
+        ServeConfig { max_batch: 4, max_linger: Duration::from_secs(60), ..ServeConfig::default() },
+    )
+    .expect("starts");
+    let tickets: Vec<_> =
+        (0..3).map(|i| service.submit(batch(5, 70 + i), None).expect("accepted")).collect();
+    for t in tickets {
+        assert_eq!(t.wait().expect("prices").len(), 5);
+    }
+    let metrics = service.metrics().clone();
+    service.shutdown();
+    assert!(metrics.counter_value("serve.batches.closed", &[("reason", "full")]) >= 1);
+    let batches = metrics.histogram("serve.batch.options", &[]).expect("histogram").count;
+    assert_eq!(metrics.counter_total("serve.batches.closed"), batches, "one reason per batch");
 }
 
 #[test]
