@@ -25,6 +25,11 @@ cargo test -q --release
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+# Rustdoc with warnings denied: a doc link to a deleted or renamed item
+# fails here instead of rendering as plain text.
+echo "== cargo doc (rustdoc warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Smoke-run the serving layer end to end: a bounded, seeded open-loop
 # stream through the batching service, with the JSON report parsed to
 # guard the {experiment, rows, counters, wall_s} schema and the
@@ -50,23 +55,6 @@ grep -q '"serve.options_per_j"' /tmp/serve_load_greeks.json
 echo "== vol_surface smoke =="
 ./target/release/vol_surface --strikes 7 --expiries 4 --repeats 3 --json \
   | grep -q '"experiment":"vol_surface"'
-
-# The deprecated untyped serve API (Vec<OptionParams> -> Vec<f64>) may
-# appear only at its definition site and in the one #[allow(deprecated)]
-# shim regression test; everything else must use the typed pair.
-# (cargo clippy -D warnings above already fails the build on any
-# deprecation warning; this grep additionally pins *where* the old names
-# are allowed to appear at all.)
-echo "== deprecated serve API stays quarantined =="
-stray=$(grep -rn 'submit_options\|price_options\|wait_prices' \
-  --include='*.rs' crates examples tests \
-  | grep -v '^crates/serve/src/service.rs:' \
-  | grep -v '^tests/serve.rs:' || true)
-if [ -n "${stray}" ]; then
-  echo "deprecated serve API used outside its quarantine:" >&2
-  echo "${stray}" >&2
-  exit 1
-fi
 
 # Smoke-run all three kernel execution engines against each other: the
 # run asserts bit-identical prices/stats/counters/traces internally and

@@ -1,17 +1,11 @@
 //! # bop-bench — the experiment and benchmark harness
 //!
 //! Besides the small [`reporting`] library shared by the binaries, this
-//! crate hosts
-//!
-//! * one **binary per paper artifact** (see `src/bin/`): `table1`,
-//!   `table2`, `figures`, `saturation`, `accuracy`, `usecase`, `ablation`,
-//!   `convergence`, plus the developer tools `aoc` (offline kernel
-//!   compiler) and `clinfo` (platform dump) — each prints the rows/series
-//!   the paper reports, with the paper's numbers alongside;
-//! * **criterion benches** (see `benches/`) measuring the simulator
-//!   itself: front-end compile time, FPGA fitting, interpreter node-update
-//!   throughput, softmath vs libm, functional pricing and paper-scale
-//!   projection.
+//! crate hosts one **binary per paper artifact** (see `src/bin/`):
+//! `table1`, `table2`, `figures`, `saturation`, `accuracy`, `usecase`,
+//! `ablation`, `convergence`, plus the developer tools `aoc` (offline
+//! kernel compiler) and `clinfo` (platform dump) — each prints the
+//! rows/series the paper reports, with the paper's numbers alongside.
 //!
 //! `EXPERIMENTS.md` at the workspace root records paper-vs-measured for
 //! every artifact these binaries regenerate.

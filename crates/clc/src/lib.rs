@@ -50,13 +50,15 @@ pub mod diag;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod passes;
 pub mod printer;
 pub mod token;
 
 pub use diag::{CompileError, Diag, Pos};
 
 use bop_clir::ir::Module;
+use bop_clir::passes::{
+    eliminate_dead_code_in, fold_constants_in, local_cse_in, propagate_copies_in,
+};
 
 /// Front-end options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -96,12 +98,12 @@ pub fn compile(source_name: &str, source: &str, options: &Options) -> Result<Mod
     } else {
         let mut m = module;
         for func in &mut m.functions {
-            passes::fold_constants(func);
+            fold_constants_in(func);
             if options.cse {
-                passes::common_subexpression_elimination(func);
-                passes::propagate_copies(func);
+                local_cse_in(func);
+                propagate_copies_in(func);
             }
-            passes::eliminate_dead_code(func);
+            eliminate_dead_code_in(func);
         }
         m
     };

@@ -1,42 +1,12 @@
-//! IR optimisation passes: constant folding, DCE, CSE, copy propagation.
-//!
-//! These mirror the scalar optimisations an HLS compiler applies before
-//! scheduling; they matter for the FPGA resource estimates (a folded
-//! constant costs no DSPs) and keep the dynamic op counts honest.
-//!
-//! The implementations live in [`bop_clir::passes`] — the same code backs
-//! both this front-end (cleaning up freshly-lowered IR) and the runtime's
-//! named pass pipeline (re-optimising modules before bytecode emission and
-//! running the SSA construction in [`bop_clir::passes::Pipeline::ssa`]).
-//! This module is a pure re-export layer keeping the front-end's
-//! historical names; the tests below pin the semantics of the shared
-//! implementations through [`crate::compile`].
-//!
-//! - [`fold_constants`]: per-block forward scan folding instructions whose
-//!   operands are provably constant into [`bop_clir::ir::Inst::Const`].
-//! - [`eliminate_dead_code`]: whole-function liveness; removes pure
-//!   instructions (loads included) whose results are never read, keeping
-//!   stores and barriers.
-//! - [`common_subexpression_elimination`]: local value numbering. Off by
-//!   default (see [`crate::Options::cse`]) — the FPGA resource model
-//!   charges hardware per instruction, so CSE changes Table-I-style
-//!   resource estimates; the ablation benches quantify by how much.
-//! - [`propagate_copies`]: rewrite uses of `Mov` destinations to the
-//!   original register so DCE can drop the copy; runs after CSE (which
-//!   introduces the copies).
+//! Semantics of the front-end's optimisation passes (constant folding,
+//! DCE, CSE, copy propagation), pinned through [`bop_clc::compile`]. The
+//! pass implementations live in `bop_clir::passes`.
 
-#[cfg(test)]
 use bop_clir::ir::Inst;
 
-pub use bop_clir::passes::{
-    eliminate_dead_code_in as eliminate_dead_code, fold_constants_in as fold_constants,
-    local_cse_in as common_subexpression_elimination, propagate_copies_in as propagate_copies,
-};
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, Options};
+    use bop_clc::{compile, Options};
     use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
     use bop_clir::mathlib::ExactMath;
 
@@ -128,10 +98,9 @@ mod tests {
     }
 }
 
-#[cfg(test)]
 mod cse_tests {
     use super::*;
-    use crate::{compile, Options};
+    use bop_clc::{compile, Options};
     use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
     use bop_clir::mathlib::ExactMath;
     use bop_clir::value::Value as V;
@@ -248,10 +217,9 @@ mod cse_tests {
     }
 }
 
-#[cfg(test)]
 mod copy_prop_tests {
     use super::*;
-    use crate::{compile, Options};
+    use bop_clc::{compile, Options};
     use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
     use bop_clir::mathlib::ExactMath;
     use bop_clir::value::Value as V;

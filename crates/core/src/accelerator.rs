@@ -446,60 +446,6 @@ impl Accelerator {
         })
     }
 
-    /// Build an accelerator from positional arguments. `build` defaults
-    /// to the paper's published configuration for the architecture
-    /// (Section V.B).
-    ///
-    /// # Errors
-    /// Returns [`Error::Build`] if the kernel does not compile or fit.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Accelerator::builder(device).arch(..).precision(..).n_steps(..).build()`"
-    )]
-    pub fn new(
-        device: Arc<dyn Device>,
-        arch: KernelArch,
-        precision: Precision,
-        n_steps: usize,
-        build: Option<BuildOptions>,
-    ) -> Result<Accelerator, Error> {
-        let mut config = AcceleratorConfig::new(device);
-        config.arch = arch;
-        config.precision = precision;
-        config.n_steps = n_steps;
-        config.build = build;
-        Accelerator::from_config(config)
-    }
-
-    /// Publish queue and interpreter metrics of every session this
-    /// accelerator opens into `registry`, and set the device-model gauges
-    /// (power, bandwidth, overheads) immediately.
-    #[deprecated(since = "0.2.0", note = "use `AcceleratorBuilder::metrics`")]
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Accelerator {
-        publish_device_gauges(&registry, &self.device, self.arch, &self.report);
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Interpret NDRange work-groups on `workers` threads in every session
-    /// this accelerator opens (default: the queue's `BOP_SIM_WORKERS` /
-    /// available-parallelism heuristic). A wall-clock knob only — prices,
-    /// statistics and the simulated clock are identical for every count.
-    #[deprecated(since = "0.2.0", note = "use `AcceleratorBuilder::workers`")]
-    pub fn with_workers(mut self, workers: usize) -> Accelerator {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Switch the straightforward host program to the paper's "modified
-    /// version ... with a reduced number of read operations" (root-only
-    /// reads). No effect on the optimized architecture.
-    #[deprecated(since = "0.2.0", note = "use `AcceleratorBuilder::reduced_reads`")]
-    pub fn with_reduced_reads(mut self) -> Accelerator {
-        self.read_full = false;
-        self
-    }
-
     /// The build report (Table I shape: resources, Fmax, power, pass
     /// pipeline).
     pub fn report(&self) -> &BuildReport {
@@ -1298,26 +1244,6 @@ mod builder_tests {
         let run_a = a.price(&options).expect("prices");
         let run_b = b.price(&options).expect("prices");
         assert_eq!(run_a.prices, run_b.prices, "clones are bit-identical");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_matches_the_builder() {
-        let via_shim = Accelerator::new(
-            crate::devices::gpu(),
-            KernelArch::Optimized,
-            Precision::Double,
-            32,
-            None,
-        )
-        .expect("builds");
-        let via_builder =
-            Accelerator::builder(crate::devices::gpu()).n_steps(32).build().expect("builds");
-        let options = [OptionParams::example()];
-        assert_eq!(
-            via_shim.price(&options).expect("prices").prices,
-            via_builder.price(&options).expect("prices").prices,
-        );
     }
 }
 

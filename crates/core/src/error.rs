@@ -23,7 +23,7 @@ pub enum Error {
     /// A command failed at run time.
     Runtime(RuntimeError),
     /// Invalid request (empty batch, bad option parameters, mismatched
-    /// cluster members).
+    /// shard pool).
     Invalid(String),
     /// The service declined the request because its bounded submission
     /// queue was full (or it was shutting down).
@@ -130,10 +130,6 @@ impl Error {
     }
 }
 
-/// The pre-0.2 name of [`Error`].
-#[deprecated(since = "0.2.0", note = "renamed to `bop_core::Error`")]
-pub type AcceleratorError = Error;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,12 +189,5 @@ mod tests {
         assert!(full.to_string().contains("8 of 8"));
         let closing = Rejection { depth: 0, capacity: 8, shutting_down: true };
         assert!(closing.to_string().contains("shutting down"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_resolves() {
-        let e: AcceleratorError = Error::Invalid("legacy name".into());
-        assert!(matches!(e, Error::Invalid(_)));
     }
 }

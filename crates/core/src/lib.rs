@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod accelerator;
-pub mod cluster;
 pub mod devices;
 pub mod error;
 pub mod experiments;
@@ -56,7 +55,6 @@ pub use accelerator::{
 };
 pub use bop_cpu::Precision;
 pub use bop_ocl::{FaultPlan, FaultSite, FaultSites, InjectedFault};
-pub use cluster::{weighted_shares, MultiAccelerator};
 pub use error::{Error, Rejection};
 pub use kernels::KernelArch;
 pub use suite::{PayoffSuite, RiskRequest, RiskResult};

@@ -2,4 +2,4 @@
 //!
 //! The library itself is empty: the value is in `tests/` (proptest
 //! property suites for the compiler front-end, interpreter and finance
-//! maths) and `benches/` (criterion benchmarks of the simulator).
+//! maths).

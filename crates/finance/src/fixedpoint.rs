@@ -10,7 +10,7 @@
 //! accuracy-vs-width trade-off the paper alludes to can be measured. On a
 //! real FPGA a fixed-point multiplier costs a fraction of a double
 //! multiplier (roughly 4 vs 13 DSP18 elements at 64-bit), which is exactly
-//! the kind of saving the related work the paper cites ([9], [12])
+//! the kind of saving the related work the paper cites (\[9\], \[12\])
 //! exploits.
 
 use crate::binomial::CrrParams;

@@ -161,15 +161,13 @@ impl Program {
     /// # Errors
     /// Returns [`BuildError`] if the program has no kernel of that name.
     pub fn kernel(&self, name: &str) -> Result<Kernel, BuildError> {
-        let func = self
-            .device_program
-            .module()
-            .kernel(name)
-            .ok_or_else(|| BuildError::new(format!("no kernel named `{name}`")))?;
+        let missing = || BuildError::new(format!("no kernel named `{name}`"));
+        let func = self.device_program.module().kernel(name).ok_or_else(missing)?;
+        let compiled = self.compiled.get(name).ok_or_else(missing)?.clone();
         let nargs = func.params.len();
         Ok(Kernel {
             device_program: self.device_program.clone(),
-            compiled: self.compiled.get(name).cloned(),
+            compiled,
             name: name.to_owned(),
             args: Mutex::new(vec![None; nargs]),
         })
@@ -193,7 +191,7 @@ pub enum KernelArg {
 /// A kernel handle with argument bindings.
 pub struct Kernel {
     pub(crate) device_program: Arc<dyn DeviceProgram>,
-    pub(crate) compiled: Option<Arc<CompiledKernel>>,
+    pub(crate) compiled: Arc<CompiledKernel>,
     pub(crate) name: String,
     pub(crate) args: Mutex<Vec<Option<KernelArg>>>,
 }

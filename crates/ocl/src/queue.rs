@@ -33,20 +33,19 @@ use std::sync::Mutex;
 /// Which kernel execution engine an NDRange launch uses. All engines are
 /// bit-identical — same prices, statistics, counters, traces and error
 /// messages; bytecode and lanes are simply faster wall-clock. Lanes is
-/// the default.
+/// the default. Every kernel of a built program has bytecode, so each
+/// engine always runs as selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The `bop-clir` tree-walking interpreter ([`WorkGroupRun`]) — the
     /// reference engine.
     Walk,
     /// The compiled register-bytecode engine ([`BytecodeRun`]), one
-    /// work-item at a time; falls back to the walker for kernels with no
-    /// cached bytecode.
+    /// work-item at a time.
     Bytecode,
     /// The lane-vectorized bytecode engine ([`LanesRun`]), the default:
     /// each op dispatches once per SIMT group and executes across all
-    /// work-item lanes of a structure-of-arrays register file. Falls back
-    /// to the walker for kernels with no cached bytecode.
+    /// work-item lanes of a structure-of-arrays register file.
     #[default]
     Lanes,
 }
@@ -1239,7 +1238,7 @@ impl CommandQueue {
             interpret_groups(
                 &mut mem,
                 func,
-                kernel.compiled.as_deref(),
+                &kernel.compiled,
                 kernel.device_program.math(),
                 &args,
                 dispatch,
@@ -1464,35 +1463,73 @@ impl CommandQueue {
     }
 }
 
-/// One resumable kernel of a launch graph, on whichever engine the queue
-/// selected (same fallback rules as single launches).
-enum GraphRunner<'a> {
+/// One work-group run on the [`Engine`] the queue selected: the single
+/// place an engine maps to its runner.
+enum GroupRun<'a> {
     Walk(WorkGroupRun<'a>),
-    Bc(BytecodeRun<'a>),
+    Bytecode(BytecodeRun<'a>),
     Lanes(LanesRun<'a>),
 }
 
-impl GraphRunner<'_> {
-    fn resume(
+impl<'a> GroupRun<'a> {
+    fn new(
+        engine: Engine,
+        compiled: &'a CompiledKernel,
+        func: &'a Function,
+        shape: GroupShape,
+        args: &[KernelArgValue],
+        step_limit: u64,
+    ) -> Result<GroupRun<'a>, ExecError> {
+        Ok(match engine {
+            Engine::Walk => GroupRun::Walk(WorkGroupRun::new(func, shape, args, step_limit)?),
+            Engine::Bytecode => {
+                GroupRun::Bytecode(BytecodeRun::new(compiled, shape, args, step_limit)?)
+            }
+            Engine::Lanes => GroupRun::Lanes(LanesRun::new(compiled, shape, args, step_limit)?),
+        })
+    }
+
+    fn run(&mut self, mem: &mut WorkerMemory, math: &dyn MathLib) -> Result<(), ExecError> {
+        match self {
+            GroupRun::Walk(r) => r.run(mem, math),
+            GroupRun::Bytecode(r) => r.run(mem, math),
+            GroupRun::Lanes(r) => r.run(mem, math),
+        }
+    }
+
+    fn run_resumable(
         &mut self,
         mem: &mut WorkerMemory,
         math: &dyn MathLib,
         hub: &mut PipeHub,
     ) -> Result<RunOutcome, ExecError> {
         match self {
-            GraphRunner::Walk(r) => r.run_resumable(mem, math, hub),
-            GraphRunner::Bc(r) => r.run_resumable(mem, math, hub),
-            GraphRunner::Lanes(r) => r.run_resumable(mem, math, hub),
+            GroupRun::Walk(r) => r.run_resumable(mem, math, hub),
+            GroupRun::Bytecode(r) => r.run_resumable(mem, math, hub),
+            GroupRun::Lanes(r) => r.run_resumable(mem, math, hub),
         }
     }
 
     fn stats(&self) -> &ExecStats {
         match self {
-            GraphRunner::Walk(r) => r.stats(),
-            GraphRunner::Bc(r) => r.stats(),
-            GraphRunner::Lanes(r) => r.stats(),
+            GroupRun::Walk(r) => r.stats(),
+            GroupRun::Bytecode(r) => r.stats(),
+            GroupRun::Lanes(r) => r.stats(),
         }
     }
+}
+
+/// Bind one work-group's kernel arguments, allocating its `__local`
+/// buffers from `local`.
+fn bind_args(args: &[KernelArg], local: &mut WorkerMemory) -> Vec<KernelArgValue> {
+    args.iter()
+        .map(|a| match a {
+            KernelArg::Scalar(v) => KernelArgValue::Scalar(*v),
+            KernelArg::Buffer(b) => KernelArgValue::GlobalBuffer(b.id),
+            KernelArg::Local(bytes) => KernelArgValue::LocalBuffer(local.alloc_local(*bytes)),
+            KernelArg::Pipe(p) => KernelArgValue::Pipe(p.id),
+        })
+        .collect()
 }
 
 /// Run every kernel of a launch graph to completion, round-robin in graph
@@ -1513,28 +1550,16 @@ fn run_graph(
         (0..launches.len()).map(|_| WorkerMemory::new(&shared)).collect();
     let mut runners = Vec::with_capacity(launches.len());
     for (i, ((kernel, dispatch), func)) in launches.iter().zip(funcs).enumerate() {
-        let arg_values: Vec<KernelArgValue> = all_args[i]
-            .iter()
-            .map(|a| match a {
-                KernelArg::Scalar(v) => KernelArgValue::Scalar(*v),
-                KernelArg::Buffer(b) => KernelArgValue::GlobalBuffer(b.id),
-                KernelArg::Local(bytes) => {
-                    KernelArgValue::LocalBuffer(locals[i].alloc_local(*bytes))
-                }
-                KernelArg::Pipe(p) => KernelArgValue::Pipe(p.id),
-            })
-            .collect();
+        let arg_values = bind_args(&all_args[i], &mut locals[i]);
         let shape = GroupShape::linear(dispatch.global, dispatch.local, 0);
-        let runner = match (engine, kernel.compiled.as_deref()) {
-            (Engine::Bytecode, Some(bc)) => {
-                GraphRunner::Bc(BytecodeRun::new(bc, shape, &arg_values, step_limit)?)
-            }
-            (Engine::Lanes, Some(bc)) => {
-                GraphRunner::Lanes(LanesRun::new(bc, shape, &arg_values, step_limit)?)
-            }
-            _ => GraphRunner::Walk(WorkGroupRun::new(func, shape, &arg_values, step_limit)?),
-        };
-        runners.push(runner);
+        runners.push(GroupRun::new(
+            engine,
+            &kernel.compiled,
+            func,
+            shape,
+            &arg_values,
+            step_limit,
+        )?);
     }
 
     let mut done = vec![false; runners.len()];
@@ -1547,7 +1572,7 @@ fn run_graph(
                 continue;
             }
             let math = launches[i].0.device_program.math();
-            match runner.resume(&mut locals[i], math, hub)? {
+            match runner.run_resumable(&mut locals[i], math, hub)? {
                 RunOutcome::Complete => {
                     done[i] = true;
                     completed = true;
@@ -1581,15 +1606,14 @@ fn run_graph(
 /// reported from the lowest-indexed failing worker is the one the
 /// sequential loop would have hit first.
 ///
-/// Each group runs on the selected [`Engine`]: the compiled bytecode
-/// (serial or lane-vectorized) when available and `engine` asks for it,
-/// else the tree-walker. All engines are bit-identical, so the choice
-/// never changes results or statistics.
+/// Each group runs on the selected [`Engine`] (see [`GroupRun::new`]).
+/// All engines are bit-identical, so the choice never changes results or
+/// statistics.
 #[allow(clippy::too_many_arguments)]
 fn interpret_groups(
     mem: &mut GlobalArena,
     func: &Function,
-    compiled: Option<&CompiledKernel>,
+    compiled: &CompiledKernel,
     math: &dyn MathLib,
     args: &[KernelArg],
     dispatch: Dispatch,
@@ -1601,17 +1625,6 @@ fn interpret_groups(
     let groups = dispatch.groups();
     let shared = mem.shared();
 
-    let bind = |local: &mut WorkerMemory| -> Vec<KernelArgValue> {
-        args.iter()
-            .map(|a| match a {
-                KernelArg::Scalar(v) => KernelArgValue::Scalar(*v),
-                KernelArg::Buffer(b) => KernelArgValue::GlobalBuffer(b.id),
-                KernelArg::Local(bytes) => KernelArgValue::LocalBuffer(local.alloc_local(*bytes)),
-                KernelArg::Pipe(p) => KernelArgValue::Pipe(p.id),
-            })
-            .collect()
-    };
-
     // A pipe kernel launched alone runs serially against the hub. It may
     // complete by draining (or leaving behind) buffered FIFO contents —
     // they persist on the context — but a launch that ends stalled has
@@ -1621,28 +1634,11 @@ fn interpret_groups(
         let mut total = ExecStats::with_blocks(func.blocks.len());
         for group in 0..groups {
             local.clear_locals();
-            let arg_values = bind(&mut local);
+            let arg_values = bind_args(args, &mut local);
             let shape = GroupShape::linear(dispatch.global, dispatch.local, group);
-            let outcome = match (engine, compiled) {
-                (Engine::Bytecode, Some(bc)) => {
-                    let mut run = BytecodeRun::new(bc, shape, &arg_values, step_limit)?;
-                    let o = run.run_resumable(&mut local, math, hub)?;
-                    total.merge(run.stats());
-                    o
-                }
-                (Engine::Lanes, Some(bc)) => {
-                    let mut run = LanesRun::new(bc, shape, &arg_values, step_limit)?;
-                    let o = run.run_resumable(&mut local, math, hub)?;
-                    total.merge(run.stats());
-                    o
-                }
-                _ => {
-                    let mut run = WorkGroupRun::new(func, shape, &arg_values, step_limit)?;
-                    let o = run.run_resumable(&mut local, math, hub)?;
-                    total.merge(run.stats());
-                    o
-                }
-            };
+            let mut run = GroupRun::new(engine, compiled, func, shape, &arg_values, step_limit)?;
+            let outcome = run.run_resumable(&mut local, math, hub)?;
+            total.merge(run.stats());
             if outcome == RunOutcome::Stalled {
                 return Err(RuntimeError::Exec(pipe_deadlock_trap()));
             }
@@ -1655,25 +1651,11 @@ fn interpret_groups(
         let mut total = ExecStats::with_blocks(func.blocks.len());
         for group in range {
             local.clear_locals();
-            let arg_values = bind(&mut local);
+            let arg_values = bind_args(args, &mut local);
             let shape = GroupShape::linear(dispatch.global, dispatch.local, group);
-            match (engine, compiled) {
-                (Engine::Bytecode, Some(bc)) => {
-                    let mut run = BytecodeRun::new(bc, shape, &arg_values, step_limit)?;
-                    run.run(&mut local, math)?;
-                    total.merge(run.stats());
-                }
-                (Engine::Lanes, Some(bc)) => {
-                    let mut run = LanesRun::new(bc, shape, &arg_values, step_limit)?;
-                    run.run(&mut local, math)?;
-                    total.merge(run.stats());
-                }
-                _ => {
-                    let mut run = WorkGroupRun::new(func, shape, &arg_values, step_limit)?;
-                    run.run(&mut local, math)?;
-                    total.merge(run.stats());
-                }
-            }
+            let mut run = GroupRun::new(engine, compiled, func, shape, &arg_values, step_limit)?;
+            run.run(&mut local, math)?;
+            total.merge(run.stats());
         }
         Ok(total)
     };
@@ -2197,5 +2179,22 @@ mod tests {
             q.enqueue_nd_range(&k, Dispatch::new(max * 2, max * 2)),
             Err(RuntimeError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn each_engine_runs_on_its_own_runner() {
+        // The engines are bit-identical, so only this test notices an
+        // engine routed to another engine's runner (say, the reference
+        // walker silently replaced by lanes).
+        let (ctx, _q, p) = setup("__kernel void k(__global double* io) {}");
+        let k = p.kernel("k").expect("kernel");
+        let func = p.module().kernel("k").expect("kernel");
+        let buf = ctx.create_buffer(8);
+        let args = [KernelArgValue::GlobalBuffer(buf.id)];
+        let shape = GroupShape::linear(1, 1, 0);
+        let runner = |engine| GroupRun::new(engine, &k.compiled, func, shape, &args, 0);
+        assert!(matches!(runner(Engine::Walk), Ok(GroupRun::Walk(_))));
+        assert!(matches!(runner(Engine::Bytecode), Ok(GroupRun::Bytecode(_))));
+        assert!(matches!(runner(Engine::Lanes), Ok(GroupRun::Lanes(_))));
     }
 }

@@ -9,8 +9,7 @@
 //! [`OutputSet`] (price, price + Greeks) — coalesces them into
 //! per-payoff-class micro-batches, and dispatches the batches across a
 //! pool of [`bop_core::PayoffSuite`] shards scheduled by their
-//! calibrated marginal rates — the same rates that drive
-//! [`bop_core::weighted_shares`] in the offline cluster splitter.
+//! calibrated marginal rates.
 //!
 //! ```text
 //!  submit() ──► bounded queue ──► micro-batcher ──► shard scheduler

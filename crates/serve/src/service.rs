@@ -44,7 +44,6 @@ use crate::request::{PricingRequest, PricingResponse};
 use crate::scheduler::ShardScheduler;
 use crate::tracing::{RequestId, RequestTracer};
 use bop_core::{Error, PayoffSuite, PricingRun, Rejection, RiskRequest};
-use bop_finance::OptionParams;
 use bop_obs::{Json, MetricsRegistry, SpanCategory, TraceSpan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,16 +191,6 @@ impl Ticket {
     /// in the queue; any shard pricing error otherwise.
     pub fn wait(self) -> Result<Vec<PricingResponse>, Error> {
         self.agg.wait()
-    }
-
-    /// Block until the request finishes and return bare prices — the
-    /// pre-payoff API's result shape.
-    ///
-    /// # Errors
-    /// As [`Ticket::wait`].
-    #[deprecated(since = "0.3.0", note = "use `Ticket::wait`, which returns `PricingResponse`s")]
-    pub fn wait_prices(self) -> Result<Vec<f64>, Error> {
-        Ok(self.agg.wait()?.into_iter().map(|r| r.price).collect())
     }
 }
 
@@ -358,8 +347,7 @@ impl PricingService {
         if shards.iter().any(|a| a.n_steps() != n || a.precision() != p) {
             return Err(Error::Invalid("shards must share lattice size and precision".into()));
         }
-        // Calibrate each shard's marginal rate on the probe batch — the
-        // same rates MultiAccelerator::split uses to divide a batch.
+        // Calibrate each shard's marginal rate on the probe batch.
         let rates: Vec<f64> = shards
             .iter()
             .map(|a| a.project(config.probe_batch).map(|p| p.options_per_s))
@@ -483,37 +471,6 @@ impl PricingService {
     /// As [`PricingService::submit`] and [`Ticket::wait`].
     pub fn price(&self, requests: Vec<PricingRequest>) -> Result<Vec<PricingResponse>, Error> {
         self.submit(requests, None)?.wait()
-    }
-
-    /// Submit bare options priced per their `style` field — the
-    /// pre-payoff API.
-    ///
-    /// # Errors
-    /// As [`PricingService::submit`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `PricingService::submit` with typed `PricingRequest`s"
-    )]
-    pub fn submit_options(
-        &self,
-        options: Vec<OptionParams>,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, Error> {
-        self.submit(options.into_iter().map(PricingRequest::from_style).collect(), deadline)
-    }
-
-    /// Price bare options per their `style` field and return bare
-    /// prices — the pre-payoff API.
-    ///
-    /// # Errors
-    /// As [`PricingService::price`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `PricingService::price` with typed `PricingRequest`s"
-    )]
-    pub fn price_options(&self, options: Vec<OptionParams>) -> Result<Vec<f64>, Error> {
-        let requests = options.into_iter().map(PricingRequest::from_style).collect();
-        Ok(self.price(requests)?.into_iter().map(|r| r.price).collect())
     }
 
     /// The service's metrics registry.
@@ -1149,6 +1106,7 @@ fn record_finish(
 mod tests {
     use super::*;
     use bop_finance::payoff::Payoff;
+    use bop_finance::OptionParams;
 
     fn response(price: f64) -> PricingResponse {
         PricingResponse { price, greeks: None }
