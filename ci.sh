@@ -130,4 +130,22 @@ if [ -n "${latest_snapshot}" ]; then
   ./target/release/bench_snapshot compare "${latest_snapshot}" /tmp/bench_head.json --warn-only
 fi
 
+# Short benchmark correctness pass: perfbench (a workspace of its own)
+# runs every BENCHMARK.json workload for two seconds and checks each
+# output. It exits 0 even when a check fails, so the gate reads the
+# result JSON on the last stdout line instead.
+echo "== perfbench correctness pass =="
+cargo build --release --manifest-path perfbench/Cargo.toml
+for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
+  result=$(./perfbench/target/release/perfbench --workload "${workload}" --seed 1 \
+    --seconds 2 --trace 0 | tail -n 1)
+  case "${result}" in
+    *'"correct":true'*'"failed":0'*) echo "perfbench ${workload}: ok" ;;
+    *)
+      echo "perfbench ${workload} failed its output checks: ${result}" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "CI: all gates passed"

@@ -4,12 +4,19 @@ use crate::device::Device;
 use bop_clir::interp::GlobalArena;
 use bop_clir::pipes::PipeHub;
 use bop_clir::types::ScalarType;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 
-/// A device buffer handle (cheap to clone).
+/// Source of [`Context`] identities, so a handle remembers which context
+/// created it.
+static NEXT_CONTEXT: AtomicU64 = AtomicU64::new(0);
+
+/// A device buffer handle (cheap to clone). It is valid only on queues of
+/// the context that created it; other queues reject it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Buffer {
+    pub(crate) ctx: u64,
     pub(crate) id: u32,
     pub(crate) bytes: usize,
 }
@@ -32,9 +39,11 @@ impl Buffer {
 }
 
 /// A pipe handle (cheap to clone): an on-chip FIFO connecting kernels
-/// of one context without host transfers.
+/// of one context without host transfers. Like a [`Buffer`], it is valid
+/// only within the context that created it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pipe {
+    pub(crate) ctx: u64,
     pub(crate) id: u32,
     pub(crate) elem: ScalarType,
     pub(crate) depth: usize,
@@ -63,6 +72,7 @@ impl Pipe {
 /// is owned per worker thread by the queue's NDRange executor, which is
 /// what lets work-groups of one launch run concurrently.
 pub struct Context {
+    id: u64,
     device: Arc<dyn Device>,
     pub(crate) mem: Mutex<GlobalArena>,
     pub(crate) pipes: Mutex<PipeHub>,
@@ -73,6 +83,7 @@ impl Context {
     /// Create a context on `device`.
     pub fn new(device: Arc<dyn Device>) -> Arc<Context> {
         Arc::new(Context {
+            id: NEXT_CONTEXT.fetch_add(1, Ordering::Relaxed),
             device,
             mem: Mutex::new(GlobalArena::new()),
             pipes: Mutex::new(PipeHub::default()),
@@ -99,7 +110,7 @@ impl Context {
         );
         *used += bytes as u64;
         let id = self.mem.lock().unwrap().alloc(bytes);
-        Buffer { id, bytes }
+        Buffer { ctx: self.id, id, bytes }
     }
 
     /// Create an on-chip FIFO of `depth` elements of type `elem` (the
@@ -110,7 +121,17 @@ impl Context {
     /// exchange data without host transfers.
     pub fn create_pipe(self: &Arc<Self>, elem: ScalarType, depth: usize) -> Pipe {
         let id = self.pipes.lock().unwrap().create(elem, depth);
-        Pipe { id, elem, depth: depth.max(1) }
+        Pipe { ctx: self.id, id, elem, depth: depth.max(1) }
+    }
+
+    /// True if `buf` was created by this context.
+    pub(crate) fn owns(&self, buf: &Buffer) -> bool {
+        buf.ctx == self.id
+    }
+
+    /// True if `pipe` was created by this context.
+    pub(crate) fn owns_pipe(&self, pipe: &Pipe) -> bool {
+        pipe.ctx == self.id
     }
 
     /// Bytes of global memory currently allocated.
@@ -120,7 +141,11 @@ impl Context {
 
     /// Read the full contents of a buffer (host-side debugging helper that
     /// bypasses the command queue and its timing).
+    ///
+    /// # Panics
+    /// Panics if `buf` was created by another context.
     pub fn snapshot(&self, buf: &Buffer) -> Vec<u8> {
+        assert!(self.owns(buf), "buffer {} belongs to another context", buf.id);
         self.mem.lock().unwrap().bytes(buf.id).to_vec()
     }
 }

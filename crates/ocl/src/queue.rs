@@ -275,13 +275,17 @@ pub struct QueueCounters {
 
 type StatsModel = dyn Fn(&str, Dispatch) -> ExecStats + Send + Sync;
 
-/// NDRange geometry of a traced command; all-zero for non-kernel
-/// commands.
+/// What one trace entry records beyond its command's kind and bytes: the
+/// whole command for transfers and single launches, one member kernel of a
+/// launch graph. Kernel fields stay zero/`None` for other commands.
 #[derive(Debug, Clone, Copy, Default)]
-struct LaunchShape {
+struct CommandSpan<'a> {
+    kernel: Option<&'a str>,
     work_items: u64,
     barriers: u64,
     groups: u64,
+    duration: f64,
+    fault: Option<FaultSite>,
 }
 
 struct ActiveSpan {
@@ -302,6 +306,43 @@ struct QueueState {
     next_span_id: u64,
     span_stack: Vec<ActiveSpan>,
     host_spans: Vec<HostSpan>,
+}
+
+impl QueueState {
+    /// Allocate the next span id for a command and, when tracing, record
+    /// its entry (or count it as dropped once the cap is full): the only
+    /// place a [`TraceEntry`] is made.
+    fn trace_command(
+        &mut self,
+        kind: CommandKind,
+        bytes: u64,
+        span: &CommandSpan,
+        queued_s: f64,
+        start_s: f64,
+    ) {
+        let span_id = self.next_span_id;
+        self.next_span_id += 1;
+        let parent = self.span_stack.last().map(|s| s.id);
+        let Some(trace) = &mut self.trace else { return };
+        if self.trace_cap.is_some_and(|c| trace.len() >= c) {
+            self.trace_dropped += 1;
+            return;
+        }
+        trace.push(TraceEntry {
+            span_id,
+            parent,
+            kind,
+            bytes,
+            kernel: span.kernel.map(str::to_owned),
+            work_items: span.work_items,
+            barriers: span.barriers,
+            groups: span.groups,
+            queued_s,
+            start_s,
+            end_s: start_s + span.duration,
+            fault: span.fault,
+        });
+    }
 }
 
 /// An in-order command queue with profiling enabled.
@@ -541,64 +582,24 @@ impl CommandQueue {
         self.elapsed_s()
     }
 
-    /// Decide the fate of a transfer command. `Ok(None)` lets it proceed
-    /// untouched; `Ok(Some((byte, bit, fault)))` instructs the caller to
-    /// flip `bit` of payload byte `byte % payload_len` and then fail with
-    /// `fault` via [`fail_fault`](Self::fail_fault) (the link "detects"
-    /// the corruption); `Err` is an already-recorded enqueue rejection.
-    fn fault_transfer(
-        &self,
-        kind: CommandKind,
-        bytes: u64,
-    ) -> Result<Option<(u64, u8, InjectedFault)>, RuntimeError> {
+    /// Draw the fault decision for one command: enqueue rejections for
+    /// every kind, link corruption for writes and reads, traps and stalls
+    /// for launches. A fatal draw comes back as the command's error,
+    /// already recorded; the caller applies a `Corrupt` (the transfer
+    /// core) or a `Stall` (the launch path).
+    fn decide_fault(&self, kind: CommandKind, bytes: u64) -> Result<FaultDecision, RuntimeError> {
         let decision = match self.faults.lock().unwrap().as_mut() {
-            None => return Ok(None),
-            Some(state) => {
-                let site = if kind == CommandKind::Write {
-                    FaultSite::TransferH2D
-                } else {
-                    FaultSite::TransferD2H
-                };
-                state.decide_transfer(site, bytes)
-            }
-        };
-        match decision {
-            FaultDecision::None | FaultDecision::Stall { .. } => Ok(None),
-            FaultDecision::Fail(f) => Err(self.fail_fault(kind, f)),
-            FaultDecision::Corrupt { byte, bit, fault } => Ok(Some((byte, bit, fault))),
-        }
-    }
-
-    /// Decide the fate of a device-side command (copy/fill): only
-    /// enqueue rejections apply.
-    fn fault_device(&self, kind: CommandKind) -> Result<(), RuntimeError> {
-        let decision = match self.faults.lock().unwrap().as_mut() {
-            None => return Ok(()),
-            Some(state) => state.decide_device(),
+            None => FaultDecision::None,
+            Some(state) => match kind {
+                CommandKind::Write => state.decide_transfer(FaultSite::TransferH2D, bytes),
+                CommandKind::Read => state.decide_transfer(FaultSite::TransferD2H, bytes),
+                CommandKind::Copy | CommandKind::Fill => state.decide_device(),
+                CommandKind::Kernel => state.decide_launch(),
+            },
         };
         match decision {
             FaultDecision::Fail(f) => Err(self.fail_fault(kind, f)),
-            _ => Ok(()),
-        }
-    }
-
-    /// Decide the fate of an NDRange launch: returns the extra simulated
-    /// stall time and the stall site marker (both zero/`None` normally),
-    /// or the already-recorded injected failure.
-    fn fault_launch(&self) -> Result<(f64, Option<FaultSite>), RuntimeError> {
-        let decision = match self.faults.lock().unwrap().as_mut() {
-            None => return Ok((0.0, None)),
-            Some(state) => state.decide_launch(),
-        };
-        match decision {
-            FaultDecision::None => Ok((0.0, None)),
-            FaultDecision::Stall { extra_s } => {
-                self.record_fault(CommandKind::Kernel, FaultSite::LaunchStall, false, extra_s);
-                Ok((extra_s, Some(FaultSite::LaunchStall)))
-            }
-            FaultDecision::Fail(f) | FaultDecision::Corrupt { fault: f, .. } => {
-                Err(self.fail_fault(CommandKind::Kernel, f))
-            }
+            d => Ok(d),
         }
     }
 
@@ -619,31 +620,9 @@ impl CommandQueue {
             let mut st = self.state.lock().unwrap();
             st.counters.faults += 1;
             if fatal {
-                let span_id = st.next_span_id;
-                st.next_span_id += 1;
-                let parent = st.span_stack.last().map(|s| s.id);
                 let now = st.now;
-                let cap = st.trace_cap;
-                if let Some(trace) = &mut st.trace {
-                    if cap.is_some_and(|c| trace.len() >= c) {
-                        st.trace_dropped += 1;
-                    } else {
-                        trace.push(TraceEntry {
-                            span_id,
-                            parent,
-                            kind,
-                            bytes: 0,
-                            kernel: None,
-                            work_items: 0,
-                            barriers: 0,
-                            groups: 0,
-                            queued_s: now,
-                            start_s: now,
-                            end_s: now,
-                            fault: Some(site),
-                        });
-                    }
-                }
+                let marker = CommandSpan { fault: Some(site), ..CommandSpan::default() };
+                st.trace_command(kind, 0, &marker, now, now);
             }
         }
         if let Some(reg) = self.metrics.lock().unwrap().as_ref() {
@@ -659,18 +638,15 @@ impl CommandQueue {
         }
     }
 
-    fn advance(
-        &self,
-        kind: CommandKind,
-        bytes: u64,
-        kernel: Option<&str>,
-        launch: LaunchShape,
-        duration: f64,
-        fault: Option<FaultSite>,
-    ) -> Event {
-        let LaunchShape { work_items, barriers, groups } = launch;
+    /// Complete a command on the simulated clock: it is queued now, starts
+    /// after the device's command overhead and lasts as long as its
+    /// longest span (a launch graph's kernels run concurrently). Each span
+    /// gets a trace entry sharing the command's queued/start times and its
+    /// own `ocl.*` command metrics.
+    fn advance(&self, kind: CommandKind, bytes: u64, spans: &[CommandSpan]) -> Event {
         let info = self.ctx.device().info();
         let device = info.kind.to_string();
+        let duration = spans.iter().fold(0.0f64, |max, s| max.max(s.duration));
         let mut st = self.state.lock().unwrap();
         let queued = st.now;
         let start = queued + info.command_overhead_s;
@@ -679,41 +655,30 @@ impl CommandQueue {
         if kind == CommandKind::Kernel {
             st.device_busy_s += duration;
         }
-        let span_id = st.next_span_id;
-        st.next_span_id += 1;
-        let parent = st.span_stack.last().map(|s| s.id);
-        let cap = st.trace_cap;
-        if let Some(trace) = &mut st.trace {
-            if cap.is_some_and(|c| trace.len() >= c) {
-                st.trace_dropped += 1;
-            } else {
-                trace.push(TraceEntry {
-                    span_id,
-                    parent,
-                    kind,
-                    bytes,
-                    kernel: kernel.map(str::to_owned),
-                    work_items,
-                    barriers,
-                    groups,
-                    queued_s: queued,
-                    start_s: start,
-                    end_s: end,
-                    fault,
-                });
-            }
+        for span in spans {
+            st.trace_command(kind, bytes, span, queued, start);
         }
         let elapsed = st.now;
         let busy = st.device_busy_s;
         drop(st);
         if let Some(reg) = self.metrics.lock().unwrap().as_ref() {
             let d = device.as_str();
-            reg.inc("ocl.commands", &[("device", d), ("kind", kind.label())], 1);
-            reg.observe(
-                "ocl.command_seconds",
-                &[("device", d), ("kind", kind.label())],
-                end - queued,
-            );
+            for span in spans {
+                reg.inc("ocl.commands", &[("device", d), ("kind", kind.label())], 1);
+                reg.observe(
+                    "ocl.command_seconds",
+                    &[("device", d), ("kind", kind.label())],
+                    end - queued,
+                );
+                if let Some(name) = span.kernel {
+                    reg.inc("ocl.work_items", &[("device", d), ("kernel", name)], span.work_items);
+                    reg.observe(
+                        "ocl.kernel_seconds",
+                        &[("device", d), ("kernel", name)],
+                        span.duration,
+                    );
+                }
+            }
             if bytes > 0 {
                 reg.inc("ocl.bytes", &[("device", d), ("dir", kind.direction())], bytes);
                 reg.observe(
@@ -721,10 +686,6 @@ impl CommandQueue {
                     &[("device", d), ("dir", kind.direction())],
                     bytes as f64,
                 );
-            }
-            if let Some(name) = kernel {
-                reg.inc("ocl.work_items", &[("device", d), ("kernel", name)], work_items);
-                reg.observe("ocl.kernel_seconds", &[("device", d), ("kernel", name)], duration);
             }
             reg.set_gauge("ocl.sim_elapsed_s", &[("device", d)], elapsed);
             reg.set_gauge("ocl.device_busy_s", &[("device", d)], busy);
@@ -836,121 +797,133 @@ impl CommandQueue {
         spans
     }
 
-    /// Copy `data` into `buf` (`clEnqueueWriteBuffer`).
-    ///
-    /// # Errors
-    /// Returns [`RuntimeError::Invalid`] if `data` exceeds the buffer size.
-    pub fn enqueue_write_buffer(&self, buf: &Buffer, data: &[u8]) -> Result<Event, RuntimeError> {
-        if data.len() > buf.len() {
-            return Err(RuntimeError::Invalid(format!(
-                "write of {} bytes into buffer of {}",
-                data.len(),
-                buf.len()
-            )));
+    /// Reject a buffer created by another context: its id would alias one
+    /// of this context's buffers or index past them.
+    fn check_owned(&self, buf: &Buffer) -> Result<(), RuntimeError> {
+        if self.ctx.owns(buf) {
+            Ok(())
+        } else {
+            Err(RuntimeError::Invalid(format!("buffer {} belongs to another context", buf.id)))
         }
-        let corrupt = self.fault_transfer(CommandKind::Write, data.len() as u64)?;
+    }
+
+    /// The one host-device transfer path, shared by every write and read
+    /// entry point: validate the handle and the `count` elements of
+    /// `width` bytes at element `offset`, draw the transfer fault
+    /// decision, run `io` over the device bytes (skipped in timing-only
+    /// mode), then count the command and advance the clock by the link's
+    /// transfer time.
+    ///
+    /// A write's `io` encodes into the device bytes, a read's decodes from
+    /// them. An injected corruption flips one bit of the payload: after
+    /// the encode for a write, so device memory keeps it; just for the
+    /// decode for a read (restored under the same lock), so only the host
+    /// copy sees it. Either way the command then fails with the fault.
+    #[allow(clippy::too_many_arguments)]
+    fn transfer(
+        &self,
+        kind: CommandKind,
+        buf: &Buffer,
+        elem: &str,
+        width: usize,
+        offset: usize,
+        count: usize,
+        io: impl FnOnce(&mut [u8]),
+    ) -> Result<Event, RuntimeError> {
+        self.check_owned(buf)?;
+        let (off, end) = elem_range(offset, count, width)
+            .filter(|&(_, end)| end <= buf.len())
+            .ok_or_else(|| {
+                let (verb, prep) =
+                    if kind == CommandKind::Write { ("write", "into") } else { ("read", "from") };
+                RuntimeError::Invalid(format!(
+                    "{verb} of {count} {elem} at offset {offset} {prep} buffer of {} bytes",
+                    buf.len()
+                ))
+            })?;
+        let nbytes = (end - off) as u64;
+        let corrupt = match self.decide_fault(kind, nbytes)? {
+            FaultDecision::Corrupt { byte, bit, fault } => {
+                Some(((byte % nbytes) as usize, 1u8 << bit, fault))
+            }
+            _ => None,
+        };
         if self.timing_model.lock().unwrap().is_none() {
             let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = &mut mem.bytes_mut(buf.id)[..data.len()];
-            bytes.copy_from_slice(data);
-            if let Some((byte, bit, _)) = corrupt {
-                bytes[byte as usize % data.len()] ^= 1 << bit;
+            let dev = &mut mem.bytes_mut(buf.id)[off..end];
+            match &corrupt {
+                None => io(dev),
+                Some((i, mask, _)) if kind == CommandKind::Write => {
+                    io(dev);
+                    dev[*i] ^= mask;
+                }
+                Some((i, mask, _)) => {
+                    dev[*i] ^= mask;
+                    io(dev);
+                    dev[*i] ^= mask;
+                }
             }
         }
         if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Write, fault));
+            return Err(self.fail_fault(kind, fault));
         }
-        let t = self.ctx.device().info().link.transfer_time(data.len() as u64);
-        let ev_bytes = data.len() as u64;
+        let duration = self.ctx.device().info().link.transfer_time(nbytes);
         {
             let mut st = self.state.lock().unwrap();
-            st.counters.writes += 1;
-            st.counters.h2d_bytes += ev_bytes;
+            let c = &mut st.counters;
+            if kind == CommandKind::Write {
+                c.writes += 1;
+                c.h2d_bytes += nbytes;
+            } else {
+                c.reads += 1;
+                c.d2h_bytes += nbytes;
+            }
         }
-        Ok(self.advance(CommandKind::Write, ev_bytes, None, LaunchShape::default(), t, None))
+        Ok(self.advance(kind, nbytes, &[CommandSpan { duration, ..CommandSpan::default() }]))
+    }
+
+    /// Copy `data` into `buf` (`clEnqueueWriteBuffer`).
+    ///
+    /// # Errors
+    /// Returns [`RuntimeError::Invalid`] if `buf` belongs to another
+    /// context or `data` exceeds the buffer size, and
+    /// [`RuntimeError::Fault`] if an armed [`FaultPlan`] kills the command.
+    pub fn enqueue_write_buffer(&self, buf: &Buffer, data: &[u8]) -> Result<Event, RuntimeError> {
+        self.transfer(CommandKind::Write, buf, "bytes", 1, 0, data.len(), |dev| {
+            dev.copy_from_slice(data)
+        })
     }
 
     /// Copy `buf` into `out` (`clEnqueueReadBuffer`).
     ///
     /// # Errors
-    /// Returns [`RuntimeError::Invalid`] if `out` exceeds the buffer size.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_read_buffer(&self, buf: &Buffer, out: &mut [u8]) -> Result<Event, RuntimeError> {
-        if out.len() > buf.len() {
-            return Err(RuntimeError::Invalid(format!(
-                "read of {} bytes from buffer of {}",
-                out.len(),
-                buf.len()
-            )));
-        }
-        let corrupt = self.fault_transfer(CommandKind::Read, out.len() as u64)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mem = self.ctx.mem.lock().unwrap();
-            out.copy_from_slice(&mem.bytes(buf.id)[..out.len()]);
-            if let Some((byte, bit, _)) = corrupt {
-                out[byte as usize % out.len()] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Read, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(out.len() as u64);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.reads += 1;
-            st.counters.d2h_bytes += out.len() as u64;
-        }
-        Ok(self.advance(CommandKind::Read, out.len() as u64, None, LaunchShape::default(), t, None))
+        let n = out.len();
+        self.transfer(CommandKind::Read, buf, "bytes", 1, 0, n, |dev| out.copy_from_slice(dev))
     }
 
     /// Write a slice of `f64` values starting at element `offset`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_write_buffer`](Self::enqueue_write_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_write_f64_at(
         &self,
         buf: &Buffer,
         offset: usize,
         data: &[f64],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, data.len(), 8)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-                RuntimeError::Invalid(format!(
-                    "write of {} f64 at offset {offset} into buffer of {} bytes",
-                    data.len(),
-                    buf.len()
-                ))
-            })?;
-        let nbytes = (data.len() * 8) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Write, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes_mut(buf.id);
-            for (i, v) in data.iter().enumerate() {
-                bytes[byte_off + i * 8..byte_off + i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+        self.transfer(CommandKind::Write, buf, "f64", 8, offset, data.len(), |dev| {
+            for (d, v) in dev.chunks_exact_mut(8).zip(data) {
+                d.copy_from_slice(&v.to_le_bytes());
             }
-            if let Some((byte, bit, _)) = corrupt {
-                bytes[byte_off + (byte % nbytes) as usize] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Write, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.writes += 1;
-            st.counters.h2d_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Write, nbytes, None, LaunchShape::default(), t, None))
+        })
     }
 
     /// Write a slice of `f64` values at the start of `buf`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_write_buffer`](Self::enqueue_write_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_write_f64(&self, buf: &Buffer, data: &[f64]) -> Result<Event, RuntimeError> {
         self.enqueue_write_f64_at(buf, 0, data)
     }
@@ -958,56 +931,25 @@ impl CommandQueue {
     /// Read `out.len()` `f64` values starting at element `offset`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_read_buffer`](Self::enqueue_read_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_read_f64_at(
         &self,
         buf: &Buffer,
         offset: usize,
         out: &mut [f64],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, out.len(), 8)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-            RuntimeError::Invalid(format!(
-                "read of {} f64 at offset {offset} from buffer of {} bytes",
-                out.len(),
-                buf.len()
-            ))
-        })?;
-        let nbytes = (out.len() * 8) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Read, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes(buf.id);
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = f64::from_le_bytes(
-                    bytes[byte_off + i * 8..byte_off + i * 8 + 8].try_into().expect("f64"),
-                );
+        let n = out.len();
+        self.transfer(CommandKind::Read, buf, "f64", 8, offset, n, |dev| {
+            for (v, d) in out.iter_mut().zip(dev.chunks_exact(8)) {
+                *v = f64::from_le_bytes(d.try_into().expect("8-byte chunk"));
             }
-            if let Some((byte, bit, _)) = corrupt {
-                let idx = (byte % nbytes) as usize;
-                let flip = 1u64 << ((idx % 8) * 8 + bit as usize);
-                out[idx / 8] = f64::from_bits(out[idx / 8].to_bits() ^ flip);
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Read, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.reads += 1;
-            st.counters.d2h_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Read, nbytes, None, LaunchShape::default(), t, None))
+        })
     }
 
     /// Read `f64` values from the start of `buf`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_read_buffer`](Self::enqueue_read_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_read_f64(&self, buf: &Buffer, out: &mut [f64]) -> Result<Event, RuntimeError> {
         self.enqueue_read_f64_at(buf, 0, out)
     }
@@ -1015,106 +957,48 @@ impl CommandQueue {
     /// Write a slice of `f32` values starting at element `offset`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_write_buffer`](Self::enqueue_write_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_write_f32_at(
         &self,
         buf: &Buffer,
         offset: usize,
         data: &[f32],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, data.len(), 4)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-                RuntimeError::Invalid(format!(
-                    "write of {} f32 at offset {offset} into buffer of {} bytes",
-                    data.len(),
-                    buf.len()
-                ))
-            })?;
-        let nbytes = (data.len() * 4) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Write, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes_mut(buf.id);
-            for (i, v) in data.iter().enumerate() {
-                bytes[byte_off + i * 4..byte_off + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+        self.transfer(CommandKind::Write, buf, "f32", 4, offset, data.len(), |dev| {
+            for (d, v) in dev.chunks_exact_mut(4).zip(data) {
+                d.copy_from_slice(&v.to_le_bytes());
             }
-            if let Some((byte, bit, _)) = corrupt {
-                bytes[byte_off + (byte % nbytes) as usize] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Write, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.writes += 1;
-            st.counters.h2d_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Write, nbytes, None, LaunchShape::default(), t, None))
+        })
     }
 
     /// Read `f32` values starting at element `offset`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_read_buffer`](Self::enqueue_read_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_read_f32_at(
         &self,
         buf: &Buffer,
         offset: usize,
         out: &mut [f32],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, out.len(), 4)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-            RuntimeError::Invalid(format!(
-                "read of {} f32 at offset {offset} from buffer of {} bytes",
-                out.len(),
-                buf.len()
-            ))
-        })?;
-        let nbytes = (out.len() * 4) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Read, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes(buf.id);
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = f32::from_le_bytes(
-                    bytes[byte_off + i * 4..byte_off + i * 4 + 4].try_into().expect("f32"),
-                );
+        let n = out.len();
+        self.transfer(CommandKind::Read, buf, "f32", 4, offset, n, |dev| {
+            for (v, d) in out.iter_mut().zip(dev.chunks_exact(4)) {
+                *v = f32::from_le_bytes(d.try_into().expect("4-byte chunk"));
             }
-            if let Some((byte, bit, _)) = corrupt {
-                let idx = (byte % nbytes) as usize;
-                let flip = 1u32 << ((idx % 4) * 8 + bit as usize);
-                out[idx / 4] = f32::from_bits(out[idx / 4].to_bits() ^ flip);
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Read, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.reads += 1;
-            st.counters.d2h_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Read, nbytes, None, LaunchShape::default(), t, None))
+        })
     }
 
     /// Write a slice of `i32` values at the start of `buf`.
     ///
     /// # Errors
-    /// Propagates [`enqueue_write_buffer`](Self::enqueue_write_buffer)
-    /// errors.
+    /// Same as [`enqueue_write_buffer`](Self::enqueue_write_buffer).
     pub fn enqueue_write_i32(&self, buf: &Buffer, data: &[i32]) -> Result<Event, RuntimeError> {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.enqueue_write_buffer(buf, &bytes)
+        self.transfer(CommandKind::Write, buf, "i32", 4, 0, data.len(), |dev| {
+            for (d, v) in dev.chunks_exact_mut(4).zip(data) {
+                d.copy_from_slice(&v.to_le_bytes());
+            }
+        })
     }
 
     /// Copy `bytes` bytes from `src` to `dst` on the device
@@ -1122,14 +1006,17 @@ impl CommandQueue {
     /// device's global-memory bandwidth, not the link.
     ///
     /// # Errors
-    /// Returns [`RuntimeError::Invalid`] on out-of-range copies or when
-    /// `src` and `dst` are the same buffer.
+    /// Returns [`RuntimeError::Invalid`] when either buffer belongs to
+    /// another context, on out-of-range copies, or when `src` and `dst`
+    /// are the same buffer.
     pub fn enqueue_copy_buffer(
         &self,
         src: &Buffer,
         dst: &Buffer,
         bytes: usize,
     ) -> Result<Event, RuntimeError> {
+        self.check_owned(src)?;
+        self.check_owned(dst)?;
         if bytes > src.len() || bytes > dst.len() {
             return Err(RuntimeError::Invalid(format!(
                 "copy of {bytes} bytes between buffers of {} and {}",
@@ -1140,147 +1027,59 @@ impl CommandQueue {
         if src.id == dst.id {
             return Err(RuntimeError::Invalid("copy with overlapping buffers".into()));
         }
-        self.fault_device(CommandKind::Copy)?;
+        self.decide_fault(CommandKind::Copy, bytes as u64)?;
         if self.timing_model.lock().unwrap().is_none() {
             let mut mem = self.ctx.mem.lock().unwrap();
             let data = mem.bytes(src.id)[..bytes].to_vec();
             mem.bytes_mut(dst.id)[..bytes].copy_from_slice(&data);
         }
         // Read + write through device memory.
-        let t = 2.0 * bytes as f64 / self.ctx.device().info().global_bw_bytes_per_s;
-        Ok(self.advance(CommandKind::Copy, bytes as u64, None, LaunchShape::default(), t, None))
+        let duration = 2.0 * bytes as f64 / self.ctx.device().info().global_bw_bytes_per_s;
+        let span = CommandSpan { duration, ..CommandSpan::default() };
+        Ok(self.advance(CommandKind::Copy, bytes as u64, &[span]))
     }
 
     /// Fill `buf` with a repeated `f64` pattern (`clEnqueueFillBuffer`).
     ///
     /// # Errors
-    /// Returns [`RuntimeError::Invalid`] if `count` elements exceed the
-    /// buffer.
+    /// Returns [`RuntimeError::Invalid`] if `buf` belongs to another
+    /// context or `count` elements exceed the buffer.
     pub fn enqueue_fill_f64(
         &self,
         buf: &Buffer,
         value: f64,
         count: usize,
     ) -> Result<Event, RuntimeError> {
+        self.check_owned(buf)?;
         if count.checked_mul(8).is_none_or(|n| n > buf.len()) {
             return Err(RuntimeError::Invalid(format!(
                 "fill of {count} f64 into buffer of {} bytes",
                 buf.len()
             )));
         }
-        self.fault_device(CommandKind::Fill)?;
+        self.decide_fault(CommandKind::Fill, (count * 8) as u64)?;
         if self.timing_model.lock().unwrap().is_none() {
             let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes_mut(buf.id);
-            for i in 0..count {
-                bytes[i * 8..i * 8 + 8].copy_from_slice(&value.to_le_bytes());
+            for d in mem.bytes_mut(buf.id)[..count * 8].chunks_exact_mut(8) {
+                d.copy_from_slice(&value.to_le_bytes());
             }
         }
-        let t = (count * 8) as f64 / self.ctx.device().info().global_bw_bytes_per_s;
-        Ok(self.advance(
-            CommandKind::Fill,
-            (count * 8) as u64,
-            None,
-            LaunchShape::default(),
-            t,
-            None,
-        ))
+        let duration = (count * 8) as f64 / self.ctx.device().info().global_bw_bytes_per_s;
+        let span = CommandSpan { duration, ..CommandSpan::default() };
+        Ok(self.advance(CommandKind::Fill, (count * 8) as u64, &[span]))
     }
 
     /// Launch `kernel` over `dispatch` (`clEnqueueNDRangeKernel`).
     ///
     /// # Errors
-    /// Returns [`RuntimeError`] on unset arguments, capacity violations or
-    /// kernel execution failures.
+    /// Returns [`RuntimeError`] on unset or foreign arguments, capacity
+    /// violations, injected faults or kernel execution failures.
     pub fn enqueue_nd_range(
         &self,
         kernel: &Kernel,
         dispatch: Dispatch,
     ) -> Result<Event, RuntimeError> {
-        let info = self.ctx.device().info().clone();
-        if dispatch.local > info.max_work_group_size {
-            return Err(RuntimeError::Invalid(format!(
-                "work-group size {} exceeds device maximum {}",
-                dispatch.local, info.max_work_group_size
-            )));
-        }
-        let args = kernel.bound_args().map_err(|e| RuntimeError::Invalid(e.message))?;
-        let local_bytes: usize = args
-            .iter()
-            .map(|a| match a {
-                KernelArg::Local(b) => *b,
-                _ => 0,
-            })
-            .sum();
-        if local_bytes as u64 > info.local_mem_bytes {
-            return Err(RuntimeError::Invalid(format!(
-                "work-group needs {local_bytes} bytes of local memory, device has {}",
-                info.local_mem_bytes
-            )));
-        }
-
-        let func = kernel.device_program.module().kernel(&kernel.name).ok_or_else(|| {
-            RuntimeError::Invalid(format!("kernel `{}` disappeared", kernel.name))
-        })?;
-
-        let (stall_s, fault_site) = self.fault_launch()?;
-
-        let stats = if let Some(model) = self.timing_model.lock().unwrap().as_ref() {
-            model(&kernel.name, dispatch)
-        } else {
-            // Pipe kernels run against the context's persistent hub (its
-            // contents survive across launches); everything else keeps the
-            // multi-worker path.
-            let has_pipes =
-                func.params.iter().any(|p| matches!(p.ty, Type::Ptr(AddressSpace::Pipe, _)));
-            let mut mem = self.ctx.mem.lock().unwrap();
-            let mut hub = has_pipes.then(|| self.ctx.pipes.lock().unwrap());
-            interpret_groups(
-                &mut mem,
-                func,
-                &kernel.compiled,
-                kernel.device_program.math(),
-                &args,
-                dispatch,
-                self.workers(),
-                self.engine(),
-                self.step_limit(),
-                hub.as_deref_mut(),
-            )?
-        };
-
-        // A stalled launch still computes correctly; it just occupies the
-        // device for extra simulated time.
-        let t = kernel.device_program.kernel_time(&kernel.name, &dispatch, &stats) + stall_s;
-        if let Some(reg) = self.metrics.lock().unwrap().as_ref() {
-            publish_exec_stats(reg, &info.kind.to_string(), &kernel.name, &stats);
-        }
-        let barriers = stats.barriers;
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.launches += 1;
-            st.counters.work_items += dispatch.global as u64;
-            st.counters.pipe_reads += stats.pipe_reads;
-            st.counters.pipe_writes += stats.pipe_writes;
-            st.counters.pipe_read_stalls += stats.pipe_read_stalls;
-            st.counters.pipe_write_stalls += stats.pipe_write_stalls;
-            st.kernel_stats
-                .entry(kernel.name.clone())
-                .and_modify(|s| s.merge(&stats))
-                .or_insert(stats);
-        }
-        Ok(self.advance(
-            CommandKind::Kernel,
-            0,
-            Some(&kernel.name),
-            LaunchShape {
-                work_items: dispatch.global as u64,
-                barriers,
-                groups: dispatch.groups() as u64,
-            },
-            t,
-            fault_site,
-        ))
+        self.launch(&[(kernel, dispatch)], false)
     }
 
     /// Launch several kernels as one co-scheduled graph: all of them are
@@ -1300,8 +1099,9 @@ impl CommandQueue {
     /// member sharing the same queued/start timestamps.
     ///
     /// # Errors
-    /// Returns [`RuntimeError`] on unset arguments, capacity violations,
-    /// kernel execution failures, injected faults, or pipe deadlock.
+    /// Returns [`RuntimeError`] on unset or foreign arguments, capacity
+    /// violations, kernel execution failures, injected faults, or pipe
+    /// deadlock.
     pub fn enqueue_launch_graph(
         &self,
         launches: &[(&Kernel, Dispatch)],
@@ -1309,11 +1109,66 @@ impl CommandQueue {
         if launches.is_empty() {
             return Err(RuntimeError::Invalid("empty launch graph".into()));
         }
-        let info = self.ctx.device().info().clone();
+        self.launch(launches, true)
+    }
+
+    /// Validate one kernel of a launch before any fault draw: the
+    /// work-group size, that every argument is bound (buffers and pipes to
+    /// this queue's context), the local-memory total, and the kernel IR.
+    fn check_launch<'k>(
+        &self,
+        kernel: &'k Kernel,
+        dispatch: Dispatch,
+    ) -> Result<(&'k Function, Vec<KernelArg>), RuntimeError> {
+        let info = self.ctx.device().info();
+        if dispatch.local > info.max_work_group_size {
+            return Err(RuntimeError::Invalid(format!(
+                "work-group size {} exceeds device maximum {}",
+                dispatch.local, info.max_work_group_size
+            )));
+        }
+        let args = kernel.bound_args().map_err(|e| RuntimeError::Invalid(e.message))?;
+        let foreign = args.iter().position(|a| match a {
+            KernelArg::Buffer(b) => !self.ctx.owns(b),
+            KernelArg::Pipe(p) => !self.ctx.owns_pipe(p),
+            KernelArg::Scalar(_) | KernelArg::Local(_) => false,
+        });
+        if let Some(i) = foreign {
+            return Err(RuntimeError::Invalid(format!(
+                "kernel `{}`: argument {i} belongs to another context",
+                kernel.name
+            )));
+        }
+        let local_bytes: usize = args
+            .iter()
+            .map(|a| match a {
+                KernelArg::Local(b) => *b,
+                _ => 0,
+            })
+            .sum();
+        if local_bytes as u64 > info.local_mem_bytes {
+            return Err(RuntimeError::Invalid(format!(
+                "work-group needs {local_bytes} bytes of local memory, device has {}",
+                info.local_mem_bytes
+            )));
+        }
+        let func = kernel.device_program.module().kernel(&kernel.name).ok_or_else(|| {
+            RuntimeError::Invalid(format!("kernel `{}` disappeared", kernel.name))
+        })?;
+        Ok((func, args))
+    }
+
+    /// The one launch path behind [`enqueue_nd_range`](Self::enqueue_nd_range)
+    /// (`graph == false`, one launch) and
+    /// [`enqueue_launch_graph`](Self::enqueue_launch_graph): validate every
+    /// kernel, draw one launch fault decision per kernel in order, execute
+    /// (or model, in timing-only mode), account each kernel, and advance
+    /// the clock once.
+    fn launch(&self, launches: &[(&Kernel, Dispatch)], graph: bool) -> Result<Event, RuntimeError> {
         let mut funcs = Vec::with_capacity(launches.len());
         let mut all_args = Vec::with_capacity(launches.len());
-        for (kernel, dispatch) in launches {
-            if dispatch.groups() != 1 {
+        for &(kernel, dispatch) in launches {
+            if graph && dispatch.groups() != 1 {
                 return Err(RuntimeError::Invalid(format!(
                     "launch graphs schedule concurrent kernels, not concurrent work-groups: \
                      kernel `{}` dispatches {} groups",
@@ -1321,29 +1176,7 @@ impl CommandQueue {
                     dispatch.groups()
                 )));
             }
-            if dispatch.local > info.max_work_group_size {
-                return Err(RuntimeError::Invalid(format!(
-                    "work-group size {} exceeds device maximum {}",
-                    dispatch.local, info.max_work_group_size
-                )));
-            }
-            let args = kernel.bound_args().map_err(|e| RuntimeError::Invalid(e.message))?;
-            let local_bytes: usize = args
-                .iter()
-                .map(|a| match a {
-                    KernelArg::Local(b) => *b,
-                    _ => 0,
-                })
-                .sum();
-            if local_bytes as u64 > info.local_mem_bytes {
-                return Err(RuntimeError::Invalid(format!(
-                    "work-group needs {local_bytes} bytes of local memory, device has {}",
-                    info.local_mem_bytes
-                )));
-            }
-            let func = kernel.device_program.module().kernel(&kernel.name).ok_or_else(|| {
-                RuntimeError::Invalid(format!("kernel `{}` disappeared", kernel.name))
-            })?;
+            let (func, args) = self.check_launch(kernel, dispatch)?;
             funcs.push(func);
             all_args.push(args);
         }
@@ -1351,115 +1184,86 @@ impl CommandQueue {
         // Fault decisions are drawn per kernel, in graph order, so a
         // graph consumes exactly as many launch draws as its kernels
         // would individually.
-        let mut stalls = Vec::with_capacity(launches.len());
-        for _ in launches {
-            stalls.push(self.fault_launch()?);
-        }
+        let stalls = launches
+            .iter()
+            .map(|_| match self.decide_fault(CommandKind::Kernel, 0)? {
+                FaultDecision::Stall { extra_s } => {
+                    let site = FaultSite::LaunchStall;
+                    self.record_fault(CommandKind::Kernel, site, false, extra_s);
+                    Ok((extra_s, Some(site)))
+                }
+                _ => Ok((0.0, None)),
+            })
+            .collect::<Result<Vec<_>, RuntimeError>>()?;
 
-        let stats_vec: Vec<ExecStats> = {
-            let timing = self.timing_model.lock().unwrap();
-            if let Some(model) = timing.as_ref() {
-                launches.iter().map(|(k, d)| model(&k.name, *d)).collect()
-            } else {
-                drop(timing);
+        let stats: Vec<ExecStats> = match self.timing_model.lock().unwrap().as_ref() {
+            Some(model) => launches.iter().map(|&(k, d)| model(&k.name, d)).collect(),
+            None if graph => run_graph(
+                &mut self.ctx.mem.lock().unwrap(),
+                &mut self.ctx.pipes.lock().unwrap(),
+                launches,
+                &funcs,
+                &all_args,
+                self.engine(),
+                self.step_limit(),
+            )?,
+            None => {
+                // Pipe kernels run against the context's persistent hub
+                // (its contents survive across launches); everything else
+                // keeps the multi-worker path.
+                let ((kernel, dispatch), func) = (launches[0], funcs[0]);
+                let has_pipes =
+                    func.params.iter().any(|p| matches!(p.ty, Type::Ptr(AddressSpace::Pipe, _)));
                 let mut mem = self.ctx.mem.lock().unwrap();
-                let mut hub = self.ctx.pipes.lock().unwrap();
-                run_graph(
+                let mut hub = has_pipes.then(|| self.ctx.pipes.lock().unwrap());
+                vec![interpret_groups(
                     &mut mem,
-                    &mut hub,
-                    launches,
-                    &funcs,
-                    &all_args,
+                    func,
+                    &kernel.compiled,
+                    kernel.device_program.math(),
+                    &all_args[0],
+                    dispatch,
+                    self.workers(),
                     self.engine(),
                     self.step_limit(),
-                )?
+                    hub.as_deref_mut(),
+                )?]
             }
         };
 
-        let device = info.kind.to_string();
-        let mut t_each = Vec::with_capacity(launches.len());
-        let mut max_t = 0.0f64;
-        for (i, (kernel, dispatch)) in launches.iter().enumerate() {
-            let t = kernel.device_program.kernel_time(&kernel.name, dispatch, &stats_vec[i])
-                + stalls[i].0;
-            max_t = max_t.max(t);
-            t_each.push(t);
-        }
-        if let Some(reg) = self.metrics.lock().unwrap().as_ref() {
-            for ((kernel, _), stats) in launches.iter().zip(&stats_vec) {
+        let device = self.ctx.device().info().kind.to_string();
+        let mut spans = Vec::with_capacity(launches.len());
+        for ((&(kernel, dispatch), stats), &(stall_s, fault)) in
+            launches.iter().zip(&stats).zip(&stalls)
+        {
+            if let Some(reg) = self.metrics.lock().unwrap().as_ref() {
                 publish_exec_stats(reg, &device, &kernel.name, stats);
             }
-        }
-
-        let (queued, start, end) = {
             let mut st = self.state.lock().unwrap();
-            let queued = st.now;
-            let start = queued + info.command_overhead_s;
-            let end = start + max_t;
-            st.now = end;
-            st.device_busy_s += max_t;
-            for (i, ((kernel, dispatch), stats)) in launches.iter().zip(&stats_vec).enumerate() {
-                st.counters.launches += 1;
-                st.counters.work_items += dispatch.global as u64;
-                st.counters.pipe_reads += stats.pipe_reads;
-                st.counters.pipe_writes += stats.pipe_writes;
-                st.counters.pipe_read_stalls += stats.pipe_read_stalls;
-                st.counters.pipe_write_stalls += stats.pipe_write_stalls;
-                st.kernel_stats
-                    .entry(kernel.name.clone())
-                    .and_modify(|s| s.merge(stats))
-                    .or_insert_with(|| stats.clone());
-                let span_id = st.next_span_id;
-                st.next_span_id += 1;
-                let parent = st.span_stack.last().map(|s| s.id);
-                let cap = st.trace_cap;
-                if let Some(trace) = &mut st.trace {
-                    if cap.is_some_and(|c| trace.len() >= c) {
-                        st.trace_dropped += 1;
-                    } else {
-                        trace.push(TraceEntry {
-                            span_id,
-                            parent,
-                            kind: CommandKind::Kernel,
-                            bytes: 0,
-                            kernel: Some(kernel.name.clone()),
-                            work_items: dispatch.global as u64,
-                            barriers: stats.barriers,
-                            groups: 1,
-                            queued_s: queued,
-                            start_s: start,
-                            end_s: start + t_each[i],
-                            fault: stalls[i].1,
-                        });
-                    }
-                }
-            }
-            (queued, start, end)
-        };
-        if let Some(reg) = self.metrics.lock().unwrap().as_ref() {
-            let d = device.as_str();
-            for (i, (kernel, dispatch)) in launches.iter().enumerate() {
-                reg.inc("ocl.commands", &[("device", d), ("kind", "kernel")], 1);
-                reg.observe(
-                    "ocl.command_seconds",
-                    &[("device", d), ("kind", "kernel")],
-                    end - queued,
-                );
-                reg.inc(
-                    "ocl.work_items",
-                    &[("device", d), ("kernel", &kernel.name)],
-                    dispatch.global as u64,
-                );
-                reg.observe(
-                    "ocl.kernel_seconds",
-                    &[("device", d), ("kernel", &kernel.name)],
-                    t_each[i],
-                );
-            }
-            reg.set_gauge("ocl.sim_elapsed_s", &[("device", d)], self.elapsed_s());
-            reg.set_gauge("ocl.device_busy_s", &[("device", d)], self.device_busy_s());
+            let c = &mut st.counters;
+            c.launches += 1;
+            c.work_items += dispatch.global as u64;
+            c.pipe_reads += stats.pipe_reads;
+            c.pipe_writes += stats.pipe_writes;
+            c.pipe_read_stalls += stats.pipe_read_stalls;
+            c.pipe_write_stalls += stats.pipe_write_stalls;
+            st.kernel_stats
+                .entry(kernel.name.clone())
+                .and_modify(|s| s.merge(stats))
+                .or_insert_with(|| stats.clone());
+            // A stalled launch still computes correctly; it just occupies
+            // the device for extra simulated time.
+            spans.push(CommandSpan {
+                kernel: Some(&kernel.name),
+                work_items: dispatch.global as u64,
+                barriers: stats.barriers,
+                groups: dispatch.groups() as u64,
+                duration: kernel.device_program.kernel_time(&kernel.name, &dispatch, stats)
+                    + stall_s,
+                fault,
+            });
         }
-        Ok(Event { profiling: ProfilingInfo { queued_s: queued, start_s: start, end_s: end } })
+        Ok(self.advance(CommandKind::Kernel, 0, &spans))
     }
 }
 
@@ -2196,5 +2000,207 @@ mod tests {
         assert!(matches!(runner(Engine::Walk), Ok(GroupRun::Walk(_))));
         assert!(matches!(runner(Engine::Bytecode), Ok(GroupRun::Bytecode(_))));
         assert!(matches!(runner(Engine::Lanes), Ok(GroupRun::Lanes(_))));
+    }
+
+    /// One transfer entry point of the equivalence table: moves the
+    /// 32-byte payload at the byte offset its table row names and returns
+    /// the command result plus the payload bytes the host passed in
+    /// (writes) or ends up with (reads).
+    type TransferFn =
+        fn(&CommandQueue, &Buffer, &[u8; 32]) -> (Result<Event, RuntimeError>, [u8; 32]);
+
+    fn f64s(p: &[u8; 32]) -> Vec<f64> {
+        p.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
+    }
+
+    fn f32s(p: &[u8; 32]) -> Vec<f32> {
+        p.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect()
+    }
+
+    fn bytes_of<const W: usize, T: Copy>(v: &[T], le: fn(T) -> [u8; W]) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for (d, x) in out.chunks_exact_mut(W).zip(v) {
+            d.copy_from_slice(&le(*x));
+        }
+        out
+    }
+
+    #[test]
+    fn every_transfer_entry_point_is_the_same_command() {
+        use crate::faults::{FaultPlan, FaultSites};
+        let writes: [(&str, usize, TransferFn); 6] = [
+            ("write_buffer", 0, |q, b, p| (q.enqueue_write_buffer(b, p), *p)),
+            ("write_f64", 0, |q, b, p| (q.enqueue_write_f64(b, &f64s(p)), *p)),
+            ("write_f64_at", 16, |q, b, p| (q.enqueue_write_f64_at(b, 2, &f64s(p)), *p)),
+            ("write_f32_at/0", 0, |q, b, p| (q.enqueue_write_f32_at(b, 0, &f32s(p)), *p)),
+            ("write_f32_at", 16, |q, b, p| (q.enqueue_write_f32_at(b, 4, &f32s(p)), *p)),
+            ("write_i32", 0, |q, b, p| {
+                let v: Vec<i32> =
+                    p.chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect();
+                (q.enqueue_write_i32(b, &v), *p)
+            }),
+        ];
+        let reads: [(&str, usize, TransferFn); 5] = [
+            ("read_buffer", 0, |q, b, _| {
+                let mut o = [0u8; 32];
+                (q.enqueue_read_buffer(b, &mut o), o)
+            }),
+            ("read_f64", 0, |q, b, _| {
+                let mut o = [0.0; 4];
+                (q.enqueue_read_f64(b, &mut o), bytes_of(&o, f64::to_le_bytes))
+            }),
+            ("read_f64_at", 16, |q, b, _| {
+                let mut o = [0.0; 4];
+                (q.enqueue_read_f64_at(b, 2, &mut o), bytes_of(&o, f64::to_le_bytes))
+            }),
+            ("read_f32_at/0", 0, |q, b, _| {
+                let mut o = [0.0; 8];
+                (q.enqueue_read_f32_at(b, 0, &mut o), bytes_of(&o, f32::to_le_bytes))
+            }),
+            ("read_f32_at", 16, |q, b, _| {
+                let mut o = [0.0; 8];
+                (q.enqueue_read_f32_at(b, 4, &mut o), bytes_of(&o, f32::to_le_bytes))
+            }),
+        ];
+        let payload: [u8; 32] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ 0x5a);
+        let plan = FaultPlan::new(0.4, 2024).with_sites(FaultSites {
+            transfer: true,
+            enqueue: true,
+            stall: false,
+            trap: false,
+        });
+
+        // Per entry point: the per-command (fault site, flipped payload
+        // bits) stream, plus everything the queue reports.
+        let run = |off: usize, op: TransferFn, write: bool| {
+            let (ctx, q, _p) = setup("__kernel void k(__global double* io) {}");
+            let reg = Arc::new(MetricsRegistry::new());
+            q.attach_metrics(reg.clone());
+            q.enable_trace();
+            q.set_fault_plan(plan);
+            // A second, fault-free queue resets the device bytes before
+            // every command without drawing from the plan.
+            let reset = CommandQueue::new(&ctx);
+            let buf = ctx.create_buffer(48);
+            let mut stream = Vec::new();
+            for _ in 0..40 {
+                reset.enqueue_write_buffer(&buf, &[0; 48]).expect("reset");
+                reset.enqueue_write_f64_at(&buf, off / 8, &f64s(&payload)).expect("seed");
+                let (res, host) = op(&q, &buf, &payload);
+                let device = ctx.snapshot(&buf);
+                let site = match res {
+                    Ok(_) => None,
+                    Err(RuntimeError::Fault(f)) => Some(f.site.label()),
+                    Err(e) => panic!("unexpected error {e}"),
+                };
+                if !write {
+                    assert_eq!(device[off..off + 32], payload, "reads never corrupt the device");
+                }
+                // A rejected command moves nothing: a read leaves the host
+                // buffer as it was (zeroed).
+                let seen: [u8; 32] = match (write, site) {
+                    (true, _) => device[off..off + 32].try_into().unwrap(),
+                    (false, Some("enqueue")) => {
+                        assert_eq!(host, [0; 32], "rejected reads copy nothing");
+                        payload
+                    }
+                    (false, _) => host,
+                };
+                let flips: Vec<(usize, u32)> = (0..32)
+                    .filter(|&i| seen[i] != payload[i])
+                    .map(|i| (i, (seen[i] ^ payload[i]).trailing_zeros()))
+                    .collect();
+                stream.push((site, flips));
+            }
+            (stream, q.counters(), q.trace(), reg.to_json().to_string(), q.elapsed_s())
+        };
+
+        let mut streams = Vec::new();
+        for (ops, write) in [(&writes[..], true), (&reads[..], false)] {
+            let (name0, off0, op0) = ops[0];
+            let reference = run(off0, op0, write);
+            for &(name, off, op) in &ops[1..] {
+                let got = run(off, op, write);
+                assert_eq!(got.0, reference.0, "{name} vs {name0}: fault draws and bit flips");
+                assert_eq!(got.1, reference.1, "{name} vs {name0}: counters");
+                assert_eq!(got.2, reference.2, "{name} vs {name0}: trace entries");
+                assert_eq!(got.3, reference.3, "{name} vs {name0}: metrics");
+                assert_eq!(got.4, reference.4, "{name} vs {name0}: simulated clock");
+            }
+            streams.push(reference.0);
+        }
+
+        // Both directions draw the same decisions from the same plan and
+        // flip the same payload bit; only the site label differs.
+        type Stream = [(Option<&'static str>, Vec<(usize, u32)>)];
+        let strip = |s: &Stream| {
+            s.iter()
+                .map(|(site, flips)| (site.map(|l| l.starts_with("transfer")), flips.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(strip(&streams[0]), strip(&streams[1]));
+        let corrupt = streams[0].iter().filter(|(s, _)| *s == Some("transfer_h2d")).count();
+        let rejected = streams[0].iter().filter(|(s, _)| *s == Some("enqueue")).count();
+        let clean = streams[0].iter().filter(|(s, _)| s.is_none()).count();
+        assert!(corrupt > 0 && rejected > 0 && clean > 0, "the plan exercises every outcome");
+        for (site, flips) in &streams[0] {
+            let expected = if *site == Some("transfer_h2d") { 1 } else { 0 };
+            assert_eq!(flips.len(), expected, "exactly one payload bit per corruption");
+        }
+    }
+
+    #[test]
+    fn foreign_buffer_handles_are_rejected() {
+        let src = "__kernel void k(__global double* io) { io[0] = 1.0; }";
+        let (other, _other_q, _other_p) = setup(src);
+        let (ctx, q, p) = setup(src);
+        let own = ctx.create_buffer(16);
+        q.enqueue_write_f64(&own, &[7.0, 7.0]).expect("own write");
+        // Buffer 0 of the other context aliases `own`; buffer 1 indexes
+        // past this context's only buffer.
+        let alias = other.create_buffer(16);
+        let out_of_range = other.create_buffer(16);
+        let before = q.counters();
+        for foreign in [&alias, &out_of_range] {
+            let invalid = |r: Result<Event, RuntimeError>, what: &str| {
+                assert!(matches!(r, Err(RuntimeError::Invalid(_))), "{what}: {r:?}");
+            };
+            invalid(q.enqueue_write_f64(foreign, &[1.0]), "write");
+            invalid(q.enqueue_write_buffer(foreign, &[1]), "byte write");
+            invalid(q.enqueue_read_f64(foreign, &mut [0.0]), "read");
+            invalid(q.enqueue_copy_buffer(foreign, &own, 8), "copy from");
+            invalid(q.enqueue_copy_buffer(&own, foreign, 8), "copy into");
+            invalid(q.enqueue_fill_f64(foreign, 1.0, 1), "fill");
+            let k = p.kernel("k").expect("kernel");
+            k.set_arg_buffer(0, foreign);
+            invalid(q.enqueue_nd_range(&k, Dispatch::new(1, 1)), "kernel argument");
+            invalid(q.enqueue_launch_graph(&[(&k, Dispatch::new(1, 1))]), "graph argument");
+        }
+        assert_eq!(q.counters(), before, "no rejected command ran");
+        let mut out = [0.0; 2];
+        q.enqueue_read_f64(&own, &mut out).expect("own read");
+        assert_eq!(out, [7.0, 7.0], "the aliased buffer is untouched");
+    }
+
+    #[test]
+    fn foreign_pipe_handles_are_rejected() {
+        let src = "__kernel void produce(pipe double ch) { write_pipe(ch, 1.0); }
+                   __kernel void consume(pipe double ch, __global double* out) {
+                       out[0] = read_pipe(ch);
+                   }";
+        let (other, _other_q, _other_p) = setup(src);
+        let (ctx, q, p) = setup(src);
+        let own = ctx.create_pipe(bop_clir::types::ScalarType::F64, 1);
+        let foreign = other.create_pipe(bop_clir::types::ScalarType::F64, 1);
+        let out = ctx.create_buffer(8);
+        let produce = p.kernel("produce").expect("kernel");
+        let consume = p.kernel("consume").expect("kernel");
+        produce.set_arg_pipe(0, &foreign);
+        consume.set_arg_pipe(0, &own);
+        consume.set_arg_buffer(1, &out);
+        let graph = [(&produce, Dispatch::new(1, 1)), (&consume, Dispatch::new(1, 1))];
+        assert!(matches!(q.enqueue_launch_graph(&graph), Err(RuntimeError::Invalid(_))));
+        produce.set_arg_pipe(0, &own);
+        q.enqueue_launch_graph(&graph).expect("own pipe runs");
     }
 }
