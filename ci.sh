@@ -30,6 +30,13 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc (rustdoc warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# The README's first traced call: the quickstart example prices one
+# option on the FPGA model and writes the session's Chrome trace, which
+# must carry trace events.
+echo "== quickstart example =="
+cargo run --release -p bop-core --example quickstart -- --trace-out /tmp/quickstart_trace.json
+grep -q '"traceEvents"' /tmp/quickstart_trace.json
+
 # Smoke-run the serving layer end to end: a bounded, seeded open-loop
 # stream through the batching service, with the JSON report parsed to
 # guard the {experiment, rows, counters, wall_s} schema and the

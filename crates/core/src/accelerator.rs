@@ -2,7 +2,6 @@
 
 use crate::error::Error;
 use crate::hostprog::optimized::OptimizedHost;
-use crate::hostprog::payoff::PayoffHost;
 use crate::hostprog::straightforward::StraightforwardHost;
 use crate::hostprog::streaming::StreamingHost;
 use crate::kernels::KernelArch;
@@ -261,6 +260,20 @@ pub struct SessionTrace {
     pub dropped: u64,
 }
 
+impl SessionTrace {
+    /// The session's timeline as a Chrome trace-event JSON document
+    /// (host spans, queue commands, barrier phases), ready to be written
+    /// to a file and loaded in Perfetto.
+    pub fn to_chrome_json(&self) -> Json {
+        let mut log = TraceLog::new();
+        for span in &self.spans {
+            log.push(span.clone());
+        }
+        log.note_dropped(self.dropped);
+        log.to_chrome_json()
+    }
+}
+
 /// Paper-scale performance projection (timing-only replay with fitted
 /// statistics; no functional results).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -308,20 +321,12 @@ impl Projection {
 /// [`AcceleratorConfig::build_pool`]) shares the same compiled program
 /// across the clones.
 pub struct Accelerator {
-    device: Arc<dyn Device>,
-    arch: KernelArch,
-    precision: Precision,
-    n_steps: usize,
-    build: BuildOptions,
+    /// The configuration it was built from, resolved: `build` is always
+    /// set, `faults` holds only an active plan, `workers` is at least 1.
+    config: AcceleratorConfig,
     program: Program,
     report: BuildReport,
-    read_full: bool,
     fit_cache: std::sync::OnceLock<StatsFit>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    workers: Option<usize>,
-    engine: Option<Engine>,
-    step_limit: Option<u64>,
-    faults: Option<FaultPlan>,
     /// Pricing sessions opened so far; seeds the per-session fault
     /// stream so a retry draws fresh (still deterministic) faults.
     fault_sessions: AtomicU64,
@@ -334,25 +339,11 @@ impl Clone for Accelerator {
     /// fresh accelerator with the same plan (re-seed per shard with
     /// [`Accelerator::with_fault_plan`] to decorrelate shards).
     fn clone(&self) -> Accelerator {
-        let fit_cache = std::sync::OnceLock::new();
-        if let Some(fit) = self.fit_cache.get() {
-            let _ = fit_cache.set(fit.clone());
-        }
         Accelerator {
-            device: self.device.clone(),
-            arch: self.arch,
-            precision: self.precision,
-            n_steps: self.n_steps,
-            build: self.build.clone(),
+            config: self.config.clone(),
             program: self.program.clone(),
             report: self.report.clone(),
-            read_full: self.read_full,
-            fit_cache,
-            metrics: self.metrics.clone(),
-            workers: self.workers,
-            engine: self.engine,
-            step_limit: self.step_limit,
-            faults: self.faults,
+            fit_cache: self.fit_cache.clone(),
             fault_sessions: AtomicU64::new(0),
         }
     }
@@ -380,27 +371,14 @@ impl Accelerator {
     /// # Errors
     /// [`Error::Invalid`] for a bad lattice size, [`Error::Build`] if the
     /// kernel does not compile or fit.
-    pub fn from_config(config: AcceleratorConfig) -> Result<Accelerator, Error> {
-        let AcceleratorConfig {
-            device,
-            arch,
-            precision,
-            n_steps,
-            build,
-            metrics,
-            workers,
-            engine,
-            step_limit,
-            reduced_reads,
-            faults,
-        } = config;
-        if n_steps < 2 {
+    pub fn from_config(mut config: AcceleratorConfig) -> Result<Accelerator, Error> {
+        if config.n_steps < 2 {
             return Err(Error::Invalid("need at least 2 lattice steps".into()));
         }
         // Resolve the fault plan strictly: an explicit plan must be
         // valid, and a set-but-malformed BOP_SIM_FAULTS is a structured
         // configuration error, never a silently ignored knob.
-        let faults = match faults {
+        let faults = match config.faults {
             Some(plan) => {
                 plan.validate()
                     .map_err(|cause| Error::Config { var: "fault_plan".into(), cause })?;
@@ -409,39 +387,31 @@ impl Accelerator {
             None => FaultPlan::from_env()
                 .map_err(|cause| Error::Config { var: "BOP_SIM_FAULTS".into(), cause })?,
         };
-        let faults = faults.filter(FaultPlan::is_active);
-        let build = build.unwrap_or_else(|| arch.paper_build_options());
-        let ctx = Context::new(device.clone());
+        config.faults = faults.filter(FaultPlan::is_active);
+        let build = config.build.take().unwrap_or_else(|| config.arch.paper_build_options());
+        config.workers = config.workers.map(|w| w.max(1));
+        let ctx = Context::new(config.device.clone());
         // Size lattice-sized sources (the streaming kernel's private
         // rows) for this accelerator's lattice — and no smaller than the
         // calibration lattices, which run through the same program.
-        let sized_steps = n_steps.max(CALIBRATION_STEPS[2]);
+        let sized_steps = config.n_steps.max(CALIBRATION_STEPS[2]);
         let program = Program::from_source_with_metrics(
             &ctx,
             "kernel.cl",
-            &arch.source_sized(precision, sized_steps),
+            &config.arch.source_sized(config.precision, sized_steps),
             &build,
-            metrics.as_deref(),
+            config.metrics.as_deref(),
         )?;
+        config.build = Some(build);
         let report = program.report();
-        if let Some(registry) = &metrics {
-            publish_device_gauges(registry, &device, arch, &report);
+        if let Some(registry) = &config.metrics {
+            publish_device_gauges(registry, &config.device, config.arch, &report);
         }
         Ok(Accelerator {
-            device,
-            arch,
-            precision,
-            n_steps,
-            build,
+            config,
             program,
             report,
-            read_full: !reduced_reads,
             fit_cache: std::sync::OnceLock::new(),
-            metrics,
-            workers: workers.map(|w| w.max(1)),
-            engine,
-            step_limit,
-            faults,
             fault_sessions: AtomicU64::new(0),
         })
     }
@@ -459,27 +429,27 @@ impl Accelerator {
 
     /// The kernel architecture.
     pub fn arch(&self) -> KernelArch {
-        self.arch
+        self.config.arch
     }
 
     /// The numeric precision.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.config.precision
     }
 
     /// The lattice step count.
     pub fn n_steps(&self) -> usize {
-        self.n_steps
+        self.config.n_steps
     }
 
     /// The build options in effect.
     pub fn build_options(&self) -> &BuildOptions {
-        &self.build
+        self.config.build.as_ref().expect("resolved when the accelerator is built")
     }
 
     /// The device this accelerator runs on.
     pub fn device(&self) -> &Arc<dyn Device> {
-        &self.device
+        &self.config.device
     }
 
     /// Replace the fault plan (typically to re-seed per shard: the
@@ -488,14 +458,14 @@ impl Accelerator {
     /// counter, so the new plan's fault sequence starts from scratch.
     /// An inert plan ([`FaultPlan::none`]) disables injection.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Accelerator {
-        self.faults = Some(plan).filter(FaultPlan::is_active);
+        self.config.faults = Some(plan).filter(FaultPlan::is_active);
         self.fault_sessions = AtomicU64::new(0);
         self
     }
 
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults
+        self.config.faults
     }
 
     /// Open a fresh context + queue on the shared program.
@@ -503,81 +473,70 @@ impl Accelerator {
     /// queue (re-seeded per session); pricing paths pass `true`, while
     /// calibration/projection pass `false` — operator tooling must stay
     /// deterministic and fault-free even on a faulty fleet.
-    fn fresh_session(
-        &self,
-        inject_faults: bool,
-    ) -> Result<(Arc<Context>, CommandQueue, Program), Error> {
-        let ctx = Context::new(self.device.clone());
+    fn fresh_session(&self, inject_faults: bool) -> (Arc<Context>, CommandQueue) {
+        let ctx = Context::new(self.config.device.clone());
         let queue = CommandQueue::new(&ctx);
-        if let Some(workers) = self.workers {
+        if let Some(workers) = self.config.workers {
             queue.set_workers(workers);
         }
-        if let Some(engine) = self.engine {
+        if let Some(engine) = self.config.engine {
             queue.set_engine(engine);
         }
-        if let Some(step_limit) = self.step_limit {
+        if let Some(step_limit) = self.config.step_limit {
             queue.set_step_limit(step_limit);
         }
-        if let Some(reg) = &self.metrics {
+        if let Some(reg) = &self.config.metrics {
             queue.attach_metrics(reg.clone());
         }
         if inject_faults {
-            if let Some(plan) = self.faults {
+            if let Some(plan) = self.config.faults {
                 let session = self.fault_sessions.fetch_add(1, Ordering::Relaxed);
                 queue.set_fault_plan(plan.for_session(session));
             }
         }
-        // The program was compiled when the accelerator was built; every
-        // session shares it (fresh memory comes from the session context).
-        Ok((ctx, queue, self.program.clone()))
+        (ctx, queue)
     }
 
+    /// Run this architecture's host program on a session. The vanilla
+    /// kernels hard-code their exercise rule and ignore `payoffs`; the
+    /// barrier and Bermudan kernels read them from the widened parameter
+    /// block. Calibration and projection pass `None`: the payoff kernels
+    /// then run a representative member of their class (see
+    /// [`calibration_payoff`]), whose instruction stream is identical to
+    /// any real payoff of the same class.
     fn run_host(
         &self,
         ctx: &Arc<Context>,
         queue: &CommandQueue,
-        program: &Program,
         options: &[OptionParams],
+        payoffs: Option<&[Payoff]>,
         n_steps: usize,
     ) -> Result<Vec<f64>, RuntimeError> {
-        match self.arch {
-            KernelArch::Straightforward => StraightforwardHost {
-                n_steps,
-                precision: self.precision,
-                read_full: self.read_full,
+        let (arch, precision, program) = (self.config.arch, self.config.precision, &self.program);
+        let iv_b = OptimizedHost {
+            n_steps,
+            precision,
+            host_leaves: arch == KernelArch::OptimizedHostLeaves,
+            kernel_name: arch.kernel_name(),
+        };
+        match arch {
+            KernelArch::Straightforward => {
+                StraightforwardHost { n_steps, precision, read_full: !self.config.reduced_reads }
+                    .run(ctx, queue, program, options)
             }
-            .run(ctx, queue, program, options),
-            KernelArch::Optimized | KernelArch::OptimizedEuropean => OptimizedHost {
-                n_steps,
-                precision: self.precision,
-                host_leaves: false,
-                kernel_name: self.arch.kernel_name(),
+            KernelArch::Streaming => {
+                StreamingHost { n_steps, precision }.run(ctx, queue, program, options)
             }
-            .run(ctx, queue, program, options),
-            KernelArch::OptimizedHostLeaves => OptimizedHost {
-                n_steps,
-                precision: self.precision,
-                host_leaves: true,
-                kernel_name: self.arch.kernel_name(),
-            }
-            .run(ctx, queue, program, options),
-            // Calibration and projection reach the payoff kernels through
-            // this generic path with no payoffs attached; a representative
-            // default of the class (never-knocking barrier, every-step
-            // exercise) keeps the instruction stream identical to any
-            // real payoff of the same class. Pricing goes through
-            // [`Accelerator::price_payoffs`], which carries real payoffs.
-            KernelArch::Barrier | KernelArch::Bermudan => {
-                let payoffs = vec![calibration_payoff(self.arch); options.len()];
-                PayoffHost {
-                    n_steps,
-                    precision: self.precision,
-                    kernel_name: self.arch.kernel_name(),
+            KernelArch::Barrier | KernelArch::Bermudan => match payoffs {
+                Some(payoffs) => iv_b.run_payoffs(ctx, queue, program, options, payoffs),
+                None => {
+                    let payoffs = vec![calibration_payoff(arch); options.len()];
+                    iv_b.run_payoffs(ctx, queue, program, options, &payoffs)
                 }
-                .run(ctx, queue, program, options, &payoffs)
-            }
-            KernelArch::Streaming => StreamingHost { n_steps, precision: self.precision }
-                .run(ctx, queue, program, options),
+            },
+            KernelArch::Optimized
+            | KernelArch::OptimizedHostLeaves
+            | KernelArch::OptimizedEuropean => iv_b.run(ctx, queue, program, options),
         }
     }
 
@@ -586,7 +545,7 @@ impl Accelerator {
     /// Bermudan kernels read per-option payoff parameters of their class.
     pub fn accepts_payoff(&self, payoff: Payoff) -> bool {
         matches!(
-            (self.arch, payoff),
+            (self.config.arch, payoff),
             (KernelArch::Barrier, Payoff::Barrier { .. })
                 | (KernelArch::Bermudan, Payoff::Bermudan { .. })
                 | (KernelArch::OptimizedEuropean, Payoff::European)
@@ -602,37 +561,22 @@ impl Accelerator {
 
     /// Price a batch functionally (full interpretation — feasible up to a
     /// few hundred thousand node updates; use [`Accelerator::project`] for
-    /// paper-scale batches).
+    /// paper-scale batches). Each option is priced under the payoff of its
+    /// `style`, which this accelerator's kernel must accept (see
+    /// [`Accelerator::accepts_payoff`]); the barrier and Bermudan kernels
+    /// price through [`Accelerator::price_payoffs`].
     ///
     /// # Errors
     /// Propagates build and runtime failures; rejects empty or invalid
-    /// batches.
+    /// batches and styles the kernel does not price.
     pub fn price(&self, options: &[OptionParams]) -> Result<PricingRun, Error> {
-        Ok(self.price_inner(options, false)?.0)
+        Ok(self.session(options, &style_payoffs(options), style_reference, false)?.0)
     }
 
-    /// Like [`Accelerator::price`], but with command tracing enabled on
-    /// the session queue; also returns the run's timeline as a Chrome
-    /// trace-event JSON document (host spans, queue commands, barrier
-    /// phases) ready to be written to a file and loaded in Perfetto.
-    ///
-    /// # Errors
-    /// Same as [`Accelerator::price`].
-    pub fn price_traced(&self, options: &[OptionParams]) -> Result<(PricingRun, Json), Error> {
-        let (run, trace) = self.price_inner(options, true)?;
-        let trace = trace.expect("trace requested");
-        let mut log = TraceLog::new();
-        for span in trace.spans {
-            log.push(span);
-        }
-        log.note_dropped(trace.dropped);
-        Ok((run, log.to_chrome_json()))
-    }
-
-    /// Like [`Accelerator::price_traced`], but returns the session's
-    /// structured spans instead of a rendered Chrome document, so a
-    /// caller (e.g. the serving layer) can reparent and merge them into
-    /// a larger trace.
+    /// Like [`Accelerator::price`], with command tracing enabled on the
+    /// session queue; also returns the session's structured spans, which
+    /// a caller (e.g. the serving layer) can reparent and merge into a
+    /// larger trace, or render with [`SessionTrace::to_chrome_json`].
     ///
     /// # Errors
     /// Same as [`Accelerator::price`].
@@ -640,35 +584,8 @@ impl Accelerator {
         &self,
         options: &[OptionParams],
     ) -> Result<(PricingRun, SessionTrace), Error> {
-        let (run, trace) = self.price_inner(options, true)?;
+        let (run, trace) = self.session(options, &style_payoffs(options), style_reference, true)?;
         Ok((run, trace.expect("trace requested")))
-    }
-
-    fn price_inner(
-        &self,
-        options: &[OptionParams],
-        traced: bool,
-    ) -> Result<(PricingRun, Option<SessionTrace>), Error> {
-        if options.is_empty() {
-            return Err(Error::Invalid("empty batch".into()));
-        }
-        if matches!(self.arch, KernelArch::Barrier | KernelArch::Bermudan) {
-            return Err(Error::Invalid(format!(
-                "{} prices per-option payoffs; use `price_payoffs`",
-                self.arch
-            )));
-        }
-        for o in options {
-            o.validate().map_err(|e| Error::Invalid(e.to_string()))?;
-        }
-        let (ctx, queue, program) = self.fresh_session(true)?;
-        if traced {
-            queue.enable_trace();
-        }
-        let prices = self.run_host(&ctx, &queue, &program, options, self.n_steps)?;
-        let reference: Vec<f64> =
-            options.iter().map(|o| binomial::price_american_f64(o, self.n_steps)).collect();
-        Ok(self.finish_run(&queue, prices, &reference, traced))
     }
 
     /// Price a batch where every option carries its own [`Payoff`]
@@ -679,8 +596,7 @@ impl Accelerator {
     ///
     /// The run's `rmse`/`max_abs_error` are measured against the
     /// double-precision software reference for the *same payoffs*
-    /// ([`price_payoff_f64`]), unlike [`Accelerator::price`], whose
-    /// reference always exercises per the option's `style`.
+    /// ([`price_payoff_f64`]).
     ///
     /// # Errors
     /// Rejects empty or length-mismatched batches, invalid options or
@@ -691,28 +607,18 @@ impl Accelerator {
         options: &[OptionParams],
         payoffs: &[Payoff],
     ) -> Result<PricingRun, Error> {
-        Ok(self.price_payoffs_inner(options, payoffs, false)?.0)
+        Ok(self.session(options, payoffs, price_payoff_f64, false)?.0)
     }
 
-    /// Like [`Accelerator::price_payoffs`], but with command tracing
-    /// enabled on the session queue, returning the session's structured
-    /// spans for callers that merge session timelines.
-    ///
-    /// # Errors
-    /// Same as [`Accelerator::price_payoffs`].
-    pub fn price_payoffs_with_session_trace(
+    /// The one pricing session behind every priced batch: validate the
+    /// batch against this kernel, open a fault-armed session (traced on
+    /// request), run the host program, and score the prices against
+    /// `reference` — the software pricer for each option and payoff.
+    pub(crate) fn session(
         &self,
         options: &[OptionParams],
         payoffs: &[Payoff],
-    ) -> Result<(PricingRun, SessionTrace), Error> {
-        let (run, trace) = self.price_payoffs_inner(options, payoffs, true)?;
-        Ok((run, trace.expect("trace requested")))
-    }
-
-    fn price_payoffs_inner(
-        &self,
-        options: &[OptionParams],
-        payoffs: &[Payoff],
+        reference: fn(&OptionParams, Payoff, usize) -> f64,
         traced: bool,
     ) -> Result<(PricingRun, Option<SessionTrace>), Error> {
         if options.is_empty() {
@@ -731,34 +637,28 @@ impl Accelerator {
         for p in payoffs {
             p.validate().map_err(|e| Error::Invalid(e.to_string()))?;
             if !self.accepts_payoff(*p) {
-                return Err(Error::Invalid(format!("{} cannot price a {p} payoff", self.arch)));
+                return Err(Error::Invalid(format!(
+                    "{} cannot price a {p} payoff: each payoff class has its own kernel \
+                     (`accepts_payoff`), and the barrier and Bermudan ones price through \
+                     `price_payoffs`",
+                    self.config.arch
+                )));
             }
         }
-        let (ctx, queue, program) = self.fresh_session(true)?;
+        let (ctx, queue) = self.fresh_session(true);
         if traced {
             queue.enable_trace();
         }
-        let prices = match self.arch {
-            KernelArch::Barrier | KernelArch::Bermudan => PayoffHost {
-                n_steps: self.n_steps,
-                precision: self.precision,
-                kernel_name: self.arch.kernel_name(),
-            }
-            .run(&ctx, &queue, &program, options, payoffs)?,
-            _ => self.run_host(&ctx, &queue, &program, options, self.n_steps)?,
-        };
-        let reference: Vec<f64> = options
-            .iter()
-            .zip(payoffs)
-            .map(|(o, p)| price_payoff_f64(o, *p, self.n_steps))
-            .collect();
+        let n_steps = self.config.n_steps;
+        let prices = self.run_host(&ctx, &queue, options, Some(payoffs), n_steps)?;
+        let reference: Vec<f64> =
+            options.iter().zip(payoffs).map(|(o, p)| reference(o, *p, n_steps)).collect();
         Ok(self.finish_run(&queue, prices, &reference, traced))
     }
 
     /// Close out a pricing session: drain the simulated clock, score the
     /// prices against `reference`, publish energy gauges and assemble the
-    /// [`PricingRun`]. Shared by the style-based and payoff-based paths
-    /// so both account identically.
+    /// [`PricingRun`].
     fn finish_run(
         &self,
         queue: &CommandQueue,
@@ -778,8 +678,8 @@ impl Accelerator {
         // Cumulative energy accounting per device, fed from the simulated
         // session (modeled watts × simulated elapsed/busy time), so it is
         // bit-identical regardless of wall-clock knobs like worker count.
-        if let Some(reg) = &self.metrics {
-            let device = self.device.info().kind.to_string();
+        if let Some(reg) = &self.config.metrics {
+            let device = self.config.device.info().kind.to_string();
             reg.add_gauge("energy.joules", &[("device", &device)], joules);
             reg.add_gauge("energy.busy_s", &[("device", &device)], device_busy_s);
         }
@@ -794,7 +694,7 @@ impl Accelerator {
                 joules,
                 options_per_s,
                 options_per_j: options_per_s / watts,
-                nodes_per_s: options_per_s * tree_nodes(self.n_steps) as f64,
+                nodes_per_s: options_per_s * tree_nodes(self.config.n_steps) as f64,
                 rmse,
                 max_abs_error,
             },
@@ -832,13 +732,13 @@ impl Accelerator {
     /// # Errors
     /// Propagates build and runtime failures.
     pub fn measure_per_option(&self, n: usize) -> Result<bop_clir::stats::ExecStats, Error> {
-        let (ctx, queue, program) = self.fresh_session(false)?;
+        let (ctx, queue) = self.fresh_session(false);
         let options = [OptionParams::example()];
-        self.run_host(&ctx, &queue, &program, &options, n)?;
+        self.run_host(&ctx, &queue, &options, None, n)?;
         let stats = queue
-            .kernel_stats(self.arch.kernel_name())
+            .kernel_stats(self.arch().kernel_name())
             .ok_or_else(|| Error::Invalid("no kernel statistics recorded".into()))?;
-        match self.arch {
+        match self.arch() {
             // One option => batches = n; every batch is identical.
             KernelArch::Straightforward => {
                 let launches = queue.counters().launches;
@@ -861,11 +761,11 @@ impl Accelerator {
             return Err(Error::Invalid("empty batch".into()));
         }
         let fit = self.calibrate()?;
-        let per_unit = fit.per_option(self.n_steps);
+        let n_steps = self.n_steps();
+        let per_unit = fit.per_option(n_steps);
 
-        let (ctx, queue, program) = self.fresh_session(false)?;
-        let arch = self.arch;
-        let n_steps = self.n_steps;
+        let (ctx, queue) = self.fresh_session(false);
+        let arch = self.arch();
         queue.set_timing_only(Box::new(move |kernel, dispatch| match arch {
             // Per-batch statistics, independent of the dispatch.
             KernelArch::Straightforward => per_unit.clone(),
@@ -889,24 +789,37 @@ impl Accelerator {
         // but the host program still derives buffer sizes and command
         // counts from it.
         let options = vec![OptionParams::example(); n_options];
-        self.run_host(&ctx, &queue, &program, &options, self.n_steps)?;
+        self.run_host(&ctx, &queue, &options, None, n_steps)?;
         let elapsed_s = queue.finish();
         let counters = queue.counters();
         let watts = self.report.power_watts;
         let options_per_s = n_options as f64 / elapsed_s;
         Ok(Projection {
-            n_steps: self.n_steps,
+            n_steps,
             n_options,
             elapsed_s,
             options_per_s,
             watts,
             options_per_j: options_per_s / watts,
-            nodes_per_s: options_per_s * tree_nodes(self.n_steps) as f64,
-            session_setup_s: self.device.info().session_setup_s,
+            nodes_per_s: options_per_s * tree_nodes(n_steps) as f64,
+            session_setup_s: self.device().info().session_setup_s,
             h2d_bytes: counters.h2d_bytes,
             d2h_bytes: counters.d2h_bytes,
         })
     }
+}
+
+/// The payoff each option's `style` selects — what [`Accelerator::price`]
+/// prices.
+fn style_payoffs(options: &[OptionParams]) -> Vec<Payoff> {
+    options.iter().map(|o| Payoff::from_style(o.style)).collect()
+}
+
+/// [`Accelerator::price`]'s reference: the vanilla pricer, which
+/// exercises per the option's `style` (bit-identical to
+/// [`price_payoff_f64`] under [`style_payoffs`], and cheaper).
+fn style_reference(option: &OptionParams, _: Payoff, n_steps: usize) -> f64 {
+    binomial::price_american_f64(option, n_steps)
 }
 
 /// The representative payoff a payoff-kernel architecture is calibrated
@@ -999,6 +912,7 @@ fn divide_stats(stats: &bop_clir::stats::ExecStats, k: u64) -> bop_clir::stats::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bop_finance::types::{ExerciseStyle, OptionKind};
     use bop_finance::workload;
 
     #[test]
@@ -1191,6 +1105,69 @@ mod tests {
         let p = faulty.project(32).expect("projection is fault-free");
         assert!(p.options_per_s > 0.0);
         faulty.price(&[OptionParams::example()]).expect_err("pricing does inject");
+    }
+
+    const VANILLA_ARCHES: [KernelArch; 5] = [
+        KernelArch::Straightforward,
+        KernelArch::Optimized,
+        KernelArch::OptimizedHostLeaves,
+        KernelArch::OptimizedEuropean,
+        KernelArch::Streaming,
+    ];
+
+    fn gpu_accelerator(arch: KernelArch, n_steps: usize) -> Accelerator {
+        Accelerator::builder(crate::devices::gpu())
+            .arch(arch)
+            .n_steps(n_steps)
+            .build()
+            .expect("builds")
+    }
+
+    fn puts_of_style(style: ExerciseStyle) -> Vec<OptionParams> {
+        let put = OptionParams { kind: OptionKind::Put, style, ..OptionParams::example() };
+        (0..3).map(|i| OptionParams { spot: 90.0 + 10.0 * f64::from(i), ..put }).collect()
+    }
+
+    #[test]
+    fn price_rejects_styles_the_kernel_does_not_price() {
+        for arch in VANILLA_ARCHES.into_iter().chain([KernelArch::Barrier, KernelArch::Bermudan]) {
+            let acc = gpu_accelerator(arch, 32);
+            for style in [ExerciseStyle::European, ExerciseStyle::American] {
+                let options = puts_of_style(style);
+                match acc.price(&options) {
+                    Ok(run) => {
+                        assert!(acc.accepts_payoff(Payoff::from_style(style)), "{arch} {style:?}");
+                        assert!(run.rmse < 1e-9, "{arch} {style:?}: rmse {}", run.rmse);
+                    }
+                    Err(Error::Invalid(message)) => {
+                        assert!(!acc.accepts_payoff(Payoff::from_style(style)), "{arch} {style:?}");
+                        assert!(message.contains("price_payoffs"), "{arch} {style:?}: {message}");
+                    }
+                    Err(e) => panic!("{arch} {style:?}: unexpected error {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn price_and_price_payoffs_run_the_same_session() {
+        for arch in VANILLA_ARCHES {
+            let acc = gpu_accelerator(arch, 24);
+            let style = if arch == KernelArch::OptimizedEuropean {
+                ExerciseStyle::European
+            } else {
+                ExerciseStyle::American
+            };
+            let options = puts_of_style(style);
+            let payoffs: Vec<Payoff> =
+                options.iter().map(|o| Payoff::from_style(o.style)).collect();
+            let styled = acc.price(&options).expect("prices");
+            let explicit = acc.price_payoffs(&options, &payoffs).expect("prices");
+            assert_eq!(styled.prices, explicit.prices, "{arch}");
+            assert_eq!(styled.elapsed_s.to_bits(), explicit.elapsed_s.to_bits(), "{arch}");
+            assert_eq!(styled.device_busy_s.to_bits(), explicit.device_busy_s.to_bits(), "{arch}");
+            assert_eq!(styled.rmse.to_bits(), explicit.rmse.to_bits(), "{arch}");
+        }
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! [`straightforward`] program re-enqueues a batch per time step and pumps
 //! megabytes of ping-pong state across PCIe between batches (Figure 3);
 //! the [`optimized`] program issues exactly three commands — write
-//! parameters, one NDRange, read results (Figure 4); the [`streaming`]
-//! program launches the IV.C producer/consumer pair as one graph, with
-//! leaf values streaming through an on-chip pipe.
+//! parameters, one NDRange, read results (Figure 4) — for kernel IV.B
+//! and every variant sharing its dataflow (host leaves, European, and
+//! the barrier and Bermudan payoffs, whose parameter blocks it widens);
+//! the [`streaming`] program launches the IV.C producer/consumer pair as
+//! one graph, with leaf values streaming through an on-chip pipe.
 
 pub mod optimized;
-pub mod payoff;
 pub mod straightforward;
 pub mod streaming;
 

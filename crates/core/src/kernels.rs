@@ -77,20 +77,6 @@ impl KernelArch {
     /// consumer half is its [`KernelArch::kernel_name`]).
     pub const STREAMING_PRODUCER: &'static str = "binomial_leaf_producer";
 
-    /// Width of the per-option parameter block the kernel reads: 6 for
-    /// the vanilla payoffs, 8 for the market-risk payoffs (which append
-    /// payoff-specific values).
-    pub fn param_block_width(self) -> usize {
-        match self {
-            KernelArch::Straightforward
-            | KernelArch::Optimized
-            | KernelArch::OptimizedHostLeaves
-            | KernelArch::OptimizedEuropean
-            | KernelArch::Streaming => 6,
-            KernelArch::Barrier | KernelArch::Bermudan => 8,
-        }
-    }
-
     /// The raw (`REAL`-typed) source.
     pub fn raw_source(self) -> &'static str {
         match self {
@@ -235,12 +221,18 @@ mod tests {
 
     #[test]
     fn param_block_widths_match_the_kernel_sources() {
+        // The IV.B host writes the 6-value coefficient block, plus the
+        // two payoff slots for the payoff kernels.
+        let o = bop_finance::types::OptionParams::example();
+        let vanilla = crate::hostprog::option_coefficients(&o, 8).len();
+        let extras =
+            crate::hostprog::optimized::payoff_extras(bop_finance::payoff::Payoff::American);
+        assert_eq!((vanilla, vanilla + extras.len()), (6, 8));
         for arch in [KernelArch::Barrier, KernelArch::Bermudan] {
-            assert_eq!(arch.param_block_width(), 8);
             assert!(arch.raw_source().contains("o * 8"), "{arch} reads 8-wide blocks");
         }
         for arch in [KernelArch::Optimized, KernelArch::OptimizedEuropean] {
-            assert_eq!(arch.param_block_width(), 6);
+            assert!(arch.raw_source().contains("o * 6"), "{arch} reads 6-wide blocks");
         }
     }
 

@@ -10,6 +10,10 @@
 //! bump-and-reprice scenarios that ride in the *same* device batch as
 //! the base option, so one session prices `base + 4 bumps` per
 //! Greeks-requesting option with no extra compilation or session setup.
+//!
+//! A suite holds four accelerators and no kernel IV.C: serving prices
+//! American options on IV.B, whose 1024 lanes beat IV.C's single
+//! pipeline. Build a [`KernelArch::Streaming`] accelerator for IV.C.
 
 use crate::accelerator::{Accelerator, AcceleratorConfig, PricingRun, SessionTrace};
 use crate::error::Error;
@@ -17,7 +21,7 @@ use crate::kernels::KernelArch;
 use bop_cpu::Precision;
 use bop_finance::binomial::BinomialTree;
 use bop_finance::greeks::{assemble_greeks, bump_scenarios, Greeks};
-use bop_finance::payoff::Payoff;
+use bop_finance::payoff::{price_payoff_f64, Payoff};
 use bop_finance::types::OptionParams;
 use bop_ocl::{Device, FaultPlan};
 use std::sync::Arc;
@@ -57,29 +61,21 @@ pub struct RiskResult {
     pub greeks: Option<Greeks>,
 }
 
+/// The kernel of each payoff class, in build order: American (the
+/// paper's IV.B), European, barrier, Bermudan.
+const CLASS_ARCHES: [KernelArch; 4] = [
+    KernelArch::Optimized,
+    KernelArch::OptimizedEuropean,
+    KernelArch::Barrier,
+    KernelArch::Bermudan,
+];
+
 /// The per-payoff-class accelerators of one device, sharing one
 /// configuration (precision, lattice size, metrics, faults, …).
+#[derive(Clone)]
 pub struct PayoffSuite {
-    american: Accelerator,
-    european: Accelerator,
-    barrier: Accelerator,
-    bermudan: Accelerator,
-    /// The kernel IV.C pipe pair: an alternative American-pricing path
-    /// that runs device-resident (producer → pipe → consumer, one launch
-    /// graph), bit-identical to [`PayoffSuite::accelerator`]'s IV.B.
-    streaming: Accelerator,
-}
-
-impl Clone for PayoffSuite {
-    fn clone(&self) -> PayoffSuite {
-        PayoffSuite {
-            american: self.american.clone(),
-            european: self.european.clone(),
-            barrier: self.barrier.clone(),
-            bermudan: self.bermudan.clone(),
-            streaming: self.streaming.clone(),
-        }
-    }
+    /// One accelerator per payoff class, in [`CLASS_ARCHES`] order.
+    classes: [Accelerator; 4],
 }
 
 impl PayoffSuite {
@@ -117,85 +113,58 @@ impl PayoffSuite {
     /// # Errors
     /// Same as [`PayoffSuite::from_config`]; rejects `n == 0`.
     pub fn pool(config: AcceleratorConfig, n: usize) -> Result<Vec<PayoffSuite>, Error> {
-        if n == 0 {
-            return Err(Error::Invalid("a pool needs at least one shard".into()));
-        }
-        let class = |arch: KernelArch| -> Result<Vec<Accelerator>, Error> {
-            let mut c = config.clone();
-            c.arch = arch;
-            c.build_pool(n)
-        };
-        let american = class(KernelArch::Optimized)?;
-        let european = class(KernelArch::OptimizedEuropean)?;
-        let barrier = class(KernelArch::Barrier)?;
-        let bermudan = class(KernelArch::Bermudan)?;
-        let streaming = class(KernelArch::Streaming)?;
-        Ok(american
-            .into_iter()
-            .zip(european)
-            .zip(barrier)
-            .zip(bermudan)
-            .zip(streaming)
-            .map(|((((american, european), barrier), bermudan), streaming)| PayoffSuite {
-                american,
-                european,
-                barrier,
-                bermudan,
-                streaming,
+        let mut pools = CLASS_ARCHES
+            .iter()
+            .map(|&arch| {
+                AcceleratorConfig { arch, ..config.clone() }.build_pool(n).map(Vec::into_iter)
+            })
+            .collect::<Result<Vec<_>, Error>>()?;
+        Ok((0..n)
+            .map(|_| PayoffSuite {
+                classes: std::array::from_fn(|i| pools[i].next().expect("one per shard")),
             })
             .collect())
     }
 
     /// The accelerator that prices `payoff`'s class.
     pub fn accelerator(&self, payoff: Payoff) -> &Accelerator {
-        match payoff {
-            Payoff::American => &self.american,
-            Payoff::European => &self.european,
-            Payoff::Barrier { .. } => &self.barrier,
-            Payoff::Bermudan { .. } => &self.bermudan,
-        }
+        self.classes
+            .iter()
+            .find(|acc| acc.accepts_payoff(payoff))
+            .expect("every payoff class has an accelerator")
     }
 
-    /// The kernel IV.C streaming accelerator: prices American options
-    /// through the device-resident pipe pair (one launch graph, zero host
-    /// round-trips between tree levels), bit-identical to the American
-    /// IV.B path on the same device math. Serving keeps IV.B as the
-    /// throughput path — its 1024 lanes beat IV.C's single pipeline — but
-    /// exposes this one for energy-bound deployments and for the Table II
-    /// IV.C column.
-    pub fn streaming(&self) -> &Accelerator {
-        &self.streaming
+    /// The American accelerator (the paper's kernel IV.B), which speaks
+    /// for the settings all four share.
+    fn american(&self) -> &Accelerator {
+        &self.classes[0]
     }
 
     /// The lattice step count (shared by all four accelerators).
     pub fn n_steps(&self) -> usize {
-        self.american.n_steps()
+        self.american().n_steps()
     }
 
     /// The numeric precision (shared by all four accelerators).
     pub fn precision(&self) -> Precision {
-        self.american.precision()
+        self.american().precision()
     }
 
     /// The device the suite runs on.
     pub fn device(&self) -> &Arc<dyn Device> {
-        self.american.device()
+        self.american().device()
     }
 
     /// Replace the fault plan on **all four** accelerators (typically to
     /// re-seed per serving shard). An inert plan disables injection.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> PayoffSuite {
-        self.american = self.american.with_fault_plan(plan);
-        self.european = self.european.with_fault_plan(plan);
-        self.barrier = self.barrier.with_fault_plan(plan);
-        self.bermudan = self.bermudan.with_fault_plan(plan);
-        self.streaming = self.streaming.with_fault_plan(plan);
+        self.classes = self.classes.map(|acc| acc.with_fault_plan(plan));
         self
     }
 
     /// The active fault plan, if any (shared by all four accelerators).
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.american.fault_plan()
+        self.american().fault_plan()
     }
 
     /// Project the performance of pricing `n_options` on the American
@@ -205,7 +174,7 @@ impl PayoffSuite {
     /// # Errors
     /// Same as [`Accelerator::project`].
     pub fn project(&self, n_options: usize) -> Result<crate::accelerator::Projection, Error> {
-        self.american.project(n_options)
+        self.american().project(n_options)
     }
 
     /// Price a batch of same-payoff-class requests in **one** device
@@ -276,12 +245,7 @@ impl PayoffSuite {
             payoffs.extend([r.payoff; 4]);
         }
 
-        let (run, trace) = if traced {
-            let (run, trace) = acc.price_payoffs_with_session_trace(&options, &payoffs)?;
-            (run, Some(trace))
-        } else {
-            (acc.price_payoffs(&options, &payoffs)?, None)
-        };
+        let (run, trace) = acc.session(&options, &payoffs, price_payoff_f64, traced)?;
 
         let n_steps = self.n_steps();
         let mut bumps = run.prices[requests.len()..].chunks_exact(4);
@@ -307,7 +271,7 @@ impl PayoffSuite {
 mod tests {
     use super::*;
     use bop_finance::greeks::lattice_greeks_payoff;
-    use bop_finance::payoff::{price_payoff_f64, BarrierKind};
+    use bop_finance::payoff::BarrierKind;
 
     fn all_payoffs() -> [Payoff; 4] {
         [
@@ -381,17 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_path_matches_the_american_path_bit_for_bit() {
-        let suite = PayoffSuite::build(crate::devices::gpu(), 48).expect("builds");
-        let options: Vec<OptionParams> = (0..5)
-            .map(|i| OptionParams { spot: 90.0 + 5.0 * f64::from(i), ..OptionParams::example() })
-            .collect();
-        let iv_b = suite.accelerator(Payoff::American).price(&options).expect("IV.B prices");
-        let iv_c = suite.streaming().price(&options).expect("IV.C prices");
-        assert_eq!(iv_b.prices, iv_c.prices, "same device math, same bits");
-    }
-
-    #[test]
     fn pool_shares_compiled_programs_per_class() {
         let suites =
             PayoffSuite::pool(AcceleratorConfig::new(crate::devices::gpu()), 3).expect("builds");
@@ -405,6 +358,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_pool_compiles_one_program_per_payoff_class() {
+        let metrics = Arc::new(bop_obs::MetricsRegistry::new());
+        let mut config = AcceleratorConfig::new(crate::devices::gpu());
+        config.n_steps = 16;
+        config.metrics = Some(metrics.clone());
+        PayoffSuite::pool(config, 2).expect("builds");
+        let compiles = metrics.histogram("compile.total_seconds", &[("device", "GPU")]);
+        assert_eq!(compiles.expect("compiles are timed").count, 4, "one build per payoff class");
     }
 
     #[test]

@@ -44,9 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Price it (functional simulation: the kernel really executes, through
     // the compiled IR, with the FPGA's reduced-precision pow).
-    let (run, trace) = accelerator.price_traced(&[option])?;
+    let (run, trace) = accelerator.price_with_session_trace(&[option])?;
     if let Some(path) = &trace_out {
-        std::fs::write(path, trace.to_string())?;
+        std::fs::write(path, trace.to_chrome_json().to_string())?;
         println!("wrote simulated timeline to {path} (load in chrome://tracing)\n");
     }
     let reference = price_american_f64(&option, n_steps);

@@ -23,9 +23,10 @@ fn traced_run(arch: KernelArch, n_steps: usize, n_options: usize) -> (Vec<TraceE
         .build()
         .expect("builds");
     let options = vec![OptionParams::example(); n_options];
-    // price_traced leaves the trace on a queue we no longer hold, so
-    // re-run on a queue we control for the entry-level checks.
-    let (_, chrome) = acc.price_traced(&options).expect("prices");
+    // The session trace holds spans, not queue entries, so re-run on a
+    // queue we control for the entry-level checks.
+    let (_, trace) = acc.price_with_session_trace(&options).expect("prices");
+    let chrome = trace.to_chrome_json();
     let ctx = bop_ocl::Context::new(bop_core::devices::fpga());
     let queue = bop_ocl::CommandQueue::new(&ctx);
     queue.enable_trace();
@@ -220,7 +221,8 @@ fn trace_cap_disable_and_clear_control_retention() {
         .build()
         .expect("builds");
     // Traced runs retain entries; plain runs on a fresh queue do not.
-    let (_, chrome) = acc.price_traced(&[OptionParams::example()]).expect("prices");
+    let (_, trace) = acc.price_with_session_trace(&[OptionParams::example()]).expect("prices");
+    let chrome = trace.to_chrome_json();
     assert!(!chrome.get("traceEvents").and_then(Json::as_arr).expect("events").is_empty());
 
     let ctx = bop_ocl::Context::new(bop_core::devices::gpu());
