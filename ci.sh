@@ -120,6 +120,21 @@ grep -q '"serve.options_per_j"' /tmp/serve_load_telemetry.json
 grep -q '"request_id"' /tmp/serve_trace.json
 grep -q '"droppedSpans"' /tmp/serve_trace.json
 
+# Golden reproduction output: the paper's tables and figures, and the
+# ablation, must come out byte for byte as committed (minus the
+# wall-clock `wall_s`). An intended change to the model regenerates the
+# golden in the same change. `figures figure3 --json` is left out: it
+# emits `"rows":[]`, so its golden would pin nothing.
+echo "== golden reproduction output =="
+for golden in "table1:table1 --json" "table2:table2 --fast --json" \
+  "figure4:figures figure4 --json" "ablation:ablation --json"; do
+  name=${golden%%:*}
+  # shellcheck disable=SC2086 # the command line splits into words on purpose
+  ./target/release/${golden#*:} | sed 's/,"wall_s":[-0-9.eE+]*}$/}/' \
+    | cmp - "tests/golden/${name}.json" \
+    || { echo "${golden#*:}: output differs from tests/golden/${name}.json" >&2; exit 1; }
+done
+
 # Perf-trajectory gate: snapshot the fast benchmark suite, prove the
 # comparator passes on identical numbers and fails on a synthetic 2x
 # slowdown. (Cross-PR comparisons against the committed BENCH_*.json

@@ -408,3 +408,76 @@ fn pooled_shards_share_one_compiled_program() {
     let b = pool[2].price(&options).expect("prices");
     assert_eq!(a.prices, b.prices);
 }
+
+/// FNV-1a 64 over `bytes`, continuing from `hash`: a digest that is
+/// stable across toolchains, unlike `DefaultHasher`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The final IR and build report of every shipped kernel, pinned. For
+/// each (kernel, precision, cse) the digest covers the FPGA builds over
+/// unroll {none, 1, 2, 4} x SIMD {1, 2, 4, 8, 16}: the printed final
+/// module plus the `BuildReport` without its per-pass statistics, or the
+/// fitter's error message for a rejected build. A refactor of the
+/// front-end or the pass pipeline must leave every digest unchanged; an
+/// intended change to the emitted IR updates the table.
+#[test]
+fn every_shipped_kernel_builds_to_its_pinned_ir() {
+    use KernelArch::*;
+    use Precision::{Double, Single};
+    const PINNED: [(KernelArch, Precision, bool, u64); 28] = [
+        (Straightforward, Double, false, 0xbeb226e5df934461),
+        (Straightforward, Double, true, 0xe987be4fcedb48a5),
+        (Straightforward, Single, false, 0x13e64f1cb3c2f905),
+        (Straightforward, Single, true, 0xf61d6a72975f3621),
+        (Optimized, Double, false, 0x4ff71a72d7568fa8),
+        (Optimized, Double, true, 0xc07e7f812a93684e),
+        (Optimized, Single, false, 0x98cd241886692dfc),
+        (Optimized, Single, true, 0xea7179ab21b3a6e1),
+        (OptimizedHostLeaves, Double, false, 0xc425fa842a8ffaef),
+        (OptimizedHostLeaves, Double, true, 0x144f69775540d71b),
+        (OptimizedHostLeaves, Single, false, 0xb62a919a8dfacf5d),
+        (OptimizedHostLeaves, Single, true, 0xa27e229494761419),
+        (OptimizedEuropean, Double, false, 0x747a1e519165b72f),
+        (OptimizedEuropean, Double, true, 0x8b41e971e6771411),
+        (OptimizedEuropean, Single, false, 0x972d0922c286b596),
+        (OptimizedEuropean, Single, true, 0xbe65db39eb02da6e),
+        (Barrier, Double, false, 0xb3c775ce036f32e8),
+        (Barrier, Double, true, 0x6e99d4fdddcd1340),
+        (Barrier, Single, false, 0x2728e0e13e92b78b),
+        (Barrier, Single, true, 0x99143424cf2ede3e),
+        (Bermudan, Double, false, 0xeab082c65079a8e5),
+        (Bermudan, Double, true, 0xacbd7db6de83c367),
+        (Bermudan, Single, false, 0xad67cf14e7707e53),
+        (Bermudan, Single, true, 0xc60673df1a462e4f),
+        (Streaming, Double, false, 0x03a1dd42e047b869),
+        (Streaming, Double, true, 0x93d2c95d4990592d),
+        (Streaming, Single, false, 0x406a43957e31920d),
+        (Streaming, Single, true, 0x3a7b1a534b9fb1c1),
+    ];
+    let ctx = Context::new(devices::fpga());
+    let mut moved = Vec::new();
+    for (arch, precision, cse, pinned) in PINNED {
+        let source = arch.source(precision);
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for unroll in [None, Some(1), Some(2), Some(4)] {
+            for simd in [1, 2, 4, 8, 16] {
+                let options = BuildOptions { simd, unroll, cse, ..BuildOptions::default() };
+                let outcome = match Program::from_source(&ctx, "kernel.cl", &source, &options) {
+                    Ok(program) => {
+                        let mut report = program.report();
+                        report.passes = None;
+                        format!("{}\n{report:?}", program.module())
+                    }
+                    Err(e) => e.message,
+                };
+                digest = fnv1a(digest, outcome.as_bytes());
+            }
+        }
+        if digest != pinned {
+            moved.push(format!("({arch:?}, {precision:?}, {cse}, {digest:#018x})"));
+        }
+    }
+    assert!(moved.is_empty(), "final IR moved for:\n{}", moved.join("\n"));
+}
