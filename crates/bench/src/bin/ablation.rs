@@ -108,7 +108,7 @@ fn main() {
     }
     if human {
         println!("\n(note: options/s here are at N = 256 for speed; the goal column uses the paper's 2000/s)\n");
-        println!("== D. Front-end CSE (area optimisation left out of the calibrated flow) ==\n");
+        println!("== D. CSE (area optimisation left out of the calibrated flow) ==\n");
         println!(
             "{:<28}{:>12}{:>12}{:>14}{:>14}",
             "kernel", "logic", "logic+CSE", "clock MHz", "clock+CSE"

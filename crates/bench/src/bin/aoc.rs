@@ -9,7 +9,7 @@
 //!     --simd 4 --unroll 2 --define REAL=double --dump-ir
 //! ```
 
-use bop_clir::passes::{Pass, Pipeline};
+use bop_clir::passes::Pipeline;
 use bop_ocl::{BuildOptions, Context, Program};
 use std::process::ExitCode;
 
@@ -164,25 +164,17 @@ fn main() -> ExitCode {
     print!("{}", program.pass_report());
 
     if args.dump_ssa {
-        // Re-run the front-end and the pipeline prefix that establishes
-        // SSA form: the build pipeline continues past `out-of-ssa`, so
-        // the phi-carrying module has to be reconstructed here.
-        let clc_options = bop_clc::Options {
-            unroll_override: args.build.unroll,
-            no_opt: args.build.no_opt,
-            cse: args.build.cse,
-        };
+        // Re-run the front-end and the build pipeline up to `out-of-ssa`:
+        // the build continues past it, so the phi-carrying module has to
+        // be reconstructed here.
+        let clc_options =
+            bop_clc::Options { unroll_override: args.build.unroll, ..bop_clc::Options::default() };
         match bop_clc::compile(&args.path, &source, &clc_options) {
             Ok(module) => {
-                let prefix = Pipeline::new(
-                    "ssa-dump",
-                    vec![
-                        Pass { name: "cfg-simplify", run: bop_clir::passes::cfg_simplify },
-                        Pass { name: "mem2reg", run: bop_clir::passes::mem2reg },
-                    ],
-                );
-                let (ssa, _) = prefix.run(module);
-                println!("\n;---- SSA form (post-mem2reg, phi nodes live) ---------------");
+                let build = Pipeline::for_build(args.build.no_opt, args.build.cse);
+                let prefix = build.passes().iter().take_while(|p| p.name != "out-of-ssa");
+                let (ssa, _) = Pipeline::new("ssa-dump", prefix.copied().collect()).run(module);
+                println!("\n;---- SSA form (before out-of-ssa, phi nodes live) ----------");
                 print!("{ssa}");
             }
             Err(e) => eprintln!("--dump-ssa: front-end re-run failed: {e}"),

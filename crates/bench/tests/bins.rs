@@ -66,6 +66,18 @@ fn aoc_compiles_the_paper_kernel_and_reports_fit() {
 }
 
 #[test]
+fn aoc_dumps_the_ssa_form_of_the_build_pipeline() {
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/kernels/optimized.cl");
+    let out = run(env!("CARGO_BIN_EXE_aoc"), &[kernel, "--define", "REAL=double", "--dump-ssa"]);
+    let (ssa, deltas) = out.split_once("Per-pass deltas").expect("per-pass deltas section");
+    let ssa = ssa.split_once("SSA form").expect("SSA section").1;
+    assert!(ssa.contains(" = phi."), "the SSA dump carries phi nodes:\n{ssa}");
+    for pass in bop_clir::passes::Pipeline::for_build(false, false).passes() {
+        assert!(deltas.contains(&format!("; {} ", pass.name)), "no `{}` in:\n{deltas}", pass.name);
+    }
+}
+
+#[test]
 fn aoc_rejects_bad_input_gracefully() {
     let out =
         Command::new(env!("CARGO_BIN_EXE_aoc")).arg("/nonexistent.cl").output().expect("spawns");

@@ -3,10 +3,10 @@
 //! This crate stands in for Altera's OpenCL kernel compiler in the DATE 2014
 //! reproduction: it turns OpenCL C kernel sources into the `bop-clir`
 //! dataflow IR that the simulated devices (FPGA/GPU/CPU) consume. The
-//! pipeline is classic:
+//! front-end is classic:
 //!
 //! ```text
-//! source --lex--> tokens --parse--> AST --lower--> IR --passes--> IR
+//! source --lex--> tokens --parse--> AST --lower--> IR --verify--> IR
 //! ```
 //!
 //! The accepted language is the subset needed for high-throughput numeric
@@ -17,9 +17,9 @@
 //! `&&`/`||` and `++`/`--`), `if`/`for`/`while`/`do-while`/`break`/
 //! `continue`, `#pragma unroll`, work-item builtins, `barrier(...)` and
 //! the math builtins `exp`, `log`, `pow`, `sqrt`, `fmax`, `fmin`, `fabs`,
-//! `floor`, `min`, `max`. Optimisations: constant folding and DCE (always
-//! on), local-value-numbering CSE + copy propagation (opt-in, see
-//! [`Options::cse`]).
+//! `floor`, `min`, `max`. The front-end only lowers: every optimisation
+//! (constant folding, opt-in CSE, DCE, the SSA passes) runs once, in the
+//! build pipeline, [`Pipeline::for_build`](bop_clir::passes::Pipeline::for_build).
 //!
 //! Unsupported (diagnosed, not silently ignored): user-defined helper
 //! functions, structs, vector types, `switch`, `goto`, and taking addresses
@@ -56,9 +56,6 @@ pub mod token;
 pub use diag::{CompileError, Diag, Pos};
 
 use bop_clir::ir::Module;
-use bop_clir::passes::{
-    eliminate_dead_code_in, fold_constants_in, local_cse_in, propagate_copies_in,
-};
 
 /// Front-end options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,13 +64,13 @@ pub struct Options {
     /// source. This models re-compiling the same kernel with a different
     /// unroll directive, as the paper's design-space exploration does.
     pub unroll_override: Option<u32>,
-    /// Skip the IR optimisation passes (constant folding, dead-code
-    /// elimination). Useful for testing and for before/after comparisons.
+    /// Ignored: the front-end no longer optimises.
+    #[deprecated(
+        note = "ignored; the build pipeline optimises, see `bop_ocl::BuildOptions::no_opt`"
+    )]
     pub no_opt: bool,
-    /// Enable common-subexpression elimination (local value numbering).
-    /// Off by default: removing redundant operators changes the FPGA
-    /// resource estimates, so it is exposed as an explicit design choice
-    /// (and an ablation) rather than silently applied.
+    /// Ignored: the front-end no longer optimises.
+    #[deprecated(note = "ignored; the build pipeline runs CSE, see `bop_ocl::BuildOptions::cse`")]
     pub cse: bool,
 }
 
@@ -84,7 +81,7 @@ impl Options {
     }
 }
 
-/// Compile OpenCL C source into an IR [`Module`].
+/// Compile OpenCL C source into an unoptimised, verified IR [`Module`].
 ///
 /// # Errors
 /// Returns a [`CompileError`] carrying one or more positioned diagnostics
@@ -93,20 +90,6 @@ pub fn compile(source_name: &str, source: &str, options: &Options) -> Result<Mod
     let tokens = lexer::lex(source)?;
     let unit = parser::parse(&tokens)?;
     let module = lower::lower_unit(source_name, &unit, options)?;
-    let module = if options.no_opt {
-        module
-    } else {
-        let mut m = module;
-        for func in &mut m.functions {
-            fold_constants_in(func);
-            if options.cse {
-                local_cse_in(func);
-                propagate_copies_in(func);
-            }
-            eliminate_dead_code_in(func);
-        }
-        m
-    };
     bop_clir::verify::verify_module(&module).map_err(|e| {
         CompileError::single(Pos::default(), format!("internal: verifier rejected lowered IR: {e}"))
     })?;

@@ -1,18 +1,29 @@
-//! Semantics of the front-end's optimisation passes (constant folding,
-//! DCE, CSE, copy propagation), pinned through [`bop_clc::compile`]. The
+//! Semantics of the block-local optimisation passes (constant folding,
+//! DCE, CSE, copy propagation) on OpenCL C sources, pinned through
+//! [`bop_clc::compile`] plus the build pipeline
+//! [`Pipeline::for_build`], exactly as a program build runs them. The
 //! pass implementations live in `bop_clir::passes`.
 
-use bop_clir::ir::Inst;
+use bop_clc::{compile, Options};
+use bop_clir::ir::{Inst, Module};
+use bop_clir::passes::Pipeline;
+
+/// Lower `src` and optimise it with the build pipeline for
+/// `no_opt`/`cse`; the result must verify.
+fn build(src: &str, no_opt: bool, cse: bool) -> Module {
+    let module = compile("t.cl", src, &Options::default()).expect("compiles");
+    let (module, _) = Pipeline::for_build(no_opt, cse).run(module);
+    bop_clir::verify::verify_module(&module).expect("optimised IR verifies");
+    module
+}
 
 mod tests {
     use super::*;
-    use bop_clc::{compile, Options};
     use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
     use bop_clir::mathlib::ExactMath;
 
     fn compile_opts(src: &str, no_opt: bool) -> bop_clir::ir::Function {
-        let m = compile("t.cl", src, &Options { no_opt, ..Options::default() }).expect("compiles");
-        m.kernel("k").expect("kernel k").clone()
+        build(src, no_opt, false).kernel("k").expect("kernel k").clone()
     }
 
     fn run_one(func: &bop_clir::ir::Function) -> f64 {
@@ -100,14 +111,12 @@ mod tests {
 
 mod cse_tests {
     use super::*;
-    use bop_clc::{compile, Options};
     use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
     use bop_clir::mathlib::ExactMath;
     use bop_clir::value::Value as V;
 
     fn compile_cse(src: &str, cse: bool) -> bop_clir::ir::Function {
-        let m = compile("t.cl", src, &Options { cse, ..Options::default() }).expect("compiles");
-        m.kernel("k").expect("kernel k").clone()
+        build(src, false, cse).kernel("k").expect("kernel k").clone()
     }
 
     fn run_xy(func: &bop_clir::ir::Function, x: f64, y: f64) -> f64 {
@@ -208,9 +217,8 @@ mod cse_tests {
         // should shrink it measurably (the ablation benches quantify the
         // resource effect).
         let src = include_str!("../../core/kernels/straightforward.cl").replace("REAL", "double");
-        let m_plain = compile("k.cl", &src, &Options::default()).expect("compiles");
-        let m_cse =
-            compile("k.cl", &src, &Options { cse: true, ..Options::default() }).expect("compiles");
+        let m_plain = build(&src, false, false);
+        let m_cse = build(&src, false, true);
         let plain = m_plain.kernel("binomial_node").expect("k").inst_count();
         let cse = m_cse.kernel("binomial_node").expect("k").inst_count();
         assert!(cse < plain, "CSE should shrink the kernel: {cse} vs {plain}");
@@ -219,7 +227,6 @@ mod cse_tests {
 
 mod copy_prop_tests {
     use super::*;
-    use bop_clc::{compile, Options};
     use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
     use bop_clir::mathlib::ExactMath;
     use bop_clir::value::Value as V;
@@ -234,8 +241,7 @@ mod copy_prop_tests {
 
     #[test]
     fn copy_propagation_lets_dce_remove_cse_movs() {
-        let m = compile("t.cl", REDUNDANT, &Options { cse: true, ..Options::default() })
-            .expect("compiles");
+        let m = build(REDUNDANT, false, true);
         let f = m.kernel("k").expect("k");
         // With CSE + copy propagation + DCE, the duplicated x*y collapses
         // to one Mul and no surviving copies of it.
@@ -274,8 +280,7 @@ mod copy_prop_tests {
             a = a + 1.0;
             o[0] = b + a;
         }";
-        let m =
-            compile("t.cl", src, &Options { cse: true, ..Options::default() }).expect("compiles");
+        let m = build(src, false, true);
         let f = m.kernel("k").expect("k");
         let mut mem = VecMemory::new();
         let buf = mem.alloc_global(8);

@@ -17,9 +17,9 @@
 //!    that just jumps on is skipped (only when the target carries no
 //!    phis, so argument lists never need re-deriving).
 //!
-//! Unlike the legacy `simplify_branches_in` (kept for the `standard`
-//! pipeline), every rewrite here maintains the phi invariants checked by
-//! the verifier, so the pass is safe anywhere in the SSA pipeline.
+//! Every rewrite maintains the phi invariants checked by the verifier,
+//! so the pass is safe anywhere in the build pipeline, on lowered IR and
+//! on SSA form alike.
 
 use super::dom::Cfg;
 use crate::ir::{BlockId, Function, Inst, Module, RegId, Terminator};
@@ -54,7 +54,7 @@ pub fn cfg_simplify_in(func: &mut Function) {
 
 /// The constant (if any) a register holds at a block's terminator,
 /// derived from a forward block-local scan (same discipline as
-/// `fold_constants_in`: any other write kills the knowledge).
+/// `const-fold`: any other write kills the knowledge).
 fn local_known_at_term(func: &Function, b: usize) -> HashMap<RegId, Value> {
     let mut known: HashMap<RegId, Value> = HashMap::new();
     for inst in &func.blocks[b].insts {

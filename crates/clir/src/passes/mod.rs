@@ -1,23 +1,20 @@
-//! Optimizing pass pipeline over IR modules.
+//! The optimising pass pipeline over IR modules: the one place IR is
+//! optimised.
 //!
 //! This is the simulator's stand-in for the scalar optimisations Altera's
-//! offline kernel compiler applies before scheduling: constant folding,
-//! dead-code elimination, local (basic-block) common-subexpression
-//! elimination and branch simplification. Each pass is a pure
+//! offline kernel compiler applies before scheduling. Each pass is a pure
 //! `Module -> Module` function; a [`Pipeline`] names an ordered list of
 //! passes and records per-pass [`PassStats`] in a [`PipelineReport`] —
 //! the moral equivalent of the pass summary an `aoc` build log prints.
+//! Every program build runs [`Pipeline::for_build`] over the front-end's
+//! unoptimised IR.
 //!
-//! The per-function entry points (`fold_constants_in`, ...) are shared
-//! with the `bop-clc` front-end, which applies the same cleanups at
-//! lowering time; running the pipeline again over already-optimised IR is
-//! a no-op, which keeps the dynamic operation counts (and therefore the
-//! device timing models) stable no matter which layer ran the passes.
-//!
-//! The IR is a register machine, not SSA: a register may be redefined, so
-//! every pass tracks validity ranges explicitly (constant knowledge and
-//! value numbers die at redefinition; liveness is a whole-function
-//! property).
+//! Lowered IR is a register machine: a register may be redefined. The
+//! block-local passes defined in this file (constant folding, CSE with
+//! copy propagation, DCE) therefore track validity ranges explicitly
+//! (constant knowledge and value numbers die at redefinition; liveness is
+//! a whole-function property), which keeps them correct both on lowered
+//! IR and on the SSA form that exists between `mem2reg` and `out-of-ssa`.
 
 mod cfg_simplify;
 mod compact;
@@ -34,7 +31,7 @@ pub use out_of_ssa::{out_of_ssa, out_of_ssa_in};
 pub use ssa_prop::{ssa_prop, ssa_prop_in};
 
 use crate::eval;
-use crate::ir::{BlockId, Function, Inst, Module, RegId, Terminator};
+use crate::ir::{Function, Inst, Module, RegId, Terminator};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -85,7 +82,7 @@ impl PassStats {
 /// hosts can print it next to the fitter summary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PipelineReport {
-    /// Name of the pipeline that ran (e.g. `"standard"`).
+    /// Name of the pipeline that ran (e.g. `"ssa"`).
     pub pipeline: String,
     /// Per-pass statistics, in execution order.
     pub passes: Vec<PassStats>,
@@ -152,100 +149,39 @@ impl Pipeline {
         Pipeline { name: name.to_string(), passes }
     }
 
-    /// The default pipeline: constant folding, branch simplification,
-    /// dead-code elimination.
-    pub fn standard() -> Pipeline {
-        Pipeline::new(
-            "standard",
-            vec![
-                Pass { name: "const-fold", run: constant_fold },
-                Pass { name: "simplify-branches", run: branch_simplification },
-                Pass { name: "dce", run: dead_code_elimination },
-            ],
-        )
-    }
-
-    /// The standard pipeline with local CSE (and the copy propagation it
-    /// needs) inserted after folding. CSE is opt-in for the same reason it
-    /// is in the front-end: removing redundant operators changes the FPGA
-    /// resource estimates.
-    pub fn with_cse() -> Pipeline {
-        Pipeline::new(
-            "standard+cse",
-            vec![
-                Pass { name: "const-fold", run: constant_fold },
-                Pass { name: "local-cse", run: local_cse },
-                Pass { name: "simplify-branches", run: branch_simplification },
-                Pass { name: "dce", run: dead_code_elimination },
-            ],
-        )
-    }
-
-    /// An empty pipeline (used when optimisation is disabled).
-    pub fn none() -> Pipeline {
-        Pipeline::new("none", vec![])
-    }
-
-    /// The pipeline matching a front-end option pair.
-    pub fn for_options(no_opt: bool, cse: bool) -> Pipeline {
+    /// The pipeline every program build runs, and the only place IR is
+    /// optimised. `no_opt` selects the empty pipeline `none`; otherwise
+    /// the `ssa` pipeline, or `ssa+cse` with `cse`:
+    ///
+    /// ```text
+    /// const-fold → [local-cse] → cfg-simplify → mem2reg → ssa-prop
+    ///   → [local-cse] → dce → out-of-ssa → compact-regs
+    /// ```
+    ///
+    /// `mem2reg` promotes multiply-defined registers to SSA form,
+    /// `ssa-prop` propagates constants and copies over it, and
+    /// `out-of-ssa` lowers the phis back to executable IR that
+    /// `compact-regs` renumbers densely. CSE is opt-in because removing
+    /// redundant operators changes the FPGA resource estimates.
+    pub fn for_build(no_opt: bool, cse: bool) -> Pipeline {
         if no_opt {
-            Pipeline::none()
-        } else if cse {
-            Pipeline::with_cse()
-        } else {
-            Pipeline::standard()
+            return Pipeline::new("none", vec![]);
         }
-    }
-
-    /// The SSA pipeline: CFG cleanup, promotion of mutable registers to
-    /// SSA (`mem2reg`), global constant/copy propagation over the SSA
-    /// form, then lowering back to executable phi-free IR and dense
-    /// register renumbering. Interleaved `cfg-simplify`/`dce` rounds
-    /// clean up what each structural phase exposes.
-    pub fn ssa() -> Pipeline {
-        Pipeline::new("ssa", Self::ssa_passes(false))
-    }
-
-    /// [`Pipeline::ssa`] with local CSE inserted after propagation. CSE
-    /// stays opt-in for the same reason as in [`Pipeline::with_cse`]:
-    /// removing redundant operators changes FPGA resource estimates.
-    pub fn ssa_with_cse() -> Pipeline {
-        Pipeline::new("ssa+cse", Self::ssa_passes(true))
-    }
-
-    fn ssa_passes(cse: bool) -> Vec<Pass> {
-        let mut passes = vec![
+        let local_cse = cse.then_some(Pass { name: "local-cse", run: local_cse });
+        let mut passes = vec![Pass { name: "const-fold", run: constant_fold }];
+        passes.extend(local_cse);
+        passes.extend([
             Pass { name: "cfg-simplify", run: cfg_simplify },
             Pass { name: "mem2reg", run: mem2reg },
             Pass { name: "ssa-prop", run: ssa_prop },
-            Pass { name: "const-fold", run: constant_fold },
-        ];
-        if cse {
-            passes.push(Pass { name: "local-cse", run: local_cse });
-        }
+        ]);
+        passes.extend(local_cse);
         passes.extend([
-            Pass { name: "cfg-simplify", run: cfg_simplify },
             Pass { name: "dce", run: dead_code_elimination },
             Pass { name: "out-of-ssa", run: out_of_ssa },
-            Pass { name: "cfg-simplify", run: cfg_simplify },
-            Pass { name: "dce", run: dead_code_elimination },
             Pass { name: "compact-regs", run: compact_regs },
         ]);
-        passes
-    }
-
-    /// The pipeline the OpenCL-style runtime uses for `Program::build`:
-    /// the SSA pipeline, with the same `no_opt`/`cse` switches as
-    /// [`Pipeline::for_options`] (which is kept as-is for the front-end
-    /// and for callers that want the legacy non-SSA pipeline).
-    pub fn for_build(no_opt: bool, cse: bool) -> Pipeline {
-        if no_opt {
-            Pipeline::none()
-        } else if cse {
-            Pipeline::ssa_with_cse()
-        } else {
-            Pipeline::ssa()
-        }
+        Pipeline::new(if cse { "ssa+cse" } else { "ssa" }, passes)
     }
 
     /// The pipeline's name.
@@ -314,7 +250,9 @@ fn module_multidef(m: &Module) -> usize {
 // Module-level passes
 // ---------------------------------------------------------------------------
 
-/// Constant folding over every function (see [`fold_constants_in`]).
+/// Block-local constant folding over every function: an instruction
+/// whose operands provably hold constants becomes a `Const`. Trapping
+/// instructions (integer division by zero) are left in place.
 pub fn constant_fold(mut m: Module) -> Module {
     for f in &mut m.functions {
         fold_constants_in(f);
@@ -322,8 +260,9 @@ pub fn constant_fold(mut m: Module) -> Module {
     m
 }
 
-/// Dead-code elimination over every function (see
-/// [`eliminate_dead_code_in`]).
+/// Dead-code elimination over every function: pure instructions whose
+/// results are never read are removed; stores, barriers and pipe
+/// operations are kept.
 pub fn dead_code_elimination(mut m: Module) -> Module {
     for f in &mut m.functions {
         eliminate_dead_code_in(f);
@@ -331,8 +270,8 @@ pub fn dead_code_elimination(mut m: Module) -> Module {
     m
 }
 
-/// Local CSE plus the copy propagation that lets DCE remove the copies it
-/// introduces (see [`local_cse_in`] and [`propagate_copies_in`]).
+/// Local (basic-block) common-subexpression elimination plus the copy
+/// propagation that lets DCE remove the copies it introduces.
 pub fn local_cse(mut m: Module) -> Module {
     for f in &mut m.functions {
         local_cse_in(f);
@@ -341,17 +280,8 @@ pub fn local_cse(mut m: Module) -> Module {
     m
 }
 
-/// Branch simplification over every function (see
-/// [`simplify_branches_in`]).
-pub fn branch_simplification(mut m: Module) -> Module {
-    for f in &mut m.functions {
-        simplify_branches_in(f);
-    }
-    m
-}
-
 // ---------------------------------------------------------------------------
-// Per-function passes (shared with the bop-clc front-end)
+// Per-function passes
 // ---------------------------------------------------------------------------
 
 /// Fold instructions whose operands are compile-time constants.
@@ -361,7 +291,7 @@ pub fn branch_simplification(mut m: Module) -> Module {
 /// invalidates it. Folded instructions become [`Inst::Const`]; DCE cleans
 /// up the now-unused inputs. Trapping instructions (integer division by
 /// zero) are left in place, not folded into a compile error.
-pub fn fold_constants_in(func: &mut Function) {
+fn fold_constants_in(func: &mut Function) {
     for block in &mut func.blocks {
         let mut known: HashMap<RegId, Value> = HashMap::new();
         for inst in &mut block.insts {
@@ -409,10 +339,10 @@ pub fn fold_constants_in(func: &mut Function) {
 
 /// Remove pure instructions whose results are never read.
 ///
-/// "Never read" is a whole-function property (the IR is a register machine,
-/// not SSA, so a register written in one block may be read in another).
+/// "Never read" is a whole-function property (a register written in one
+/// block may be read in another, directly or through a phi).
 /// Stores and barriers are never removed; loads are pure and removable.
-pub fn eliminate_dead_code_in(func: &mut Function) {
+fn eliminate_dead_code_in(func: &mut Function) {
     loop {
         let mut used: HashSet<RegId> = HashSet::new();
         for block in &func.blocks {
@@ -451,12 +381,12 @@ pub fn eliminate_dead_code_in(func: &mut Function) {
 /// Local value numbering: eliminate redundant pure computations within
 /// each basic block (common-subexpression elimination).
 ///
-/// The IR is a mutable register machine, so classical CSE needs value
+/// Lowered IR may redefine a register, so classical CSE needs value
 /// numbers: a replacement `dst = rep` is only valid while the
 /// representative register still holds the value number the expression
 /// produced. Loads are not eliminated (memory may change between them);
 /// math builtins and work-item queries are pure and participate.
-pub fn local_cse_in(func: &mut Function) {
+fn local_cse_in(func: &mut Function) {
     use crate::ir::{Builtin, CmpOp, UnOp, WiQuery};
     use crate::types::ScalarType;
 
@@ -578,7 +508,7 @@ pub fn local_cse_in(func: &mut Function) {
 /// Copy propagation: rewrite uses of `Mov` destinations to read the
 /// original register while the copy is still valid, so DCE can remove the
 /// `Mov` itself. Runs after CSE (which introduces the copies).
-pub fn propagate_copies_in(func: &mut Function) {
+fn propagate_copies_in(func: &mut Function) {
     for block in &mut func.blocks {
         // dst -> original source (fully resolved through chains).
         let mut copy_of: HashMap<RegId, RegId> = HashMap::new();
@@ -646,93 +576,6 @@ pub fn propagate_copies_in(func: &mut Function) {
     }
 }
 
-/// Branch simplification: fold branches on compile-time-constant
-/// conditions into jumps, collapse branches whose arms coincide, and
-/// remove blocks that become unreachable (remapping block ids).
-///
-/// The constant scan is the same per-block forward walk as
-/// [`fold_constants_in`], so a condition is only treated as constant when
-/// the register provably still holds that constant at the terminator.
-pub fn simplify_branches_in(func: &mut Function) {
-    // A block-less function is invalid IR; leave it for the verifier to
-    // report instead of panicking on the missing entry block below.
-    if func.blocks.is_empty() {
-        return;
-    }
-    // 1. Rewrite terminators.
-    for block in &mut func.blocks {
-        let mut known: HashMap<RegId, Value> = HashMap::new();
-        for inst in &block.insts {
-            if let Some(dst) = inst.dst() {
-                match inst {
-                    Inst::Const { val, .. } => {
-                        known.insert(dst, *val);
-                    }
-                    Inst::Mov { src, .. } => match known.get(src).copied() {
-                        Some(v) => {
-                            known.insert(dst, v);
-                        }
-                        None => {
-                            known.remove(&dst);
-                        }
-                    },
-                    _ => {
-                        known.remove(&dst);
-                    }
-                }
-            }
-        }
-        if let Terminator::Branch { cond, then_bb, else_bb } = block.term {
-            if then_bb == else_bb {
-                block.term = Terminator::Jump(then_bb);
-            } else if let Some(Value::Bool(taken)) = known.get(&cond) {
-                block.term = Terminator::Jump(if *taken { then_bb } else { else_bb });
-            }
-        }
-    }
-
-    // 2. Drop unreachable blocks and remap ids.
-    let mut reachable = vec![false; func.blocks.len()];
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        if reachable[b] {
-            continue;
-        }
-        reachable[b] = true;
-        for succ in func.blocks[b].term.successors() {
-            work.push(succ.index());
-        }
-    }
-    if reachable.iter().all(|&r| r) {
-        return;
-    }
-    let mut remap: HashMap<usize, u32> = HashMap::new();
-    let mut kept = 0u32;
-    for (i, &r) in reachable.iter().enumerate() {
-        if r {
-            remap.insert(i, kept);
-            kept += 1;
-        }
-    }
-    let blocks = std::mem::take(&mut func.blocks);
-    func.blocks = blocks
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| reachable[*i])
-        .map(|(_, mut block)| {
-            match &mut block.term {
-                Terminator::Jump(t) => *t = BlockId(remap[&t.index()]),
-                Terminator::Branch { then_bb, else_bb, .. } => {
-                    *then_bb = BlockId(remap[&then_bb.index()]);
-                    *else_bb = BlockId(remap[&else_bb.index()]);
-                }
-                Terminator::Return => {}
-            }
-            block
-        })
-        .collect();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,17 +622,17 @@ mod tests {
     }
 
     #[test]
-    fn standard_pipeline_folds_constant_branch_away() {
+    fn build_pipeline_folds_constant_branch_away() {
         let m = Module::from_functions("t", vec![const_branch_function()]);
         let blocks_before = m.functions[0].blocks.len();
-        let (opt, report) = Pipeline::standard().run(m);
+        let (opt, report) = Pipeline::for_build(false, false).run(m);
         verify_module(&opt).expect("post-pass IR verifies");
         let f = &opt.functions[0];
         assert!(f.blocks.len() < blocks_before, "dead branch arm removed");
         assert!(f.blocks.iter().all(|b| !matches!(b.term, Terminator::Branch { .. })));
         assert_eq!(run_one(f), 3.0);
-        assert_eq!(report.pipeline, "standard");
-        assert_eq!(report.passes.len(), 3);
+        assert_eq!(report.pipeline, "ssa");
+        assert_eq!(report.passes.len(), 7);
         assert!(report.passes.iter().any(|p| p.shrank()), "something shrank");
         assert!(report.insts_removed() > 0);
     }
@@ -810,7 +653,7 @@ mod tests {
         b.ret();
         let f = b.finish().expect("valid");
         let m = Module::from_functions("t", vec![f]);
-        let (opt, _) = Pipeline::standard().run(m);
+        let (opt, _) = Pipeline::for_build(false, false).run(m);
         verify_module(&opt).expect("verifies");
         assert!(opt.functions[0]
             .blocks
@@ -822,8 +665,8 @@ mod tests {
     #[test]
     fn pipeline_is_idempotent_on_its_own_output() {
         let m = Module::from_functions("t", vec![const_branch_function()]);
-        let (once, _) = Pipeline::standard().run(m);
-        let (twice, report) = Pipeline::standard().run(once.clone());
+        let (once, _) = Pipeline::for_build(false, false).run(m);
+        let (twice, report) = Pipeline::for_build(false, false).run(once.clone());
         assert_eq!(once, twice, "second run is a no-op");
         assert!(report.passes.iter().all(|p| !p.shrank()));
     }
@@ -852,27 +695,50 @@ mod tests {
                 .count()
         };
         assert_eq!(muls(&m), 2);
-        let (plain, _) = Pipeline::standard().run(m.clone());
-        assert_eq!(muls(&plain), 2, "standard pipeline leaves duplicates");
-        let (cse, report) = Pipeline::with_cse().run(m);
+        let (plain, _) = Pipeline::for_build(false, false).run(m.clone());
+        assert_eq!(muls(&plain), 2, "the pipeline without CSE leaves duplicates");
+        let (cse, report) = Pipeline::for_build(false, true).run(m);
         verify_module(&cse).expect("verifies");
         assert_eq!(muls(&cse), 1, "CSE merges the duplicate product");
-        assert_eq!(report.pipeline, "standard+cse");
-    }
-
-    #[test]
-    fn for_options_selects_the_documented_pipelines() {
-        assert_eq!(Pipeline::for_options(true, true).name(), "none");
-        assert_eq!(Pipeline::for_options(false, false).name(), "standard");
-        assert_eq!(Pipeline::for_options(false, true).name(), "standard+cse");
-        assert!(Pipeline::none().passes().is_empty());
+        assert_eq!(report.pipeline, "ssa+cse");
     }
 
     #[test]
     fn for_build_selects_the_ssa_pipelines() {
-        assert_eq!(Pipeline::for_build(true, true).name(), "none");
-        assert_eq!(Pipeline::for_build(false, false).name(), "ssa");
-        assert_eq!(Pipeline::for_build(false, true).name(), "ssa+cse");
+        let names = |p: &Pipeline| p.passes().iter().map(|p| p.name).collect::<Vec<_>>();
+        let none = Pipeline::for_build(true, true);
+        assert_eq!(none.name(), "none");
+        assert!(none.passes().is_empty());
+        let ssa = Pipeline::for_build(false, false);
+        assert_eq!(ssa.name(), "ssa");
+        assert_eq!(
+            names(&ssa),
+            [
+                "const-fold",
+                "cfg-simplify",
+                "mem2reg",
+                "ssa-prop",
+                "dce",
+                "out-of-ssa",
+                "compact-regs"
+            ]
+        );
+        let cse = Pipeline::for_build(false, true);
+        assert_eq!(cse.name(), "ssa+cse");
+        assert_eq!(
+            names(&cse),
+            [
+                "const-fold",
+                "local-cse",
+                "cfg-simplify",
+                "mem2reg",
+                "ssa-prop",
+                "local-cse",
+                "dce",
+                "out-of-ssa",
+                "compact-regs"
+            ]
+        );
     }
 
     /// A loop with multiply-defined counter/accumulator registers: the
@@ -917,7 +783,7 @@ mod tests {
         let expected = run_one(&f);
         assert_eq!(expected, 15.0);
         let m = Module::from_functions("t", vec![f]);
-        let (opt, report) = Pipeline::ssa().run(m);
+        let (opt, report) = Pipeline::for_build(false, false).run(m);
         verify_module(&opt).expect("post-pipeline IR verifies");
         let f = &opt.functions[0];
         assert!(
@@ -936,13 +802,13 @@ mod tests {
     #[test]
     fn ssa_pipeline_rerun_preserves_semantics_and_does_not_grow() {
         let m = Module::from_functions("t", vec![loop_function()]);
-        let (once, _) = Pipeline::ssa().run(m);
+        let (once, _) = Pipeline::for_build(false, false).run(m);
         let expected = run_one(&once.functions[0]);
         let insts_once = once.functions[0].inst_count();
         // The SSA round trip is not structurally idempotent (out-of-ssa
         // rebuilds edge copies that mem2reg re-promotes), but a rerun
         // must stay semantics-preserving and must not bloat the code.
-        let (twice, _) = Pipeline::ssa().run(once.clone());
+        let (twice, _) = Pipeline::for_build(false, false).run(once.clone());
         verify_module(&twice).expect("verifies");
         assert_eq!(run_one(&twice.functions[0]), expected);
         assert!(twice.functions[0].inst_count() <= insts_once, "rerun does not grow the function");
@@ -951,11 +817,12 @@ mod tests {
     #[test]
     fn report_displays_every_pass() {
         let m = Module::from_functions("t", vec![const_branch_function()]);
-        let (_, report) = Pipeline::standard().run(m);
+        let pipeline = Pipeline::for_build(false, true);
+        let (_, report) = pipeline.run(m);
         let text = report.to_string();
-        assert!(text.contains("pass pipeline `standard`"));
-        for name in ["const-fold", "simplify-branches", "dce"] {
-            assert!(text.contains(name), "missing {name} in:\n{text}");
+        assert!(text.contains("pass pipeline `ssa+cse`"));
+        for pass in pipeline.passes() {
+            assert!(text.contains(pass.name), "missing {} in:\n{text}", pass.name);
         }
     }
 }

@@ -254,10 +254,10 @@ mod tests {
     }
 }
 
-/// D. Front-end CSE ablation: what common-subexpression elimination does
+/// D. CSE ablation: what common-subexpression elimination does
 /// to the fitted design (an optimisation Altera's flow applies that our
 /// default calibration deliberately leaves off — see
-/// `bop_clc::Options::cse`).
+/// `bop_ocl::BuildOptions::cse`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CseAblation {
     /// Which kernel.

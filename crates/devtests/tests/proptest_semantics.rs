@@ -8,6 +8,7 @@
 use bop_clc::{compile, Options};
 use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
 use bop_clir::mathlib::ExactMath;
+use bop_clir::passes::Pipeline;
 use bop_clir::value::Value;
 use proptest::prelude::*;
 
@@ -93,8 +94,9 @@ fn fexpr_strategy() -> impl Strategy<Value = FExpr> {
 fn run_kernel(body: &str, x: f64, y: f64, no_opt: bool) -> f64 {
     let src =
         format!("__kernel void k(__global double* o, double x, double y) {{ o[0] = {body}; }}");
-    let module = compile("prop.cl", &src, &Options { no_opt, ..Options::default() })
+    let module = compile("prop.cl", &src, &Options::default())
         .unwrap_or_else(|e| panic!("compile failed for `{body}`: {e}"));
+    let (module, _) = Pipeline::for_build(no_opt, false).run(module);
     let func = module.kernel("k").expect("kernel");
     let mut mem = VecMemory::new();
     let buf = mem.alloc_global(8);
@@ -159,8 +161,8 @@ proptest! {
             "__kernel void k(__global double* o, double x, double y) {{ o[0] = {}; }}",
             expr.render()
         );
-        let module = compile("prop.cl", &src, &Options { cse: true, ..Options::default() })
-            .expect("compiles");
+        let module = compile("prop.cl", &src, &Options::default()).expect("compiles");
+        let (module, _) = Pipeline::for_build(false, true).run(module);
         let func = module.kernel("k").expect("kernel");
         let mut mem = VecMemory::new();
         let buf = mem.alloc_global(8);

@@ -137,11 +137,12 @@ pub struct BuildOptions {
     pub compute_units: u32,
     /// Override for `#pragma unroll` factors in the source.
     pub unroll: Option<u32>,
-    /// Disable front-end optimisation passes.
+    /// Skip the optimisation pipeline (`Pipeline::for_build` selects the
+    /// empty pipeline `none`).
     pub no_opt: bool,
-    /// Enable common-subexpression elimination in the front-end (see
-    /// `bop_clc::Options::cse`; an area-vs-fidelity design choice the
-    /// ablation benches quantify).
+    /// Enable local common-subexpression elimination in the optimisation
+    /// pipeline: an area-vs-fidelity design choice the ablation benches
+    /// quantify.
     pub cse: bool,
 }
 

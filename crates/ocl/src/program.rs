@@ -3,7 +3,7 @@
 use crate::context::{Buffer, Context, Pipe};
 use crate::device::{BuildError, BuildOptions, BuildReport, DeviceProgram};
 use bop_clir::bytecode::CompiledKernel;
-use bop_clir::ir::Module;
+use bop_clir::ir::{Function, Inst, Module};
 use bop_clir::passes::{Pipeline, PipelineReport};
 use bop_clir::value::Value;
 use bop_obs::MetricsRegistry;
@@ -14,9 +14,10 @@ use std::time::Instant;
 
 /// A program built for the context's device.
 ///
-/// Building runs the front-end (for sources), then the runtime
-/// optimisation [`Pipeline`] selected by the build options, verifies the
-/// post-pass IR, compiles it for the device, and finally flattens every
+/// Building runs the front-end (for sources), which only lowers, then
+/// the optimisation [`Pipeline`] selected by the build options — the one
+/// place IR is optimised — verifies the post-pass IR (which must be
+/// phi-free), compiles it for the device, and finally flattens every
 /// kernel to register [bytecode](bop_clir::bytecode) — compiled once here
 /// and cached, so sessions and shards that clone the program share the
 /// same compiled kernels. Cloning is cheap (the compiled artifacts are
@@ -58,11 +59,8 @@ impl Program {
         metrics: Option<&MetricsRegistry>,
     ) -> Result<Program, BuildError> {
         let total = Instant::now();
-        let clc_options = bop_clc::Options {
-            unroll_override: options.unroll,
-            no_opt: options.no_opt,
-            cse: options.cse,
-        };
+        let clc_options =
+            bop_clc::Options { unroll_override: options.unroll, ..bop_clc::Options::default() };
         let t = Instant::now();
         let module = bop_clc::compile(source_name, source, &clc_options)?;
         let frontend_s = t.elapsed().as_secs_f64();
@@ -74,8 +72,9 @@ impl Program {
     /// compilation run exactly as in [`Program::from_source`].
     ///
     /// # Errors
-    /// Returns [`BuildError`] on device fitting failures or when the pass
-    /// pipeline produces invalid IR.
+    /// Returns [`BuildError`] on device fitting failures, when the pass
+    /// pipeline produces invalid IR, or when phi nodes survive it (e.g. an
+    /// SSA-form module built with `no_opt`).
     pub fn from_module(
         ctx: &Arc<Context>,
         module: Arc<Module>,
@@ -93,14 +92,21 @@ impl Program {
         frontend_s: f64,
         total: Instant,
     ) -> Result<Program, BuildError> {
-        // Re-optimise with the named pipeline matching the build options
-        // (the SSA pipeline: mem2reg, global propagation, CFG cleanup,
-        // out-of-ssa), then refuse to hand the device — or the bytecode
-        // compiler, which assumes verified IR — anything a pass broke.
+        // Optimise with the pipeline matching the build options, then
+        // refuse to hand the device — or the bytecode compiler, which
+        // assumes verified, phi-free IR — anything a pass broke or left
+        // in SSA form.
         let t = Instant::now();
         let pipeline = Pipeline::for_build(options.no_opt, options.cse);
         let (module, pass_report) = pipeline.run(module);
         bop_clir::verify::verify_module(&module)?;
+        if let Some(func) = module.functions.iter().find(|f| has_phis(f)) {
+            return Err(BuildError::new(format!(
+                "function `{}` still holds phi nodes after pass pipeline `{}`; \
+                 executable IR must be phi-free",
+                func.name, pass_report.pipeline
+            )));
+        }
         let passes_s = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
@@ -172,6 +178,10 @@ impl Program {
             args: Mutex::new(vec![None; nargs]),
         })
     }
+}
+
+fn has_phis(func: &Function) -> bool {
+    func.blocks.iter().flat_map(|b| &b.insts).any(|i| matches!(i, Inst::Phi { .. }))
 }
 
 /// A kernel argument binding.

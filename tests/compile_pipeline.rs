@@ -9,8 +9,9 @@
 //! every engine at any worker count, and so must runs with no engine
 //! configured. The second half covers the knobs and failure modes
 //! around the pipeline: engine/step-limit selection (builder and env
-//! syntax), the structured error for pass-corrupted IR, compile metrics,
-//! and program sharing across pooled shards.
+//! syntax), the structured errors for pass-corrupted and phi-form IR,
+//! compile metrics, program sharing across pooled shards, and the pinned
+//! final IR of every shipped kernel.
 
 use bop_core::hostprog::optimized::OptimizedHost;
 use bop_core::hostprog::straightforward::StraightforwardHost;
@@ -349,6 +350,35 @@ fn pass_corrupted_ir_surfaces_as_a_structured_build_error() {
         }
         other => panic!("expected Error::Build, got {other}"),
     }
+}
+
+#[test]
+fn phi_form_ir_fails_the_build_instead_of_panicking() {
+    // Verified SSA-form IR: the front-end's IV.B module taken into phi
+    // form. Built with `no_opt`, no pass lowers the phis, and the build
+    // must fail with a typed error naming the function, before the
+    // device compile or bytecode emission sees them.
+    use bop_clir::ir::Inst;
+    use bop_clir::passes::{cfg_simplify, mem2reg};
+    let source = KernelArch::Optimized.source(Precision::Double);
+    let lowered = bop_clc::compile("optimized.cl", &source, &bop_clc::Options::default())
+        .expect("front-end lowers IV.B");
+    let ssa = mem2reg(cfg_simplify(lowered));
+    bop_clir::verify::verify_module(&ssa).expect("well-formed phis verify");
+    let mut insts = ssa.functions.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts);
+    assert!(insts.any(|i| matches!(i, Inst::Phi { .. })), "mem2reg placed phis");
+
+    let ctx = Context::new(devices::fpga());
+    let options = BuildOptions { no_opt: true, ..BuildOptions::default() };
+    let err = match Program::from_module(&ctx, Arc::new(ssa), &options) {
+        Err(e) => e,
+        Ok(_) => panic!("phi-form IR must not build"),
+    };
+    assert!(
+        err.message.contains("`binomial_option`") && err.message.contains("phi"),
+        "the error names the function and the phis: {}",
+        err.message
+    );
 }
 
 #[test]
