@@ -20,8 +20,8 @@
 //! idle pool a partial batch dispatches at once, whatever `U` is.
 //!
 //! Latency is reported as tail percentiles (p50/p95/p99 of
-//! `serve.latency_s`) with a queue-wait / linger / shard-wait /
-//! execution breakdown, the split of batch closures by reason
+//! `serve.latency_s`) with a queue-wait / linger / execution
+//! breakdown, the split of batch closures by reason
 //! (`serve.batches.closed.{full,pool_idle,linger,shutdown}`), and
 //! energy as cumulative joules with options/J and
 //! joules-per-million-requests — the paper's efficiency metric carried
@@ -56,7 +56,7 @@ use bop_serve::{OutputSet, PricingRequest, PricingService, ServeConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why the micro-batcher closed a batch: the `reason` label values of
+/// Why a shard worker closed a batch: the `reason` label values of
 /// the `serve.batches.closed` counter.
 const CLOSE_REASONS: [&str; 4] = ["full", "pool_idle", "linger", "shutdown"];
 
@@ -270,7 +270,6 @@ fn main() {
     drop(collector.0);
     let (ok, deadline_exceeded, failed) = collector.1.join().expect("collector joins");
     let wall_s = timer.elapsed_s();
-    let scheduler_rates: Vec<f64> = service.scheduler().rates().to_vec();
     Arc::try_unwrap(service).map(PricingService::shutdown).ok().expect("sole owner");
 
     let accepted = metrics.counter_total("serve.requests.accepted");
@@ -335,10 +334,9 @@ fn main() {
         }
         let p95 = |name: &str| metrics.histogram(name, &[]).map_or(f64::NAN, |h| h.quantile(0.95));
         println!(
-            "  breakdown (p95): queue wait {:.6} s, linger {:.6} s, shard wait {:.6} s, exec {:.6} s",
+            "  breakdown (p95): queue wait {:.6} s, linger {:.6} s, exec {:.6} s",
             p95("serve.queue_wait_s"),
             p95("serve.linger_s"),
-            p95("serve.shard_wait_s"),
             p95("serve.exec_s"),
         );
         let closed: Vec<String> = CLOSE_REASONS
@@ -369,12 +367,12 @@ fn main() {
                 println!("    {p:<9} {n:>6} options, exec p95 {exec_p95:.6} s");
             }
         }
-        println!("\n  per-shard split (calibrated rate -> share of options):");
-        for (i, rate) in scheduler_rates.iter().enumerate() {
+        println!("\n  per-shard split (options pulled by each shard):");
+        for i in 0..load.shards.max(1) {
             let label = i.to_string();
             let served = metrics.counter_value("serve.shard.options", &[("shard", &label)]);
             println!(
-                "    shard {i}: {rate:>10.0} options/s -> {served} options ({} batches)",
+                "    shard {i}: {served} options ({} batches)",
                 metrics.counter_value("serve.shard.batches", &[("shard", &label)]),
             );
         }
@@ -393,7 +391,6 @@ fn main() {
     for (row, metric) in [
         ("serve.queue_wait.p95", "serve.queue_wait_s"),
         ("serve.linger.p95", "serve.linger_s"),
-        ("serve.shard_wait.p95", "serve.shard_wait_s"),
         ("serve.exec.p95", "serve.exec_s"),
     ] {
         if let Some(h) = metrics.histogram(metric, &[]) {
@@ -423,9 +420,8 @@ fn main() {
             }
         }
     }
-    for (i, rate) in scheduler_rates.iter().enumerate() {
+    for i in 0..load.shards.max(1) {
         let label = i.to_string();
-        report.push(format!("serve.shard_{i}.rate"), None, *rate, "options/s");
         report.set_counter(
             format!("serve.shard_{i}.options"),
             metrics.counter_value("serve.shard.options", &[("shard", &label)]),

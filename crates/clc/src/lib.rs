@@ -50,7 +50,6 @@ pub mod diag;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod printer;
 pub mod token;
 
 pub use diag::{CompileError, Diag, Pos};
@@ -72,13 +71,6 @@ pub struct Options {
     /// Ignored: the front-end no longer optimises.
     #[deprecated(note = "ignored; the build pipeline runs CSE, see `bop_ocl::BuildOptions::cse`")]
     pub cse: bool,
-}
-
-impl Options {
-    /// Options with an unroll override.
-    pub fn with_unroll(factor: u32) -> Options {
-        Options { unroll_override: Some(factor), ..Options::default() }
-    }
 }
 
 /// Compile OpenCL C source into an unoptimised, verified IR [`Module`].

@@ -188,11 +188,6 @@ impl FunctionBuilder {
         self.bin(BinOp::Add, ty, a, b)
     }
 
-    /// `a - b` at float type `ty`.
-    pub fn fsub(&mut self, a: RegId, b: RegId, ty: ScalarType) -> RegId {
-        self.bin(BinOp::Sub, ty, a, b)
-    }
-
     /// `a * b` at float type `ty`.
     pub fn fmul(&mut self, a: RegId, b: RegId, ty: ScalarType) -> RegId {
         self.bin(BinOp::Mul, ty, a, b)

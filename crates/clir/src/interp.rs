@@ -485,14 +485,6 @@ impl VecMemory {
         &self.globals[buf as usize]
     }
 
-    /// Mutable raw bytes of a global buffer.
-    ///
-    /// # Panics
-    /// Panics if `buf` is not a valid handle.
-    pub fn global_bytes_mut(&mut self, buf: u32) -> &mut [u8] {
-        &mut self.globals[buf as usize]
-    }
-
     /// Write an `f64` at element index `idx` of global buffer `buf`.
     ///
     /// # Panics

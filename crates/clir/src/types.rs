@@ -87,7 +87,7 @@ impl ScalarType {
         matches!(self, ScalarType::I32 | ScalarType::I64)
     }
 
-    /// OpenCL C spelling used by the pretty-printer.
+    /// OpenCL C spelling.
     pub fn name(self) -> &'static str {
         match self {
             ScalarType::Bool => "bool",

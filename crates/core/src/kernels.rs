@@ -44,19 +44,6 @@ pub enum KernelArch {
 }
 
 impl KernelArch {
-    /// The IV.B-dataflow architecture that prices `payoff`: the vanilla
-    /// payoffs map to the paper's kernels, the market-risk payoffs to
-    /// their 8-wide-parameter variants.
-    pub fn for_payoff(payoff: bop_finance::payoff::Payoff) -> KernelArch {
-        use bop_finance::payoff::Payoff;
-        match payoff {
-            Payoff::European => KernelArch::OptimizedEuropean,
-            Payoff::American => KernelArch::Optimized,
-            Payoff::Barrier { .. } => KernelArch::Barrier,
-            Payoff::Bermudan { .. } => KernelArch::Bermudan,
-        }
-    }
-
     /// The kernel's entry-point name.
     pub fn kernel_name(self) -> &'static str {
         match self {

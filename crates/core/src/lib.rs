@@ -54,6 +54,7 @@ pub use accelerator::{
     Accelerator, AcceleratorBuilder, AcceleratorConfig, PricingRun, Projection, SessionTrace,
 };
 pub use bop_cpu::Precision;
+pub use bop_ocl::queue::RuntimeError;
 pub use bop_ocl::{FaultPlan, FaultSite, FaultSites, InjectedFault};
 pub use error::{Error, Rejection};
 pub use kernels::KernelArch;

@@ -113,11 +113,6 @@ impl OptionParams {
     pub fn intrinsic(&self) -> f64 {
         (self.kind.phi() * (self.spot - self.strike)).max(0.0)
     }
-
-    /// Log-moneyness `ln(K / S0)`.
-    pub fn log_moneyness(&self) -> f64 {
-        (self.strike / self.spot).ln()
-    }
 }
 
 /// Parameter validation failure.

@@ -36,10 +36,8 @@ pub enum SpanCategory {
     ServeRequest,
     /// Time a request chunk waited in the submission queue.
     ServeQueueWait,
-    /// A micro-batch lingering/forming in the batcher.
+    /// A micro-batch forming in the queue until a worker closes it.
     ServeBatch,
-    /// A dispatched micro-batch waiting in a shard queue for its worker.
-    ServeShardWait,
     /// One pricing attempt of a micro-batch on a shard.
     ServeExec,
     /// A local retry marker after a retryable fault.
@@ -61,7 +59,6 @@ impl SpanCategory {
             SpanCategory::ServeRequest => "serve.request",
             SpanCategory::ServeQueueWait => "serve.queue_wait",
             SpanCategory::ServeBatch => "serve.batch",
-            SpanCategory::ServeShardWait => "serve.shard_wait",
             SpanCategory::ServeExec => "serve.exec",
             SpanCategory::ServeRetry => "serve.retry",
             SpanCategory::ServeRedispatch => "serve.redispatch",

@@ -152,13 +152,6 @@ impl FaultPlan {
         FaultPlan { rate, seed, sites: FaultSites::all(), mean_stall_s: DEFAULT_MEAN_STALL_S }
     }
 
-    /// The same plan with a different seed (per-shard plans derive their
-    /// seeds from a base seed this way).
-    pub fn with_seed(mut self, seed: u64) -> FaultPlan {
-        self.seed = seed;
-        self
-    }
-
     /// The same plan with a narrowed site filter.
     pub fn with_sites(mut self, sites: FaultSites) -> FaultPlan {
         self.sites = sites;

@@ -232,19 +232,9 @@ impl Kernel {
         self.set_arg(index, KernelArg::Scalar(Value::F64(v)));
     }
 
-    /// Bind an `f32` scalar argument.
-    pub fn set_arg_f32(&self, index: usize, v: f32) {
-        self.set_arg(index, KernelArg::Scalar(Value::F32(v)));
-    }
-
     /// Bind an `i32` scalar argument.
     pub fn set_arg_i32(&self, index: usize, v: i32) {
         self.set_arg(index, KernelArg::Scalar(Value::I32(v)));
-    }
-
-    /// Bind an `i64` scalar argument.
-    pub fn set_arg_i64(&self, index: usize, v: i64) {
-        self.set_arg(index, KernelArg::Scalar(Value::I64(v)));
     }
 
     /// Bind a local-memory argument of `bytes` bytes per work-group.

@@ -1,4 +1,4 @@
-//! Service knobs: queue bound, batching policy, calibration probe.
+//! Service knobs: queue bound, batching policy, failure policy.
 
 use std::time::Duration;
 
@@ -9,36 +9,38 @@ use std::time::Duration;
 /// | `queue_capacity` | max queued requests before typed rejection | 64 |
 /// | `max_batch` | micro-batch target, in options | 32 |
 /// | `max_linger` | max wait of the oldest queued request while a batch is in flight | 2 ms |
-/// | `probe_batch` | batch size used to calibrate shard rates | 256 |
+/// | `probe_batch` | deprecated and ignored | 256 |
 /// | `max_retries` | local re-prices of a batch after a retryable fault | 2 |
 /// | `retry_backoff_s` | simulated-time backoff base per retry, seconds | 1 ms |
 /// | `quarantine_after` | consecutive exhausted batches before quarantine | 3 |
 ///
-/// The batcher closes a partial batch as soon as no shard has a batch
-/// queued or running, so `max_linger` only costs time while work is in
+/// A free shard worker closes a partial batch as soon as no shard is
+/// running a batch, so `max_linger` only costs time while work is in
 /// flight — the only time waiting can still fill a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Maximum number of requests held in the submission queue. A submit
     /// beyond this bound returns [`bop_core::Error::Rejected`].
     pub queue_capacity: usize,
-    /// Micro-batch target size in options. The batcher dispatches as
-    /// soon as this many options are queued (requests are split at batch
+    /// Micro-batch target size in options. A free worker takes a batch
+    /// as soon as this many options are queued (requests are split at batch
     /// boundaries and reassembled transparently).
     pub max_batch: usize,
     /// Maximum wait of the oldest queued request while a batch is in
-    /// flight, before the batcher dispatches a partial batch. On an idle
-    /// pool (no healthy shard with a batch queued or running) a partial
-    /// batch dispatches at once, and workers wake the batcher whenever
-    /// they free backlog, so a lingering request leaves as soon as the
-    /// pool drains.
+    /// flight, before a free worker takes a partial batch. On an idle
+    /// pool (no healthy shard running a batch) a partial batch
+    /// dispatches at once, and a worker that finishes a batch wakes its
+    /// peers, so a lingering request leaves as soon as the pool drains.
     pub max_linger: Duration,
-    /// Probe batch size for calibrating each shard's marginal rate at
-    /// startup (the rates feed the scheduler's backlog/rate policy).
+    /// Ignored: shard workers pull batches from the shared queue, so
+    /// there are no shard rates to calibrate.
+    #[deprecated(
+        note = "ignored; shard workers pull from the shared queue, nothing is calibrated"
+    )]
     pub probe_batch: usize,
     /// How many times a shard worker re-prices a micro-batch locally
     /// after a retryable fault ([`bop_core::Error::is_retryable`])
-    /// before giving the batch up to redispatch. `0` disables local
+    /// before handing the batch back to the shared queue for a peer. `0` disables local
     /// retries.
     pub max_retries: usize,
     /// Base backoff between local retries, in *simulated* seconds. The
@@ -47,12 +49,14 @@ pub struct ServeConfig {
     /// slept on the wall clock.
     pub retry_backoff_s: f64,
     /// Consecutive micro-batches that must exhaust their local retries
-    /// on one shard before the scheduler quarantines it. Must be at
-    /// least 1.
+    /// on one shard before the shard is quarantined. Must be at least
+    /// 1.
     pub quarantine_after: usize,
 }
 
 impl Default for ServeConfig {
+    // `probe_batch` keeps its old default until the field is deleted.
+    #[allow(deprecated)]
     fn default() -> ServeConfig {
         ServeConfig {
             queue_capacity: 64,
@@ -70,17 +74,14 @@ impl ServeConfig {
     /// Validate the knobs.
     ///
     /// # Errors
-    /// [`bop_core::Error::Invalid`] on a zero capacity, batch size, or
-    /// probe size.
+    /// [`bop_core::Error::Invalid`] on a zero capacity, batch size or
+    /// quarantine threshold, or a negative or non-finite backoff.
     pub fn validate(&self) -> Result<(), bop_core::Error> {
         if self.queue_capacity == 0 {
             return Err(bop_core::Error::Invalid("queue_capacity must be at least 1".into()));
         }
         if self.max_batch == 0 {
             return Err(bop_core::Error::Invalid("max_batch must be at least 1".into()));
-        }
-        if self.probe_batch == 0 {
-            return Err(bop_core::Error::Invalid("probe_batch must be at least 1".into()));
         }
         if !self.retry_backoff_s.is_finite() || self.retry_backoff_s < 0.0 {
             return Err(bop_core::Error::Invalid(
@@ -114,7 +115,6 @@ mod tests {
         for cfg in [
             ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
             ServeConfig { max_batch: 0, ..ServeConfig::default() },
-            ServeConfig { probe_batch: 0, ..ServeConfig::default() },
             ServeConfig { quarantine_after: 0, ..ServeConfig::default() },
             ServeConfig { retry_backoff_s: f64::NAN, ..ServeConfig::default() },
             ServeConfig { retry_backoff_s: -1e-3, ..ServeConfig::default() },

@@ -1,53 +1,53 @@
-//! The service itself: bounded submission queue, micro-batcher thread,
-//! one worker thread per shard, and price reassembly.
+//! The service itself: bounded submission queue, one worker thread per
+//! shard pulling micro-batches from it, and price reassembly.
 //!
 //! Threading model:
 //!
 //! * `submit` runs on the caller's thread. It either enqueues the
 //!   request (bounded queue, never blocks) or returns a typed
 //!   rejection.
-//! * The **batcher** thread sleeps until a full batch's worth of options
-//!   is queued, no shard has a batch queued or running (the pool is
-//!   idle, so lingering could not fill a batch), the oldest request has
-//!   lingered `max_linger` behind in-flight work, or shutdown starts. It
-//!   then extracts one micro-batch — splitting requests at the batch
-//!   boundary *and at payoff-class changes*, so every batch prices on a
-//!   single kernel — counts why it closed (`serve.batches.closed`,
-//!   reason `full`, `pool_idle`, `linger` or `shutdown`), picks a shard
-//!   by completion horizon, and hands the batch over. Workers wake the
-//!   batcher whenever they free shard backlog, so a request lingering
-//!   behind in-flight work dispatches as soon as the pool drains.
 //! * Each **shard worker** owns one [`PayoffSuite`] (the four compiled
-//!   payoff kernels of one device). It drops past-deadline chunks with
-//!   [`Error::DeadlineExceeded`], prices the rest in a single
+//!   payoff kernels of one device) and pulls its own work from the one
+//!   shared queue. An idle worker sleeps until a full batch's worth of
+//!   options is queued, no shard is running a batch (the pool is idle,
+//!   so lingering could not fill a batch), the oldest request has
+//!   lingered `max_linger` behind in-flight work, or shutdown starts.
+//!   It then closes and extracts one micro-batch under the service
+//!   lock — splitting requests at the batch boundary *and at
+//!   payoff-class changes*, so every batch prices on a single kernel —
+//!   counts why it closed (`serve.batches.closed`, reason `full`,
+//!   `pool_idle`, `linger` or `shutdown`), drops past-deadline chunks
+//!   with [`Error::DeadlineExceeded`], prices the rest in a single
 //!   `price_risk` call — Greeks bumps riding in the same device batch —
 //!   and scatters [`PricingResponse`]s back through each request's
-//!   aggregator. The time a batch spends in the shard queue, from
-//!   dispatch to the worker's pop, is its shard wait
-//!   (`serve.shard_wait_s`, and a `serve.shard_wait` span when tracing).
+//!   aggregator. Whichever shard frees first prices the next batch, so
+//!   no shard idles while work is queued, and a worker that finishes
+//!   wakes its peers, so a request lingering behind in-flight work
+//!   dispatches as soon as the pool drains.
 //!
 //! Failure policy (exercised by `tests/chaos.rs` under injected
 //! faults): a retryable error ([`Error::is_retryable`], i.e. an
 //! injected [`bop_core::Error::Fault`]) is re-priced locally up to
 //! `max_retries` times with exponential backoff accounted on the
-//! simulated clock; a batch that exhausts its retries is redispatched
-//! to a healthy peer (at most one turn per shard); a shard that
-//! exhausts `quarantine_after` consecutive batches is quarantined out
-//! of scheduling. Every chunk always reaches its aggregator — filled
-//! with prices or failed with a typed error — so callers never hang,
-//! and successful results are bit-identical to a fault-free
-//! [`PayoffSuite::price_risk`] because injected faults are detected (a
-//! faulted command kills the session rather than corrupting results).
+//! simulated clock; a batch that exhausts its retries goes back to the
+//! front of the shared queue for a shard that has not failed it yet (at
+//! most one turn per shard); a shard that exhausts `quarantine_after`
+//! consecutive batches is quarantined and stops pulling while a healthy
+//! peer exists. Every chunk always reaches its aggregator — filled with
+//! prices or failed with a typed error, even when its worker panics — so
+//! callers never hang, and successful results are bit-identical to a
+//! fault-free [`PayoffSuite::price_risk`] because injected faults are
+//! detected (a faulted command kills the session rather than corrupting
+//! results).
 
 use crate::config::ServeConfig;
 use crate::request::{PricingRequest, PricingResponse};
-use crate::scheduler::ShardScheduler;
 use crate::tracing::{RequestId, RequestTracer};
-use bop_core::{Error, PayoffSuite, PricingRun, Rejection, RiskRequest};
+use bop_core::{Error, PayoffSuite, PricingRun, Rejection, RiskRequest, RuntimeError};
 use bop_obs::{Json, MetricsRegistry, SpanCategory, TraceSpan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -60,6 +60,8 @@ struct Aggregator {
     submitted_s: f64,
     /// Span id reserved for the whole-request span, when tracing.
     root_span: Option<u64>,
+    metrics: Arc<MetricsRegistry>,
+    tracer: Arc<RequestTracer>,
     state: Mutex<AggState>,
     done: Condvar,
 }
@@ -73,17 +75,22 @@ struct AggState {
 }
 
 impl Aggregator {
+    /// Admit a request of `n_options`, reserving its whole-request span
+    /// id when tracing so queue-wait and execution spans can parent to
+    /// it (the span itself is pushed when the request finishes).
     fn new(
         n_options: usize,
         request_id: RequestId,
-        submitted_s: f64,
-        root_span: Option<u64>,
+        metrics: &Arc<MetricsRegistry>,
+        tracer: &Arc<RequestTracer>,
     ) -> Aggregator {
         Aggregator {
             request_id,
             submitted_at: Instant::now(),
-            submitted_s,
-            root_span,
+            submitted_s: tracer.now_s(),
+            root_span: tracer.is_enabled().then(|| tracer.next_id()),
+            metrics: metrics.clone(),
+            tracer: tracer.clone(),
             state: Mutex::new(AggState {
                 responses: vec![PricingResponse::pending(); n_options],
                 remaining: n_options,
@@ -93,44 +100,37 @@ impl Aggregator {
         }
     }
 
-    /// Record a priced chunk. When this was the last outstanding chunk,
-    /// `on_finish` runs with the request's final outcome — under the
-    /// state lock, so a `wait`er cannot observe completion before the
-    /// finish bookkeeping (metrics, request span) is done — and the
-    /// outcome is returned.
-    fn fill(
-        &self,
-        offset: usize,
-        responses: &[PricingResponse],
-        on_finish: impl FnOnce(&Result<(), Error>),
-    ) -> Option<Result<(), Error>> {
-        let mut st = self.state.lock().expect("aggregator lock");
-        st.responses[offset..offset + responses.len()].copy_from_slice(responses);
-        st.remaining -= responses.len();
-        self.maybe_finish(&st, on_finish)
+    /// The state lock. A panic elsewhere never leaves this state half
+    /// written, so a poisoned lock is still safe to use — and a chunk
+    /// failing during that panic's unwind must not panic again.
+    fn state(&self) -> MutexGuard<'_, AggState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Record a failed chunk of `n_options`; `on_finish` as in
+    /// Record a priced chunk; returns the request's outcome when this was
+    /// the last outstanding chunk.
+    fn fill(&self, offset: usize, responses: &[PricingResponse]) -> Option<Result<(), Error>> {
+        let mut st = self.state();
+        st.responses[offset..offset + responses.len()].copy_from_slice(responses);
+        st.remaining -= responses.len();
+        self.maybe_finish(&st)
+    }
+
+    /// Record a failed chunk of `n_options`; returns as
     /// [`Aggregator::fill`].
-    fn fail(
-        &self,
-        n_options: usize,
-        error: Error,
-        on_finish: impl FnOnce(&Result<(), Error>),
-    ) -> Option<Result<(), Error>> {
-        let mut st = self.state.lock().expect("aggregator lock");
+    fn fail(&self, n_options: usize, error: Error) -> Option<Result<(), Error>> {
+        let mut st = self.state();
         if st.error.is_none() {
             st.error = Some(error);
         }
         st.remaining -= n_options;
-        self.maybe_finish(&st, on_finish)
+        self.maybe_finish(&st)
     }
 
-    fn maybe_finish(
-        &self,
-        st: &AggState,
-        on_finish: impl FnOnce(&Result<(), Error>),
-    ) -> Option<Result<(), Error>> {
+    /// When no option is outstanding, record the finish (metrics,
+    /// request span) and wake the waiter — under the state lock, so a
+    /// `wait`er cannot observe completion before the bookkeeping is done.
+    fn maybe_finish(&self, st: &AggState) -> Option<Result<(), Error>> {
         if st.remaining > 0 {
             return None;
         }
@@ -138,19 +138,56 @@ impl Aggregator {
             Some(e) => Err(e.clone()),
             None => Ok(()),
         };
-        on_finish(&outcome);
+        self.record_finish(&outcome);
         self.done.notify_all();
         Some(outcome)
     }
 
     fn wait(&self) -> Result<Vec<PricingResponse>, Error> {
-        let mut st = self.state.lock().expect("aggregator lock");
+        let mut st = self.state();
         while st.remaining > 0 {
-            st = self.done.wait(st).expect("aggregator lock");
+            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         match &st.error {
             Some(e) => Err(e.clone()),
             None => Ok(std::mem::take(&mut st.responses)),
+        }
+    }
+
+    /// Finish-of-request bookkeeping: outcome counters, end-to-end
+    /// latency, and the whole-request trace span.
+    fn record_finish(&self, outcome: &Result<(), Error>) {
+        let metrics = &self.metrics;
+        let status = match outcome {
+            Ok(()) => {
+                metrics.inc("serve.requests.completed", &[], 1);
+                metrics.observe("serve.latency_s", &[], self.submitted_at.elapsed().as_secs_f64());
+                "ok"
+            }
+            Err(Error::DeadlineExceeded { .. }) => {
+                metrics.inc("serve.requests.deadline_exceeded", &[], 1);
+                "deadline_exceeded"
+            }
+            Err(_) => {
+                metrics.inc("serve.requests.failed", &[], 1);
+                "failed"
+            }
+        };
+        if let Some(root) = self.root_span {
+            self.tracer.push(TraceSpan {
+                id: root,
+                parent: None,
+                name: format!("request {}", self.request_id),
+                category: SpanCategory::ServeRequest,
+                track: "serve".into(),
+                queued_s: self.submitted_s,
+                start_s: self.submitted_s,
+                end_s: self.tracer.now_s(),
+                args: vec![
+                    ("request_id".into(), self.request_id.to_string()),
+                    ("outcome".into(), status.into()),
+                ],
+            });
         }
     }
 }
@@ -166,7 +203,7 @@ pub struct Ticket {
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.agg.state.lock().expect("aggregator lock");
+        let st = self.agg.state();
         f.debug_struct("Ticket")
             .field("request_id", &self.agg.request_id)
             .field("n_options", &st.responses.len())
@@ -194,8 +231,18 @@ impl Ticket {
     }
 }
 
-/// A slice of one request, bound for a single micro-batch.
+/// The error of options no shard worker priced: their worker panicked,
+/// or every worker did before taking them.
+fn unpriced() -> Error {
+    Error::Runtime(RuntimeError::Invalid("no shard worker priced this request".into()))
+}
+
+/// A slice of one request, bound for a single micro-batch. A chunk
+/// resolves by [`Chunk::fill`] or [`Chunk::fail`]; one dropped
+/// unresolved — its worker panicked — fails its options with
+/// [`unpriced`], so the request's caller never waits forever.
 struct Chunk {
+    /// The chunk's requests; emptied once the chunk has resolved.
     requests: Vec<PricingRequest>,
     /// Offset of this chunk inside its request's response vector.
     offset: usize,
@@ -203,22 +250,39 @@ struct Chunk {
     agg: Arc<Aggregator>,
 }
 
+impl Chunk {
+    fn fill(mut self, responses: &[PricingResponse]) {
+        self.agg.fill(self.offset, responses);
+        self.requests.clear();
+    }
+
+    fn fail(mut self, error: Error) {
+        self.agg.fail(self.requests.len(), error);
+        self.requests.clear();
+    }
+}
+
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        if !self.requests.is_empty() {
+            self.agg.fail(self.requests.len(), unpriced());
+        }
+    }
+}
+
 struct Batch {
     chunks: Vec<Chunk>,
     n_options: usize,
-    /// The payoff class every item in the batch shares (the batcher
-    /// splits at class changes so one kernel prices the whole batch).
+    /// The payoff class every item in the batch shares (batches split at
+    /// class changes so one kernel prices the whole batch).
     class: &'static str,
     /// Shards that have already tried (and failed) to price this batch.
-    /// Redispatch stops once every shard has had a turn, so a batch can
-    /// never bounce around the pool forever.
-    attempts: usize,
+    /// Each shard gets at most one turn, so a batch can never bounce
+    /// around the pool forever.
+    failed_on: Vec<usize>,
     /// Span id of the batch's `serve.batch` linger span, when tracing;
-    /// shard waits and execution attempts parent to it.
+    /// execution attempts parent to it.
     span: Option<u64>,
-    /// When the batch was last handed to a shard queue, on the tracer
-    /// clock; the worker's pop closes the batch's shard wait.
-    pushed_s: f64,
 }
 
 struct PendingRequest {
@@ -230,81 +294,92 @@ struct PendingRequest {
     agg: Arc<Aggregator>,
 }
 
+impl Drop for PendingRequest {
+    /// A request still queued when the service goes away — every worker
+    /// panicked — fails its unextracted options with [`unpriced`].
+    fn drop(&mut self) {
+        if self.cursor < self.requests.len() {
+            self.agg.fail(self.requests.len() - self.cursor, unpriced());
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Health {
+    Healthy,
+    /// Taken out of scheduling after `quarantine_after` exhausted batches.
+    Quarantined,
+    /// The worker panicked; its thread is gone.
+    Stopped,
+}
+
+struct ShardState {
+    health: Health,
+    /// The worker is pricing a batch.
+    running: bool,
+}
+
 struct QueueState {
     queue: VecDeque<PendingRequest>,
     queued_options: usize,
+    /// Batches that exhausted their retries on some shard, waiting for a
+    /// peer; they go before every queued request.
+    redo: VecDeque<Batch>,
+    shards: Vec<ShardState>,
     shutting_down: bool,
+}
+
+impl QueueState {
+    /// Whether `shard` takes work: it is healthy, or it is quarantined
+    /// and no shard is healthy (a fully quarantined pool still serves).
+    fn schedulable(&self, shard: usize) -> bool {
+        match self.shards[shard].health {
+            Health::Healthy => true,
+            Health::Quarantined => self.shards.iter().all(|s| s.health != Health::Healthy),
+            Health::Stopped => false,
+        }
+    }
+
+    /// Whether no schedulable shard is running a batch.
+    fn pool_idle(&self) -> bool {
+        (0..self.shards.len()).all(|i| !self.shards[i].running || !self.schedulable(i))
+    }
+
+    /// Whether `shard` may take the redispatched `batch`: it has not
+    /// failed it yet, or every schedulable shard has.
+    fn may_take(&self, shard: usize, batch: &Batch) -> bool {
+        let tried = |i: usize| batch.failed_on.contains(&i);
+        !tried(shard) || (0..self.shards.len()).filter(|&i| self.schedulable(i)).all(tried)
+    }
 }
 
 struct Shared {
     config: ServeConfig,
-    scheduler: ShardScheduler,
     state: Mutex<QueueState>,
-    /// Wakes the batcher: a submission, shutdown, or freed shard backlog
-    /// (a lingering partial batch may close once the pool is idle).
+    /// Wakes idle workers: a submission, shutdown, or a worker's batch
+    /// ending (the pool may have drained, a batch may wait for a peer,
+    /// or a quarantine may have changed who pulls). Always
+    /// `notify_all`: a waiter may be a quarantined worker that must not
+    /// take the work.
     work_ready: Condvar,
 }
 
-impl Shared {
-    /// Free `n_options` of `shard`'s backlog and wake the batcher. The
-    /// notify runs under the service lock, so it cannot fall between the
-    /// batcher's pool-idle check and its wait.
-    fn complete(&self, shard: usize, n_options: usize) {
-        self.scheduler.complete(shard, n_options);
-        let _st = self.state.lock().expect("service lock");
-        self.work_ready.notify_one();
-    }
+/// Marks a shard as running a batch; dropping it — after the batch or
+/// on a panic's unwind — clears the mark and wakes the pool, so
+/// `pool_idle` cannot stick at false. A panicked shard stops for good.
+struct Running<'a> {
+    shared: &'a Shared,
+    shard: usize,
 }
 
-struct ShardQueue {
-    state: Mutex<ShardQueueState>,
-    ready: Condvar,
-}
-
-struct ShardQueueState {
-    batches: VecDeque<Batch>,
-    closed: bool,
-}
-
-impl ShardQueue {
-    fn new() -> ShardQueue {
-        ShardQueue {
-            state: Mutex::new(ShardQueueState { batches: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        let mut st = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.shards[self.shard].running = false;
+        if thread::panicking() {
+            st.shards[self.shard].health = Health::Stopped;
         }
-    }
-
-    /// Enqueue a batch, or hand it back if the queue already closed
-    /// (shutdown races a redispatch) so the caller can fail its chunks
-    /// instead of leaking them — every chunk must reach its aggregator.
-    fn push(&self, batch: Batch) -> Result<(), Batch> {
-        let mut st = self.state.lock().expect("shard queue lock");
-        if st.closed {
-            return Err(batch);
-        }
-        st.batches.push_back(batch);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop; `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<Batch> {
-        let mut st = self.state.lock().expect("shard queue lock");
-        loop {
-            if let Some(batch) = st.batches.pop_front() {
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).expect("shard queue lock");
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("shard queue lock");
-        st.closed = true;
-        self.ready.notify_all();
+        self.shared.work_ready.notify_all();
     }
 }
 
@@ -314,8 +389,6 @@ pub struct PricingService {
     metrics: Arc<MetricsRegistry>,
     tracer: Arc<RequestTracer>,
     next_request_id: AtomicU64,
-    shard_queues: Vec<Arc<ShardQueue>>,
-    batcher: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -324,7 +397,7 @@ impl PricingService {
     ///
     /// # Errors
     /// [`Error::Invalid`] on an empty pool, mismatched lattices, or bad
-    /// config; calibration failures propagate.
+    /// config.
     pub fn start(shards: Vec<PayoffSuite>, config: ServeConfig) -> Result<PricingService, Error> {
         PricingService::start_with_metrics(shards, config, Arc::new(MetricsRegistry::new()))
     }
@@ -347,58 +420,32 @@ impl PricingService {
         if shards.iter().any(|a| a.n_steps() != n || a.precision() != p) {
             return Err(Error::Invalid("shards must share lattice size and precision".into()));
         }
-        // Calibrate each shard's marginal rate on the probe batch.
-        let rates: Vec<f64> = shards
-            .iter()
-            .map(|a| a.project(config.probe_batch).map(|p| p.options_per_s))
-            .collect::<Result<_, _>>()?;
-        for (i, rate) in rates.iter().enumerate() {
-            metrics.set_gauge(
-                "serve.shard.rate_options_per_s",
-                &[("shard", &i.to_string())],
-                *rate,
-            );
-        }
         let shared = Arc::new(Shared {
             config,
-            scheduler: ShardScheduler::new(rates),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 queued_options: 0,
+                redo: VecDeque::new(),
+                shards: shards
+                    .iter()
+                    .map(|_| ShardState { health: Health::Healthy, running: false })
+                    .collect(),
                 shutting_down: false,
             }),
             work_ready: Condvar::new(),
         });
         let tracer = Arc::new(RequestTracer::new());
-        let shard_queues: Vec<Arc<ShardQueue>> =
-            shards.iter().map(|_| Arc::new(ShardQueue::new())).collect();
         let workers = shards
             .into_iter()
             .enumerate()
-            .map(|(i, acc)| {
-                let queues = shard_queues.clone();
+            .map(|(i, suite)| {
                 let shared = shared.clone();
                 let metrics = metrics.clone();
                 let tracer = tracer.clone();
-                thread::spawn(move || worker_loop(i, acc, &queues, &shared, &metrics, &tracer))
+                thread::spawn(move || worker_loop(i, suite, &shared, &metrics, &tracer))
             })
             .collect();
-        let batcher = {
-            let shared = shared.clone();
-            let shard_queues = shard_queues.clone();
-            let metrics = metrics.clone();
-            let tracer = tracer.clone();
-            thread::spawn(move || batcher_loop(&shared, &shard_queues, &metrics, &tracer))
-        };
-        Ok(PricingService {
-            shared,
-            metrics,
-            tracer,
-            next_request_id: AtomicU64::new(1),
-            shard_queues,
-            batcher: Some(batcher),
-            workers,
-        })
+        Ok(PricingService { shared, metrics, tracer, next_request_id: AtomicU64::new(1), workers })
     }
 
     /// Submit a typed pricing request — any mix of payoffs and output
@@ -428,29 +475,17 @@ impl PricingService {
         }
         let n_options = requests.len();
         let request_id = RequestId(self.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let submitted_s = self.tracer.now_s();
-        // Reserve the whole-request span id up front so queue-wait and
-        // execution spans can parent to it; the span itself is pushed
-        // when the last chunk finishes (see `record_finish`).
-        let root_span = self.tracer.is_enabled().then(|| self.tracer.next_id());
+        let agg = Arc::new(Aggregator::new(n_options, request_id, &self.metrics, &self.tracer));
         let mut st = self.shared.state.lock().expect("service lock");
-        if st.shutting_down {
-            self.metrics.inc("serve.requests.rejected", &[("reason", "shutdown")], 1);
+        if st.shutting_down || st.queue.len() >= self.shared.config.queue_capacity {
+            let reason = if st.shutting_down { "shutdown" } else { "full" };
+            self.metrics.inc("serve.requests.rejected", &[("reason", reason)], 1);
             return Err(Error::Rejected(Rejection {
                 depth: st.queue.len(),
                 capacity: self.shared.config.queue_capacity,
-                shutting_down: true,
+                shutting_down: st.shutting_down,
             }));
         }
-        if st.queue.len() >= self.shared.config.queue_capacity {
-            self.metrics.inc("serve.requests.rejected", &[("reason", "full")], 1);
-            return Err(Error::Rejected(Rejection {
-                depth: st.queue.len(),
-                capacity: self.shared.config.queue_capacity,
-                shutting_down: false,
-            }));
-        }
-        let agg = Arc::new(Aggregator::new(n_options, request_id, submitted_s, root_span));
         st.queue.push_back(PendingRequest {
             requests,
             cursor: 0,
@@ -461,7 +496,7 @@ impl PricingService {
         st.queued_options += n_options;
         self.metrics.inc("serve.requests.accepted", &[], 1);
         publish_queue_gauges(&self.metrics, &st);
-        self.shared.work_ready.notify_one();
+        self.shared.work_ready.notify_all();
         Ok(Ticket { agg })
     }
 
@@ -499,14 +534,9 @@ impl PricingService {
         self.tracer.to_chrome_json()
     }
 
-    /// The shard scheduler (rates and live backlog).
-    pub fn scheduler(&self) -> &ShardScheduler {
-        &self.shared.scheduler
-    }
-
     /// Number of shards in the pool.
     pub fn n_shards(&self) -> usize {
-        self.shard_queues.len()
+        self.workers.len()
     }
 
     /// Stop accepting work, drain every queued request through the
@@ -515,35 +545,19 @@ impl PricingService {
     pub fn shutdown(self) {
         drop(self);
     }
+}
 
-    fn stop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("service lock");
-            if st.shutting_down && self.batcher.is_none() {
-                return;
-            }
-            st.shutting_down = true;
-        }
+impl Drop for PricingService {
+    fn drop(&mut self) {
+        self.shared.state.lock().unwrap_or_else(PoisonError::into_inner).shutting_down = true;
         self.shared.work_ready.notify_all();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
-        // The batcher exits only once the submission queue is drained;
-        // closing the shard queues now lets workers finish the backlog.
-        for queue in &self.shard_queues {
-            queue.close();
-        }
+        // Workers exit once the queue is drained and no batch is in
+        // flight.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
         self.metrics.set_gauge("serve.queue.depth", &[], 0.0);
         self.metrics.set_gauge("serve.queue.options", &[], 0.0);
-    }
-}
-
-impl Drop for PricingService {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -593,7 +607,7 @@ fn extract(st: &mut QueueState, max_batch: usize) -> Batch {
             break 'requests;
         }
     }
-    Batch { chunks, n_options, class: class.unwrap_or(""), attempts: 0, span: None, pushed_s: 0.0 }
+    Batch { chunks, n_options, class: class.unwrap_or(""), failed_on: Vec::new(), span: None }
 }
 
 /// Comma-joined deduplicated ids of the requests a chunk list serves,
@@ -615,169 +629,178 @@ fn request_ids(chunks: &[Chunk]) -> String {
     out
 }
 
-fn batcher_loop(
-    shared: &Shared,
-    shard_queues: &[Arc<ShardQueue>],
+/// Block until `shard` has a batch to price and mark the shard running.
+/// A redispatched batch it may take comes first; otherwise it closes a
+/// batch from the queue when one is full, the pool is idle, the oldest
+/// request has lingered `max_linger`, or on shutdown. `None` once the
+/// service shuts down with nothing queued or in flight.
+fn next_batch<'a>(
+    shard: usize,
+    shared: &'a Shared,
+    metrics: &MetricsRegistry,
+    tracer: &RequestTracer,
+) -> Option<(Batch, Running<'a>)> {
+    let config = &shared.config;
+    let mut st = shared.state.lock().expect("service lock");
+    let (mut batch, reason) = loop {
+        if st.schedulable(shard) {
+            if let Some(i) = st.redo.iter().position(|b| st.may_take(shard, b)) {
+                break (st.redo.remove(i).expect("in range"), None);
+            }
+            if let Some(front) = st.queue.front() {
+                let lingered = front.enqueued_at.elapsed();
+                let reason = if st.queued_options >= config.max_batch {
+                    "full"
+                } else if st.pool_idle() {
+                    "pool_idle"
+                } else if lingered >= config.max_linger {
+                    "linger"
+                } else if st.shutting_down {
+                    "shutdown"
+                } else {
+                    let linger_left = config.max_linger - lingered;
+                    st = shared.work_ready.wait_timeout(st, linger_left).expect("service lock").0;
+                    continue;
+                };
+                let batch = extract(&mut st, config.max_batch);
+                publish_queue_gauges(metrics, &st);
+                break (batch, Some(reason));
+            }
+        }
+        let drained = st.queue.is_empty() && st.redo.is_empty();
+        if st.shutting_down && drained && st.shards.iter().all(|s| !s.running) {
+            return None;
+        }
+        st = shared.work_ready.wait(st).expect("service lock");
+    };
+    st.shards[shard].running = true;
+    drop(st);
+    let running = Running { shared, shard };
+    match reason {
+        Some(reason) => record_close(&mut batch, reason, metrics, tracer),
+        None => record_redispatch(&batch, shard, metrics, tracer),
+    }
+    Some((batch, running))
+}
+
+/// Count why a batch closed and record its latency breakdown: how long
+/// each chunk waited in the submission queue, and how long the batch's
+/// oldest request lingered (both wall clock), as histograms and, when
+/// tracing, `serve.queue_wait` and `serve.batch` spans.
+fn record_close(
+    batch: &mut Batch,
+    reason: &'static str,
     metrics: &MetricsRegistry,
     tracer: &RequestTracer,
 ) {
-    loop {
-        let (mut batch, reason) = {
-            let mut st = shared.state.lock().expect("service lock");
-            let reason = loop {
-                if st.queue.is_empty() {
-                    if st.shutting_down {
-                        return; // fully drained
-                    }
-                    st = shared.work_ready.wait(st).expect("service lock");
-                    continue;
-                }
-                // Close a batch when it is full, when no shard has work
-                // queued or running (lingering could not fill it), when
-                // the oldest request has lingered `max_linger` behind
-                // in-flight work, or on shutdown. Workers wake this wait
-                // whenever they free backlog (`Shared::complete`).
-                let lingered = st.queue.front().expect("non-empty").enqueued_at.elapsed();
-                if st.queued_options >= shared.config.max_batch {
-                    break "full";
-                }
-                if shared.scheduler.pool_idle() {
-                    break "pool_idle";
-                }
-                if lingered >= shared.config.max_linger {
-                    break "linger";
-                }
-                if st.shutting_down {
-                    break "shutdown";
-                }
-                let linger_left = shared.config.max_linger - lingered;
-                st = shared.work_ready.wait_timeout(st, linger_left).expect("service lock").0;
-            };
-            let batch = extract(&mut st, shared.config.max_batch);
-            publish_queue_gauges(metrics, &st);
-            (batch, reason)
-        };
-        metrics.inc("serve.batches.closed", &[("reason", reason)], 1);
-        // Latency breakdown: how long each chunk waited in the
-        // submission queue, and how long the batch's oldest request
-        // lingered before dispatch (both wall clock).
-        let now_s = tracer.now_s();
-        let mut oldest_s = f64::INFINITY;
-        for chunk in &batch.chunks {
-            oldest_s = oldest_s.min(chunk.agg.submitted_s);
-            metrics.observe("serve.queue_wait_s", &[], (now_s - chunk.agg.submitted_s).max(0.0));
-        }
-        if oldest_s.is_finite() {
-            metrics.observe("serve.linger_s", &[], (now_s - oldest_s).max(0.0));
-        }
-        metrics.observe("serve.batch.options", &[], batch.n_options as f64);
-        metrics.observe("serve.batch.options", &[("payoff", batch.class)], batch.n_options as f64);
-        if tracer.is_enabled() && !batch.chunks.is_empty() {
-            for chunk in &batch.chunks {
-                let id = tracer.next_id();
-                tracer.push(TraceSpan {
-                    id,
-                    parent: chunk.agg.root_span,
-                    name: format!("queue wait ({} options)", chunk.requests.len()),
-                    category: SpanCategory::ServeQueueWait,
-                    track: "serve".into(),
-                    queued_s: chunk.agg.submitted_s,
-                    start_s: chunk.agg.submitted_s,
-                    end_s: now_s,
-                    args: vec![
-                        ("request_id".into(), chunk.agg.request_id.to_string()),
-                        ("offset".into(), chunk.offset.to_string()),
-                    ],
-                });
-            }
-            let batch_span = tracer.next_id();
-            tracer.push(TraceSpan {
-                id: batch_span,
-                parent: None,
-                name: format!("batch ({} {} options)", batch.n_options, batch.class),
-                category: SpanCategory::ServeBatch,
-                track: "batcher".into(),
-                queued_s: oldest_s,
-                start_s: oldest_s,
-                end_s: now_s,
-                args: vec![
-                    ("request_ids".into(), request_ids(&batch.chunks)),
-                    ("payoff".into(), batch.class.to_string()),
-                ],
-            });
-            batch.span = Some(batch_span);
-        }
-        // The shard wait starts where the queue wait ends.
-        batch.pushed_s = now_s;
-        let shard = shared.scheduler.pick(batch.n_options);
-        if let Err(batch) = shard_queues[shard].push(batch) {
-            // Unreachable in the normal lifecycle (queues close only
-            // after the batcher exits), but a lost batch would hang its
-            // callers forever, so fail it rather than drop it.
-            shared.complete(shard, batch.n_options);
-            for chunk in &batch.chunks {
-                let rejection = Rejection {
-                    depth: 0,
-                    capacity: shared.config.queue_capacity,
-                    shutting_down: true,
-                };
-                chunk.agg.fail(chunk.requests.len(), Error::Rejected(rejection), |outcome| {
-                    record_finish(outcome, &chunk.agg, metrics, tracer)
-                });
-            }
-        }
+    metrics.inc("serve.batches.closed", &[("reason", reason)], 1);
+    let now_s = tracer.now_s();
+    let mut oldest_s = f64::INFINITY;
+    for chunk in &batch.chunks {
+        oldest_s = oldest_s.min(chunk.agg.submitted_s);
+        metrics.observe("serve.queue_wait_s", &[], (now_s - chunk.agg.submitted_s).max(0.0));
+    }
+    if oldest_s.is_finite() {
+        metrics.observe("serve.linger_s", &[], (now_s - oldest_s).max(0.0));
+    }
+    metrics.observe("serve.batch.options", &[], batch.n_options as f64);
+    metrics.observe("serve.batch.options", &[("payoff", batch.class)], batch.n_options as f64);
+    if !tracer.is_enabled() || batch.chunks.is_empty() {
+        return;
+    }
+    for chunk in &batch.chunks {
+        let id = tracer.next_id();
+        tracer.push(TraceSpan {
+            id,
+            parent: chunk.agg.root_span,
+            name: format!("queue wait ({} options)", chunk.requests.len()),
+            category: SpanCategory::ServeQueueWait,
+            track: "serve".into(),
+            queued_s: chunk.agg.submitted_s,
+            start_s: chunk.agg.submitted_s,
+            end_s: now_s,
+            args: vec![
+                ("request_id".into(), chunk.agg.request_id.to_string()),
+                ("offset".into(), chunk.offset.to_string()),
+            ],
+        });
+    }
+    let batch_span = tracer.next_id();
+    tracer.push(TraceSpan {
+        id: batch_span,
+        parent: None,
+        name: format!("batch ({} {} options)", batch.n_options, batch.class),
+        category: SpanCategory::ServeBatch,
+        track: "batcher".into(),
+        queued_s: oldest_s,
+        start_s: oldest_s,
+        end_s: now_s,
+        args: vec![
+            ("request_ids".into(), request_ids(&batch.chunks)),
+            ("payoff".into(), batch.class.to_string()),
+        ],
+    });
+    batch.span = Some(batch_span);
+}
+
+/// Count a batch that `shard` took over from the last shard that failed
+/// it, and mark the hand-over in the trace.
+fn record_redispatch(
+    batch: &Batch,
+    shard: usize,
+    metrics: &MetricsRegistry,
+    tracer: &RequestTracer,
+) {
+    let from = batch.failed_on.last().expect("a redispatched batch failed somewhere");
+    metrics.inc("serve.redispatched", &[("from", &from.to_string())], 1);
+    if tracer.is_enabled() {
+        let id = tracer.next_id();
+        let now = tracer.now_s();
+        tracer.push(TraceSpan {
+            id,
+            parent: batch.span,
+            name: format!("redispatch shard {from} -> shard {shard}"),
+            category: SpanCategory::ServeRedispatch,
+            track: format!("shard {shard}"),
+            queued_s: now,
+            start_s: now,
+            end_s: now,
+            args: vec![
+                ("request_ids".into(), request_ids(&batch.chunks)),
+                ("from".into(), from.to_string()),
+                ("to".into(), shard.to_string()),
+            ],
+        });
     }
 }
 
 fn worker_loop(
     shard: usize,
     suite: PayoffSuite,
-    queues: &[Arc<ShardQueue>],
     shared: &Shared,
     metrics: &MetricsRegistry,
     tracer: &RequestTracer,
 ) {
-    let (config, scheduler) = (&shared.config, &shared.scheduler);
+    let config = &shared.config;
     let label = shard.to_string();
     // Consecutive micro-batches that exhausted their local retries here.
     // One success resets it; reaching `quarantine_after` takes the shard
     // out of scheduling.
     let mut failure_streak = 0usize;
-    'batches: while let Some(batch) = queues[shard].pop() {
-        record_shard_wait(&batch, shard, metrics, tracer);
-        // Batches routed here before the quarantine took effect are
-        // handed to a healthy peer without consuming a redispatch
-        // attempt — this shard never touched them.
-        let batch = if scheduler.is_quarantined(shard) {
-            let n_options = batch.n_options;
-            match redispatch(shard, batch, queues, shared, metrics, tracer, &label) {
-                None => {
-                    shared.complete(shard, n_options);
-                    continue 'batches;
-                }
-                Some(batch) => batch, // no healthy peer: price it here anyway
-            }
-        } else {
-            batch
-        };
+    while let Some((batch, running)) = next_batch(shard, shared, metrics, tracer) {
         let now = Instant::now();
         let mut live = Vec::with_capacity(batch.chunks.len());
         for chunk in batch.chunks {
             match chunk.deadline {
                 Some(deadline) if now > deadline => {
                     let missed_by_s = (now - deadline).as_secs_f64();
-                    chunk.agg.fail(
-                        chunk.requests.len(),
-                        Error::DeadlineExceeded { missed_by_s },
-                        |outcome| record_finish(outcome, &chunk.agg, metrics, tracer),
-                    );
+                    chunk.fail(Error::DeadlineExceeded { missed_by_s });
                 }
                 _ => live.push(chunk),
             }
         }
         if live.is_empty() {
-            shared.complete(shard, batch.n_options);
-            continue 'batches;
+            continue;
         }
         let risk: Vec<RiskRequest> = live
             .iter()
@@ -789,19 +812,22 @@ fn worker_loop(
         // (Error::is_retryable); real errors are deterministic and fail
         // fast. The backoff runs on the simulated device clock, so it is
         // accounted in a metric instead of slept.
+        let attempt_on = |attempt| {
+            risk_attempt(
+                &suite,
+                &risk,
+                batch.class,
+                batch.span,
+                shard,
+                &label,
+                &ids,
+                attempt,
+                metrics,
+                tracer,
+            )
+        };
         let mut attempt = 0usize;
-        let mut result = risk_attempt(
-            &suite,
-            &risk,
-            batch.class,
-            batch.span,
-            shard,
-            &label,
-            &ids,
-            0,
-            metrics,
-            tracer,
-        );
+        let mut result = attempt_on(0);
         while let Err(error) = &result {
             if !error.is_retryable() || attempt >= config.max_retries {
                 break;
@@ -825,25 +851,14 @@ fn worker_loop(
                     args: vec![("request_ids".into(), ids.clone())],
                 });
             }
-            result = risk_attempt(
-                &suite,
-                &risk,
-                batch.class,
-                batch.span,
-                shard,
-                &label,
-                &ids,
-                attempt,
-                metrics,
-                tracer,
-            );
+            result = attempt_on(attempt);
         }
-        // Free the backlog before touching aggregators: a caller woken
-        // by the final fill must observe the scheduler already drained.
-        shared.complete(shard, batch.n_options);
         match result {
             Ok((results, run)) => {
                 failure_streak = 0;
+                // Let the pool go idle before callers wake: a caller's
+                // next submission must find this shard free.
+                drop(running);
                 // Cumulative per-shard energy, from the session's
                 // simulated busy time × modeled watts — bit-identical
                 // for a given request stream regardless of wall-clock
@@ -851,18 +866,6 @@ fn worker_loop(
                 // the whole device batch, Greeks bumps included.
                 metrics.add_gauge("energy.joules", &[("shard", &label)], run.joules);
                 metrics.add_gauge("energy.busy_s", &[("shard", &label)], run.device_busy_s);
-                let mut offset = 0;
-                for chunk in &live {
-                    let responses: Vec<PricingResponse> = results
-                        [offset..offset + chunk.requests.len()]
-                        .iter()
-                        .map(|r| PricingResponse { price: r.price, greeks: r.greeks })
-                        .collect();
-                    offset += chunk.requests.len();
-                    chunk.agg.fill(chunk.offset, &responses, |outcome| {
-                        record_finish(outcome, &chunk.agg, metrics, tracer)
-                    });
-                }
                 metrics.inc("serve.shard.options", &[("shard", &label)], risk.len() as u64);
                 metrics.inc("serve.payoff.options", &[("payoff", batch.class)], risk.len() as u64);
                 let greeks_n = risk.iter().filter(|r| r.greeks).count() as u64;
@@ -870,71 +873,54 @@ fn worker_loop(
                     metrics.inc("serve.greeks.options", &[], greeks_n);
                 }
                 metrics.inc("serve.shard.batches", &[("shard", &label)], 1);
+                let mut offset = 0;
+                for chunk in live {
+                    let n = chunk.requests.len();
+                    let responses: Vec<PricingResponse> = results[offset..offset + n]
+                        .iter()
+                        .map(|r| PricingResponse { price: r.price, greeks: r.greeks })
+                        .collect();
+                    offset += n;
+                    chunk.fill(&responses);
+                }
             }
             Err(error) => {
-                let mut live = live;
                 if error.is_retryable() {
                     failure_streak += 1;
-                    if failure_streak >= config.quarantine_after && scheduler.quarantine(shard) {
+                    let mut st = shared.state.lock().expect("service lock");
+                    if failure_streak >= config.quarantine_after
+                        && st.shards[shard].health == Health::Healthy
+                    {
+                        st.shards[shard].health = Health::Quarantined;
                         metrics.inc("serve.quarantined", &[("shard", &label)], 1);
-                        let out = scheduler.quarantined().iter().filter(|&&q| q).count();
+                        let out =
+                            st.shards.iter().filter(|s| s.health == Health::Quarantined).count();
                         metrics.set_gauge("serve.quarantined_shards", &[], out as f64);
                     }
-                    // The surviving chunks get one turn on each other
-                    // shard before the batch is declared dead.
-                    let attempts = batch.attempts + 1;
-                    if attempts < queues.len() {
-                        let n_live: usize = live.iter().map(|c| c.requests.len()).sum();
-                        let redo = Batch {
+                    // The surviving chunks go back to the front of the
+                    // shared queue for one turn on each other shard
+                    // before the batch is declared dead.
+                    let mut failed_on = batch.failed_on;
+                    failed_on.push(shard);
+                    if failed_on.len() < st.shards.len() {
+                        let n_options = live.iter().map(|c| c.requests.len()).sum();
+                        st.redo.push_back(Batch {
                             chunks: live,
-                            n_options: n_live,
+                            n_options,
                             class: batch.class,
-                            attempts,
+                            failed_on,
                             span: batch.span,
-                            pushed_s: 0.0,
-                        };
-                        match redispatch(shard, redo, queues, shared, metrics, tracer, &label) {
-                            None => continue 'batches,
-                            Some(returned) => live = returned.chunks,
-                        }
+                        });
+                        continue;
                     }
                 }
+                drop(running);
                 metrics.inc("serve.failed", &[("shard", &label)], 1);
-                for chunk in &live {
-                    chunk.agg.fail(chunk.requests.len(), error.clone(), |outcome| {
-                        record_finish(outcome, &chunk.agg, metrics, tracer)
-                    });
+                for chunk in live {
+                    chunk.fail(error.clone());
                 }
             }
         }
-    }
-}
-
-/// Close a popped batch's shard wait — from its push onto `shard`'s
-/// queue to the worker's pop — in the `serve.shard_wait_s` histogram
-/// and, when tracing, a `serve.shard_wait` span parented like the
-/// execution attempts that follow it.
-fn record_shard_wait(
-    batch: &Batch,
-    shard: usize,
-    metrics: &MetricsRegistry,
-    tracer: &RequestTracer,
-) {
-    let now_s = tracer.now_s();
-    metrics.observe("serve.shard_wait_s", &[], (now_s - batch.pushed_s).max(0.0));
-    if tracer.is_enabled() {
-        let id = tracer.next_id();
-        tracer.push(TraceSpan {
-            id,
-            parent: batch.span,
-            name: format!("shard wait ({} {} options)", batch.n_options, batch.class),
-            category: SpanCategory::ServeShardWait,
-            track: format!("shard {shard}"),
-            queued_s: batch.pushed_s,
-            start_s: batch.pushed_s,
-            end_s: now_s,
-            args: vec![("request_ids".into(), request_ids(&batch.chunks))],
-        });
     }
 }
 
@@ -1003,138 +989,67 @@ fn risk_attempt(
     outcome.map(|(results, run, _)| (results, run))
 }
 
-/// Move `batch` to the healthiest peer of `shard`. Returns the batch
-/// when no healthy peer exists or the peer's queue already closed; the
-/// caller must then price or fail it — never drop it. Backlog
-/// accounting for the *target* happens here (recorded by the pick,
-/// rolled back on a refused push); the origin shard's backlog stays the
-/// caller's responsibility.
-fn redispatch(
-    shard: usize,
-    mut batch: Batch,
-    queues: &[Arc<ShardQueue>],
-    shared: &Shared,
-    metrics: &MetricsRegistry,
-    tracer: &RequestTracer,
-    label: &str,
-) -> Option<Batch> {
-    let Some(target) = shared.scheduler.pick_for_redispatch(batch.n_options, shard) else {
-        return Some(batch);
-    };
-    batch.pushed_s = tracer.now_s();
-    let n_options = batch.n_options;
-    let span_parent = batch.span;
-    let ids = tracer.is_enabled().then(|| request_ids(&batch.chunks));
-    match queues[target].push(batch) {
-        Ok(()) => {
-            metrics.inc("serve.redispatched", &[("from", label)], 1);
-            if let Some(ids) = ids {
-                let id = tracer.next_id();
-                let now = tracer.now_s();
-                tracer.push(TraceSpan {
-                    id,
-                    parent: span_parent,
-                    name: format!("redispatch shard {shard} -> shard {target}"),
-                    category: SpanCategory::ServeRedispatch,
-                    track: format!("shard {shard}"),
-                    queued_s: now,
-                    start_s: now,
-                    end_s: now,
-                    args: vec![
-                        ("request_ids".into(), ids),
-                        ("from".into(), shard.to_string()),
-                        ("to".into(), target.to_string()),
-                    ],
-                });
-            }
-            None
-        }
-        Err(batch) => {
-            shared.complete(target, n_options);
-            Some(batch)
-        }
-    }
-}
-
-/// Finish-of-request bookkeeping: outcome counters, end-to-end latency,
-/// and the whole-request trace span. Runs as the `on_finish` callback of
-/// [`Aggregator::fill`]/[`Aggregator::fail`], i.e. under the aggregator's
-/// state lock, so `Ticket::wait` returns only after the counters are
-/// visible.
-fn record_finish(
-    outcome: &Result<(), Error>,
-    agg: &Aggregator,
-    metrics: &MetricsRegistry,
-    tracer: &RequestTracer,
-) {
-    let status = match outcome {
-        Ok(()) => {
-            metrics.inc("serve.requests.completed", &[], 1);
-            metrics.observe("serve.latency_s", &[], agg.submitted_at.elapsed().as_secs_f64());
-            "ok"
-        }
-        Err(Error::DeadlineExceeded { .. }) => {
-            metrics.inc("serve.requests.deadline_exceeded", &[], 1);
-            "deadline_exceeded"
-        }
-        Err(_) => {
-            metrics.inc("serve.requests.failed", &[], 1);
-            "failed"
-        }
-    };
-    // Close the whole-request span reserved at admission.
-    if let Some(root) = agg.root_span {
-        let now = tracer.now_s();
-        tracer.push(TraceSpan {
-            id: root,
-            parent: None,
-            name: format!("request {}", agg.request_id),
-            category: SpanCategory::ServeRequest,
-            track: "serve".into(),
-            queued_s: agg.submitted_s,
-            start_s: agg.submitted_s,
-            end_s: now,
-            args: vec![
-                ("request_id".into(), agg.request_id.to_string()),
-                ("outcome".into(), status.into()),
-            ],
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bop_finance::payoff::Payoff;
     use bop_finance::OptionParams;
+    use std::sync::mpsc;
 
     fn response(price: f64) -> PricingResponse {
         PricingResponse { price, greeks: None }
     }
 
+    fn aggregator(n_options: usize, id: u64) -> Aggregator {
+        let (metrics, tracer) = (Arc::new(MetricsRegistry::new()), Arc::new(RequestTracer::new()));
+        Aggregator::new(n_options, RequestId(id), &metrics, &tracer)
+    }
+
     #[test]
     fn aggregator_reassembles_out_of_order_chunks() {
-        let agg = Aggregator::new(5, RequestId(1), 0.0, None);
-        assert!(agg.fill(3, &[response(4.0), response(5.0)], |_| {}).is_none());
-        let mut finished = false;
-        let outcome = agg
-            .fill(0, &[response(1.0), response(2.0), response(3.0)], |o| finished = o.is_ok())
-            .expect("finished");
+        let agg = aggregator(5, 1);
+        assert!(agg.fill(3, &[response(4.0), response(5.0)]).is_none());
+        let outcome =
+            agg.fill(0, &[response(1.0), response(2.0), response(3.0)]).expect("finished");
         assert!(outcome.is_ok());
-        assert!(finished, "on_finish sees the final outcome");
+        assert_eq!(
+            agg.metrics.counter_total("serve.requests.completed"),
+            1,
+            "the finish bookkeeping sees the final outcome"
+        );
         let prices: Vec<f64> = agg.wait().expect("ok").iter().map(|r| r.price).collect();
         assert_eq!(prices, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn first_chunk_error_wins_and_poisons_the_request() {
-        let agg = Aggregator::new(4, RequestId(2), 0.0, None);
-        assert!(agg.fail(2, Error::DeadlineExceeded { missed_by_s: 0.5 }, |_| {}).is_none());
-        let outcome = agg.fill(2, &[response(1.0), response(2.0)], |_| {}).expect("finished");
+        let agg = aggregator(4, 2);
+        assert!(agg.fail(2, Error::DeadlineExceeded { missed_by_s: 0.5 }).is_none());
+        let outcome = agg.fill(2, &[response(1.0), response(2.0)]).expect("finished");
         assert!(matches!(outcome, Err(Error::DeadlineExceeded { .. })));
         assert!(
             matches!(agg.wait(), Err(Error::DeadlineExceeded { missed_by_s }) if missed_by_s == 0.5)
         );
+    }
+
+    #[test]
+    fn a_chunk_dropped_unfilled_fails_its_request() {
+        let agg = Arc::new(aggregator(2, 3));
+        let chunk = |offset| Chunk {
+            requests: vec![PricingRequest::from_style(OptionParams::example())],
+            offset,
+            deadline: None,
+            agg: agg.clone(),
+        };
+        let (filled, lost) = (chunk(0), chunk(1));
+        let ticket = Ticket { agg: agg.clone() };
+        let (tx, rx) = mpsc::channel();
+        let waiter = thread::spawn(move || tx.send(ticket.wait()).expect("receiver alive"));
+        filled.fill(&[response(1.0)]);
+        drop(lost); // as a panicking worker's unwind would
+        let outcome = rx.recv_timeout(Duration::from_secs(10)).expect("the wait returns");
+        assert!(matches!(outcome, Err(Error::Runtime(_))), "typed failure, got {outcome:?}");
+        waiter.join().expect("waiter joins");
     }
 
     fn pending(requests: Vec<PricingRequest>) -> PendingRequest {
@@ -1144,18 +1059,24 @@ mod tests {
             cursor: 0,
             deadline: None,
             enqueued_at: Instant::now(),
-            agg: Arc::new(Aggregator::new(n, RequestId(9), 0.0, None)),
+            agg: Arc::new(aggregator(n, 9)),
+        }
+    }
+
+    fn queue(requests: Vec<PendingRequest>, queued_options: usize) -> QueueState {
+        QueueState {
+            queue: VecDeque::from(requests),
+            queued_options,
+            redo: VecDeque::new(),
+            shards: Vec::new(),
+            shutting_down: false,
         }
     }
 
     #[test]
     fn extract_splits_requests_at_the_batch_boundary() {
         let mk = |n: usize| pending(vec![PricingRequest::from_style(OptionParams::example()); n]);
-        let mut st = QueueState {
-            queue: VecDeque::from([mk(3), mk(4)]),
-            queued_options: 7,
-            shutting_down: false,
-        };
+        let mut st = queue(vec![mk(3), mk(4)], 7);
         let batch = extract(&mut st, 5);
         assert_eq!(batch.n_options, 5);
         assert_eq!(batch.chunks.len(), 2, "request two is split");
@@ -1181,11 +1102,7 @@ mod tests {
             PricingRequest::price_only(o, Payoff::Bermudan { exercise_every: 4 }),
         ];
         let tail = vec![PricingRequest::price_only(o, Payoff::Bermudan { exercise_every: 2 })];
-        let mut st = QueueState {
-            queue: VecDeque::from([pending(mixed), pending(tail)]),
-            queued_options: 5,
-            shutting_down: false,
-        };
+        let mut st = queue(vec![pending(mixed), pending(tail)], 5);
         let first = extract(&mut st, 10);
         assert_eq!((first.class, first.n_options), ("american", 2));
         let second = extract(&mut st, 10);

@@ -13,14 +13,17 @@
 //!    [`PayoffSuite::price_risk`];
 //! 4. so are Greeks, across every payoff class;
 //! 5. when recovery is exhausted the caller gets a typed
-//!    [`Error::Fault`], never a wrong price and never a hang.
+//!    [`Error::Fault`], never a wrong price and never a hang;
+//! 6. a batch a shard gave up on reaches a peer that has not failed it,
+//!    and quarantine takes a failing shard out of the pull loop while a
+//!    healthy peer exists, without ever stalling the pool.
 
 use bop_core::{AcceleratorConfig, Error, FaultPlan, PayoffSuite, RiskRequest, RiskResult};
 use bop_finance::payoff::{BarrierKind, Payoff};
 use bop_finance::{workload, OptionParams};
 use bop_obs::{Labels, MetricsRegistry, Series};
-use bop_serve::{PricingRequest, PricingService, ServeConfig};
-use std::sync::Arc;
+use bop_serve::{PricingRequest, PricingResponse, PricingService, ServeConfig, Ticket};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn chaos_seed() -> u64 {
@@ -314,4 +317,156 @@ fn exhausted_recovery_fails_typed_and_never_hangs() {
     // pool keeps draining (degraded pick) instead of deadlocking.
     assert_eq!(metrics.counter_total("serve.quarantined"), 2, "both shards quarantined");
     assert_eq!(metrics.counter_total("serve.requests.completed"), 0);
+}
+
+/// A ticket's outcome.
+type Outcome = Result<Vec<PricingResponse>, Error>;
+
+/// Wait for every ticket on a helper thread, so a lost wake-up fails the
+/// test after a bound instead of hanging it. Outcomes in ticket order.
+fn wait_all_bounded(tickets: Vec<Ticket>) -> Vec<Outcome> {
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let outcomes: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+        tx.send(outcomes).expect("receiver alive");
+    });
+    let outcomes =
+        rx.recv_timeout(Duration::from_secs(120)).expect("every ticket resolves within the bound");
+    waiter.join().expect("the waiter thread joins");
+    outcomes
+}
+
+/// Submit bursts of `burst` requests (built by `request` from a running
+/// index) and wait for each, until `done` holds or `max_bursts` have run.
+/// Which worker pulls first is up to the OS, so a property of "after a
+/// shard was quarantined" is reached by driving traffic until it was.
+/// Returns every request with its outcome.
+fn drive_until(
+    service: &PricingService,
+    max_bursts: usize,
+    burst: usize,
+    request: impl Fn(u64) -> Vec<PricingRequest>,
+    done: impl Fn() -> bool,
+) -> Vec<(Vec<PricingRequest>, Outcome)> {
+    let mut out = Vec::new();
+    for round in 0..max_bursts {
+        if done() {
+            break;
+        }
+        let requests: Vec<_> = (0..burst).map(|i| request((round * burst + i) as u64)).collect();
+        let tickets =
+            requests.iter().map(|r| service.submit(r.clone(), None).expect("accepted")).collect();
+        out.extend(requests.into_iter().zip(wait_all_bounded(tickets)));
+    }
+    out
+}
+
+#[test]
+fn batches_given_up_on_reach_a_peer_that_has_not_failed_them() {
+    let n_steps = 16;
+    let metrics = Arc::new(MetricsRegistry::new());
+    // Shards 0 and 1 fail every command; shard 2 is clean. A batch that
+    // shard 0 gives up on may land on shard 1 and fail again, but its
+    // third turn can only be shard 2's — also once the other failing
+    // shard is quarantined and shard 2 is the only peer left.
+    let shards: Vec<PayoffSuite> = (0..3)
+        .map(|i| {
+            let suite = gpu_suite(n_steps, &metrics);
+            if i < 2 {
+                suite.with_fault_plan(FaultPlan::new(1.0, chaos_seed() + i))
+            } else {
+                suite
+            }
+        })
+        .collect();
+    let service = PricingService::start_with_metrics(
+        shards,
+        ServeConfig {
+            max_batch: 4,
+            max_linger: Duration::from_millis(1),
+            ..ServeConfig::default()
+        },
+        metrics.clone(),
+    )
+    .expect("starts");
+    let direct = gpu_suite(n_steps, &Arc::new(MetricsRegistry::new()));
+    let outcomes = drive_until(
+        &service,
+        50,
+        8,
+        |i| batch(4, 300 + i),
+        || metrics.counter_total("serve.quarantined") == 2,
+    );
+    // One more burst after both failing shards are out.
+    let outcomes: Vec<_> = outcomes
+        .into_iter()
+        .chain(drive_until(&service, 1, 8, |i| batch(4, 900 + i), || false))
+        .collect();
+    service.shutdown();
+    for (request, outcome) in &outcomes {
+        let served: Vec<f64> =
+            outcome.as_ref().expect("a clean peer prices it").iter().map(|r| r.price).collect();
+        let reference: Vec<f64> = direct_risk(&direct, request).iter().map(|r| r.price).collect();
+        assert_eq!(served, reference, "redispatched prices are bit-identical to fault-free");
+    }
+    assert!(metrics.counter_total("serve.redispatched") > 0, "failed batches moved to a peer");
+    assert_eq!(metrics.counter_total("serve.quarantined"), 2, "both failing shards quarantined");
+    assert_eq!(metrics.counter_value("serve.quarantined", &[("shard", "2")]), 0);
+    assert_eq!(metrics.counter_total("serve.failed"), 0, "no batch ran out of shards");
+}
+
+#[test]
+fn a_quarantined_shard_takes_no_work_while_a_healthy_peer_exists() {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let shards = vec![
+        gpu_suite(64, &metrics).with_fault_plan(FaultPlan::new(1.0, chaos_seed())),
+        gpu_suite(64, &metrics),
+    ];
+    let service = PricingService::start_with_metrics(
+        shards,
+        ServeConfig { max_batch: 1, max_retries: 0, quarantine_after: 1, ..ServeConfig::default() },
+        metrics.clone(),
+    )
+    .expect("starts");
+    // Single-option batches, so both workers pull while shard 1 prices;
+    // shard 0's first batch quarantines it.
+    let quarantined = || metrics.counter_value("serve.quarantined", &[("shard", "0")]) == 1;
+    let mut outcomes = drive_until(&service, 50, 4, |i| batch(1, 600 + i), quarantined);
+    assert!(quarantined(), "shard 0 pulled a batch within 50 bursts");
+    // Now only shard 1 may pull.
+    outcomes.extend(drive_until(&service, 1, 8, |i| batch(1, 800 + i), || false));
+    service.shutdown();
+    assert!(outcomes.iter().all(|(_, o)| o.is_ok()), "shard 1 prices what shard 0 gave up");
+    let attempts_on_0 = metrics.histogram("serve.exec_s", &[("shard", "0")]).map_or(0, |h| h.count);
+    assert_eq!(attempts_on_0, 1, "shard 0 pulled nothing after its quarantine");
+    assert_eq!(
+        metrics.counter_value("serve.shard.options", &[("shard", "1")]),
+        outcomes.len() as u64
+    );
+}
+
+#[test]
+fn a_fully_quarantined_pool_still_serves() {
+    // One shard whose batches fault now and then (a 10% per-command
+    // plan, no local retries): the first exhausted batch quarantines it,
+    // and with no healthy peer left it keeps pulling and pricing.
+    let metrics = Arc::new(MetricsRegistry::new());
+    let shard = gpu_suite(16, &metrics).with_fault_plan(FaultPlan::new(0.1, chaos_seed()));
+    let service = PricingService::start_with_metrics(
+        vec![shard],
+        ServeConfig { max_retries: 0, quarantine_after: 1, ..ServeConfig::default() },
+        metrics.clone(),
+    )
+    .expect("starts");
+    let mut outcomes = Vec::new();
+    for i in 0..40 {
+        outcomes.push(service.price(batch(2, 700 + i)).is_ok());
+    }
+    service.shutdown();
+    let first_failure = outcomes.iter().position(|ok| !ok).expect("some batch faults");
+    assert_eq!(metrics.counter_total("serve.quarantined"), 1);
+    assert!(
+        outcomes[first_failure..].iter().any(|&ok| ok),
+        "the quarantined pool kept serving: {outcomes:?}"
+    );
 }

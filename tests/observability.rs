@@ -371,8 +371,8 @@ fn serve_trace_links_requests_down_to_queue_commands() {
 
 /// One traced burst on a single shard: two-option requests, two-option
 /// batches, so batches close full and queue up behind each other. Returns,
-/// per request, its `serve.request` span and the sum of its queue wait,
-/// shard wait and execution attempts (+ retry markers), in µs.
+/// per request, its `serve.request` span and the sum of its queue wait
+/// and execution attempts (+ retry markers), in µs.
 fn traced_burst_span_sums() -> Vec<(String, f64, f64)> {
     let mut config = bop_core::AcceleratorConfig::new(bop_core::devices::gpu());
     config.n_steps = 16;
@@ -393,22 +393,25 @@ fn traced_burst_span_sums() -> Vec<(String, f64, f64)> {
     let metrics = service.metrics().clone();
     let tracer = service.tracer().clone();
     service.shutdown();
-    assert_eq!(metrics.histogram("serve.shard_wait_s", &[]).expect("histogram").count, 8);
+    assert_eq!(metrics.histogram("serve.queue_wait_s", &[]).expect("histogram").count, 8);
 
     let doc = tracer.to_chrome_json();
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
     let arg = |e: &Json, key: &str| {
         e.get("args").and_then(|a| a.get(key)).and_then(Json::as_str).map(String::from)
     };
-    // Per request id: [request span, queue wait, shard wait, exec + retries].
-    let mut per_request: BTreeMap<String, [f64; 4]> = BTreeMap::new();
+    // Per request id: [request span, queue wait, exec + retries].
+    let mut per_request: BTreeMap<String, [f64; 3]> = BTreeMap::new();
     for e in events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")) {
         let dur = e.get("dur").and_then(Json::as_f64).expect("dur");
         let (slot, ids) = match e.get("cat").and_then(Json::as_str).unwrap_or("") {
             "serve.request" => (0, arg(e, "request_id")),
             "serve.queue_wait" => (1, arg(e, "request_id")),
-            "serve.shard_wait" => (2, arg(e, "request_ids")),
-            "serve.exec" | "serve.retry" => (3, arg(e, "request_ids")),
+            "serve.exec" | "serve.retry" => (2, arg(e, "request_ids")),
+            "serve.batch" | "serve.redispatch" => continue,
+            // Nothing else may sit between a request's queue wait and its
+            // execution (no shard wait: a worker prices what it closes).
+            other if other.starts_with("serve.") => panic!("unexpected serve span {other}"),
             _ => continue,
         };
         for id in ids.expect("serve spans carry request ids").split(',') {
@@ -418,21 +421,18 @@ fn traced_burst_span_sums() -> Vec<(String, f64, f64)> {
     assert_eq!(per_request.len(), 8);
     per_request
         .into_iter()
-        .map(|(id, [request, queue_wait, shard_wait, exec])| {
-            assert!(
-                queue_wait > 0.0 && shard_wait > 0.0 && exec > 0.0,
-                "request {id} has every span"
-            );
-            (id, request, queue_wait + shard_wait + exec)
+        .map(|(id, [request, queue_wait, exec])| {
+            assert!(queue_wait > 0.0 && exec > 0.0, "request {id} has every span");
+            (id, request, queue_wait + exec)
         })
         .collect()
 }
 
-/// The serve-layer spans tile each request's lifetime: queue wait, then
-/// the batch's shard wait, then its execution attempts (and zero-length
-/// retry markers). Their durations sum to the request span within 1 ms,
-/// so the trace has no gap between dispatch and execution; without the
-/// shard wait, the later requests of the burst miss by several ms.
+/// The serve-layer spans tile each request's lifetime: queue wait until
+/// a worker closes the batch, then that worker's execution attempts (and
+/// zero-length retry markers). Their durations sum to the request span
+/// within 1 ms, so the trace has no gap between dispatch and execution:
+/// a worker prices the batch it closes, so no shard wait lies between.
 ///
 /// Between the spans lies only host bookkeeping, tens of µs, unless the
 /// OS deschedules the worker inside it, which a busy test host does now

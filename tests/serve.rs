@@ -46,10 +46,10 @@ fn long_request() -> Vec<PricingRequest> {
     options(64, 77).into_iter().map(|p| PricingRequest::with_greeks(p, Payoff::American)).collect()
 }
 
-/// Block until the batcher has dispatched something to the pool.
+/// Block until a shard worker has taken a batch from the queue.
 fn wait_until_dispatched(service: &PricingService) {
     let start = Instant::now();
-    while service.scheduler().backlog().iter().sum::<u64>() == 0 {
+    while service.metrics().counter_total("serve.batches.closed") == 0 {
         assert!(start.elapsed() < Duration::from_secs(30), "nothing was dispatched");
         std::thread::sleep(Duration::from_micros(200));
     }
@@ -110,7 +110,7 @@ fn price_and_greeks_flow_through_every_payoff() {
     .expect("starts");
     let direct = gpu_suite(n_steps);
 
-    // One submission mixing all four payoff classes: the batcher must
+    // One submission mixing all four payoff classes: batching must
     // split it per class and the aggregator reassemble in order.
     let mixed: Vec<PricingRequest> = all_payoffs()
         .into_iter()
@@ -153,9 +153,8 @@ fn price_and_greeks_flow_through_every_payoff() {
 }
 
 /// The series of a registry that depend only on simulated execution:
-/// queue and interpreter counters, simulated kernel seconds, energy and
-/// the calibrated shard rates. Compile timings and serve latencies are
-/// wall-clock and left out.
+/// queue and interpreter counters, simulated kernel seconds and energy.
+/// Compile timings and serve latencies are wall-clock and left out.
 fn simulated_series(registry: &MetricsRegistry) -> Vec<Series> {
     registry
         .snapshot()
@@ -164,7 +163,7 @@ fn simulated_series(registry: &MetricsRegistry) -> Vec<Series> {
             let (Series::Counter { name, .. }
             | Series::Gauge { name, .. }
             | Series::Hist { name, .. }) = s;
-            ["ocl.", "clir.", "energy.", "serve.shard.rate"].iter().any(|p| name.starts_with(p))
+            ["ocl.", "clir.", "energy."].iter().any(|p| name.starts_with(p))
         })
         .collect()
 }
@@ -179,8 +178,8 @@ fn response_bits(r: &PricingResponse) -> Vec<u64> {
 }
 
 /// With no engine configured, serving runs on the default engine; its
-/// prices, Greeks and every simulated statistic (calibration included)
-/// must be the walker's, bit for bit.
+/// prices, Greeks and every simulated statistic must be the walker's,
+/// bit for bit.
 #[test]
 fn default_engine_serving_is_bit_identical_to_the_walker() {
     let serve = |engine: Option<Engine>| {
@@ -191,11 +190,7 @@ fn default_engine_serving_is_bit_identical_to_the_walker() {
         let suite = PayoffSuite::from_config(config).expect("suite builds");
         let service = PricingService::start_with_metrics(
             vec![suite],
-            ServeConfig {
-                probe_batch: 4,
-                max_linger: Duration::from_millis(1),
-                ..Default::default()
-            },
+            ServeConfig { max_linger: Duration::from_millis(1), ..Default::default() },
             registry.clone(),
         )
         .expect("starts");
@@ -408,8 +403,6 @@ fn metrics_cover_the_whole_pipeline() {
     assert_eq!(latency.count, n_requests);
     // Queue gauges end drained.
     assert_eq!(metrics.gauge_value("serve.queue.depth", &[]), Some(0.0));
-    // Shard rates were published at calibration.
-    assert!(metrics.gauge_value("serve.shard.rate_options_per_s", &[("shard", "0")]).is_some());
 }
 
 #[test]
