@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
-# Tier-1 verification gate, runnable offline (the workspace has no
-# registry dependencies; crates/devtests, which does, is workspace-
-# excluded and not touched here).
+# Tier-1 verification gate, runnable offline: the workspace has no
+# registry dependencies. Cargo runs offline here as in the GitHub
+# workflow, so a registry dependency fails the build instead of
+# reaching for the network.
 #
 # Usage: ./ci.sh
 set -eu
+export CARGO_NET_OFFLINE=true
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -16,8 +16,9 @@
 //! accounting (one step per fetched position, terminators included), and
 //! the same barrier-suspension protocol — divergence errors report
 //! original `(block, instruction)` positions via a side table. The
-//! differential suite in `tests/compile_pipeline.rs` and the proptests in
-//! `crates/devtests` pin this contract down.
+//! differential suites in `tests/compile_pipeline.rs` (host programs and
+//! seeded random branchy kernels) and `tests/pipes.rs` pin this contract
+//! down.
 
 use crate::eval::{eval_bin, eval_cast, eval_cmp, eval_un};
 use crate::interp::{

@@ -109,49 +109,37 @@ impl OpCounts {
 
     /// Total counted operations of any class.
     pub fn total(&self) -> u64 {
-        self.add32
-            + self.add64
-            + self.mul32
-            + self.mul64
-            + self.div32
-            + self.div64
-            + self.minmax32
-            + self.minmax64
-            + self.transc32
-            + self.transc64
-            + self.pow32
-            + self.pow64
-            + self.sqrt32
-            + self.sqrt64
-            + self.cmp
-            + self.select
-            + self.int_alu
-            + self.cast
-            + self.mov
-            + self.wi_query
+        self.clone().counters_mut().into_iter().map(|c| *c).sum()
     }
 
-    fn merge(&mut self, other: &OpCounts) {
-        self.add32 += other.add32;
-        self.add64 += other.add64;
-        self.mul32 += other.mul32;
-        self.mul64 += other.mul64;
-        self.div32 += other.div32;
-        self.div64 += other.div64;
-        self.minmax32 += other.minmax32;
-        self.minmax64 += other.minmax64;
-        self.transc32 += other.transc32;
-        self.transc64 += other.transc64;
-        self.pow32 += other.pow32;
-        self.pow64 += other.pow64;
-        self.sqrt32 += other.sqrt32;
-        self.sqrt64 += other.sqrt64;
-        self.cmp += other.cmp;
-        self.select += other.select;
-        self.int_alu += other.int_alu;
-        self.cast += other.cast;
-        self.mov += other.mov;
-        self.wi_query += other.wi_query;
+    /// Every op counter, each once.
+    fn counters_mut(&mut self) -> [&mut u64; 20] {
+        let OpCounts {
+            add32,
+            add64,
+            mul32,
+            mul64,
+            div32,
+            div64,
+            minmax32,
+            minmax64,
+            transc32,
+            transc64,
+            pow32,
+            pow64,
+            sqrt32,
+            sqrt64,
+            cmp,
+            select,
+            int_alu,
+            cast,
+            mov,
+            wi_query,
+        } = self;
+        [
+            add32, add64, mul32, mul64, div32, div64, minmax32, minmax64, transc32, transc64,
+            pow32, pow64, sqrt32, sqrt64, cmp, select, int_alu, cast, mov, wi_query,
+        ]
     }
 }
 
@@ -255,16 +243,30 @@ impl MemCounts {
         self.global_load_bytes + self.global_store_bytes
     }
 
-    fn merge(&mut self, other: &MemCounts) {
-        self.global_loads += other.global_loads;
-        self.global_load_bytes += other.global_load_bytes;
-        self.global_stores += other.global_stores;
-        self.global_store_bytes += other.global_store_bytes;
-        self.local_loads += other.local_loads;
-        self.local_load_bytes += other.local_load_bytes;
-        self.local_stores += other.local_stores;
-        self.local_store_bytes += other.local_store_bytes;
-        self.private_accesses += other.private_accesses;
+    /// Every memory counter, each once.
+    fn counters_mut(&mut self) -> [&mut u64; 9] {
+        let MemCounts {
+            global_loads,
+            global_load_bytes,
+            global_stores,
+            global_store_bytes,
+            local_loads,
+            local_load_bytes,
+            local_stores,
+            local_store_bytes,
+            private_accesses,
+        } = self;
+        [
+            global_loads,
+            global_load_bytes,
+            global_stores,
+            global_store_bytes,
+            local_loads,
+            local_load_bytes,
+            local_stores,
+            local_store_bytes,
+            private_accesses,
+        ]
     }
 }
 
@@ -304,6 +306,30 @@ impl ExecStats {
         self.block_execs.iter().sum()
     }
 
+    /// The one list of counters: the scalar counters, the op and memory
+    /// counters, then `block_execs`, each once and always in this order.
+    /// Merging, scaling, dividing and the performance model's fit all go
+    /// through it, and its patterns are exhaustive, so a new counter is a
+    /// compile error here until it is listed, not a silent omission.
+    fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let ExecStats {
+            block_execs,
+            barriers,
+            item_phases,
+            pipe_reads,
+            pipe_writes,
+            pipe_read_stalls,
+            pipe_write_stalls,
+            ops,
+            mem,
+        } = self;
+        [barriers, item_phases, pipe_reads, pipe_writes, pipe_read_stalls, pipe_write_stalls]
+            .into_iter()
+            .chain(ops.counters_mut())
+            .chain(mem.counters_mut())
+            .chain(block_execs)
+    }
+
     /// Accumulate `other` into `self`.
     ///
     /// # Panics
@@ -318,70 +344,53 @@ impl ExecStats {
             other.block_execs.len(),
             "merging stats of different kernels"
         );
-        for (a, b) in self.block_execs.iter_mut().zip(&other.block_execs) {
-            *a += b;
+        let mut other = other.clone();
+        for (a, b) in self.counters_mut().zip(other.counters_mut()) {
+            *a += *b;
         }
-        self.barriers += other.barriers;
-        self.item_phases += other.item_phases;
-        self.pipe_reads += other.pipe_reads;
-        self.pipe_writes += other.pipe_writes;
-        self.pipe_read_stalls += other.pipe_read_stalls;
-        self.pipe_write_stalls += other.pipe_write_stalls;
-        self.ops.merge(&other.ops);
-        self.mem.merge(&other.mem);
+    }
+
+    /// Apply `f` to every counter.
+    fn map_counts(&self, f: impl Fn(u64) -> u64) -> ExecStats {
+        let mut out = self.clone();
+        for c in out.counters_mut() {
+            *c = f(*c);
+        }
+        out
     }
 
     /// Scale every counter by `k` (used when extrapolating a measured
     /// per-option profile to a batch of `k` options).
     pub fn scaled(&self, k: u64) -> ExecStats {
-        let mut out = self.clone();
-        for b in &mut out.block_execs {
-            *b *= k;
-        }
-        out.barriers *= k;
-        out.item_phases *= k;
-        out.pipe_reads *= k;
-        out.pipe_writes *= k;
-        out.pipe_read_stalls *= k;
-        out.pipe_write_stalls *= k;
-        let o = &mut out.ops;
-        for f in [
-            &mut o.add32,
-            &mut o.add64,
-            &mut o.mul32,
-            &mut o.mul64,
-            &mut o.div32,
-            &mut o.div64,
-            &mut o.minmax32,
-            &mut o.minmax64,
-            &mut o.transc32,
-            &mut o.transc64,
-            &mut o.pow32,
-            &mut o.pow64,
-            &mut o.sqrt32,
-            &mut o.sqrt64,
-            &mut o.cmp,
-            &mut o.select,
-            &mut o.int_alu,
-            &mut o.cast,
-            &mut o.mov,
-            &mut o.wi_query,
-        ] {
-            *f *= k;
-        }
-        let m = &mut out.mem;
-        for f in [
-            &mut m.global_loads,
-            &mut m.global_load_bytes,
-            &mut m.global_stores,
-            &mut m.global_store_bytes,
-            &mut m.local_loads,
-            &mut m.local_load_bytes,
-            &mut m.local_stores,
-            &mut m.local_store_bytes,
-            &mut m.private_accesses,
-        ] {
-            *f *= k;
+        self.map_counts(|c| c * k)
+    }
+
+    /// Divide every counter by `k`, rounding down (the per-batch share
+    /// of statistics measured over `k` identical batches).
+    ///
+    /// # Panics
+    /// Panics if `k` is zero.
+    pub fn divided(&self, k: u64) -> ExecStats {
+        assert!(k > 0, "division by zero batches");
+        self.map_counts(|c| c / k)
+    }
+
+    /// Every counter as one flat vector, in a fixed order that ends with
+    /// `block_execs`. [`ExecStats::from_counts`] inverts it.
+    pub fn to_counts(&self) -> Vec<u64> {
+        self.clone().counters_mut().map(|c| *c).collect()
+    }
+
+    /// Rebuild the statistics of a kernel with `blocks` basic blocks from
+    /// the flat vector of [`ExecStats::to_counts`].
+    ///
+    /// # Panics
+    /// Panics if `counts` is shorter than that vector.
+    pub fn from_counts(counts: &[u64], blocks: usize) -> ExecStats {
+        let mut out = ExecStats::with_blocks(blocks);
+        let mut counts = counts.iter();
+        for c in out.counters_mut() {
+            *c = *counts.next().expect("counts cover every counter");
         }
         out
     }
@@ -436,6 +445,24 @@ mod tests {
         assert_eq!(s.ops.add64, 15);
         assert_eq!(s.mem.global_load_bytes, 24);
         assert_eq!(s.barriers, 6);
+        assert_eq!(s.divided(3), a, "dividing undoes exact scaling");
+    }
+
+    #[test]
+    fn every_counter_merges_scales_divides_and_round_trips() {
+        let mut a = ExecStats::with_blocks(3);
+        for (i, c) in a.counters_mut().enumerate() {
+            *c = i as u64 + 1;
+        }
+        let counts = a.to_counts();
+        assert_eq!(counts.len(), 35 + 3, "35 scalar counters, then the block counts");
+        assert_eq!(ExecStats::from_counts(&counts, 3), a);
+        let mut b = a.clone();
+        b.merge(&a);
+        assert_eq!(b, a.scaled(2), "merge adds every counter");
+        assert_eq!(b.divided(2), a);
+        assert_eq!(b.pipe_write_stalls, 2 * a.pipe_write_stalls);
+        assert_eq!(a.ops.total(), (7..=26).sum::<u64>(), "the op counters follow the six scalars");
     }
 
     #[test]

@@ -742,7 +742,7 @@ impl Accelerator {
             // One option => batches = n; every batch is identical.
             KernelArch::Straightforward => {
                 let launches = queue.counters().launches;
-                Ok(divide_stats(&stats, launches))
+                Ok(stats.divided(launches))
             }
             // One option => exactly one work-group.
             _ => Ok(stats),
@@ -856,57 +856,6 @@ fn publish_device_gauges(
         &[("device", d.as_str()), ("kernel", arch.kernel_name())],
         report.power_watts,
     );
-}
-
-/// Divide every counter by `k` (for per-batch normalisation).
-fn divide_stats(stats: &bop_clir::stats::ExecStats, k: u64) -> bop_clir::stats::ExecStats {
-    assert!(k > 0, "division by zero batches");
-    let mut out = stats.clone();
-    for b in &mut out.block_execs {
-        *b /= k;
-    }
-    out.barriers /= k;
-    out.item_phases /= k;
-    let o = &mut out.ops;
-    for f in [
-        &mut o.add32,
-        &mut o.add64,
-        &mut o.mul32,
-        &mut o.mul64,
-        &mut o.div32,
-        &mut o.div64,
-        &mut o.minmax32,
-        &mut o.minmax64,
-        &mut o.transc32,
-        &mut o.transc64,
-        &mut o.pow32,
-        &mut o.pow64,
-        &mut o.sqrt32,
-        &mut o.sqrt64,
-        &mut o.cmp,
-        &mut o.select,
-        &mut o.int_alu,
-        &mut o.cast,
-        &mut o.mov,
-        &mut o.wi_query,
-    ] {
-        *f /= k;
-    }
-    let m = &mut out.mem;
-    for f in [
-        &mut m.global_loads,
-        &mut m.global_load_bytes,
-        &mut m.global_stores,
-        &mut m.global_store_bytes,
-        &mut m.local_loads,
-        &mut m.local_load_bytes,
-        &mut m.local_stores,
-        &mut m.local_store_bytes,
-        &mut m.private_accesses,
-    ] {
-        *f /= k;
-    }
-    out
 }
 
 #[cfg(test)]

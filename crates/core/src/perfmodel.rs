@@ -11,111 +11,13 @@
 //! the fit. Timing-only queue runs then replay the full host program with
 //! the extrapolated statistics.
 
-use bop_clir::stats::{ExecStats, MemCounts, OpCounts};
+use bop_clir::stats::ExecStats;
 
 /// Calibration sizes. All ≡ 0 (mod 8) so parity effects of the unrolled
 /// loop are consistent with the (even) paper size N = 1024.
 pub const CALIBRATION_STEPS: [usize; 3] = [24, 40, 56];
 /// A fourth size used by tests to validate fits.
 pub const VALIDATION_STEPS: usize = 72;
-
-/// Flatten the statistics into a fixed-order vector of counters.
-fn to_vec(stats: &ExecStats) -> Vec<f64> {
-    let o = &stats.ops;
-    let m = &stats.mem;
-    let mut v = vec![
-        stats.barriers as f64,
-        stats.item_phases as f64,
-        stats.pipe_reads as f64,
-        stats.pipe_writes as f64,
-        stats.pipe_read_stalls as f64,
-        stats.pipe_write_stalls as f64,
-    ];
-    v.extend(
-        [
-            o.add32, o.add64, o.mul32, o.mul64, o.div32, o.div64, o.minmax32, o.minmax64,
-            o.transc32, o.transc64, o.pow32, o.pow64, o.sqrt32, o.sqrt64, o.cmp, o.select,
-            o.int_alu, o.cast, o.mov, o.wi_query,
-        ]
-        .iter()
-        .map(|&x| x as f64),
-    );
-    v.extend(
-        [
-            m.global_loads,
-            m.global_load_bytes,
-            m.global_stores,
-            m.global_store_bytes,
-            m.local_loads,
-            m.local_load_bytes,
-            m.local_stores,
-            m.local_store_bytes,
-            m.private_accesses,
-        ]
-        .iter()
-        .map(|&x| x as f64),
-    );
-    v.extend(stats.block_execs.iter().map(|&x| x as f64));
-    v
-}
-
-/// Rebuild statistics from the flat vector (rounding to counts).
-fn from_vec(v: &[f64], blocks: usize) -> ExecStats {
-    let r = |x: f64| x.max(0.0).round() as u64;
-    let mut it = v.iter().copied();
-    let mut next = || r(it.next().expect("vector length"));
-    let barriers = next();
-    let item_phases = next();
-    let pipe_reads = next();
-    let pipe_writes = next();
-    let pipe_read_stalls = next();
-    let pipe_write_stalls = next();
-    let ops = OpCounts {
-        add32: next(),
-        add64: next(),
-        mul32: next(),
-        mul64: next(),
-        div32: next(),
-        div64: next(),
-        minmax32: next(),
-        minmax64: next(),
-        transc32: next(),
-        transc64: next(),
-        pow32: next(),
-        pow64: next(),
-        sqrt32: next(),
-        sqrt64: next(),
-        cmp: next(),
-        select: next(),
-        int_alu: next(),
-        cast: next(),
-        mov: next(),
-        wi_query: next(),
-    };
-    let mem = MemCounts {
-        global_loads: next(),
-        global_load_bytes: next(),
-        global_stores: next(),
-        global_store_bytes: next(),
-        local_loads: next(),
-        local_load_bytes: next(),
-        local_stores: next(),
-        local_store_bytes: next(),
-        private_accesses: next(),
-    };
-    let block_execs = (0..blocks).map(|_| next()).collect();
-    ExecStats {
-        block_execs,
-        barriers,
-        item_phases,
-        pipe_reads,
-        pipe_writes,
-        pipe_read_stalls,
-        pipe_write_stalls,
-        ops,
-        mem,
-    }
-}
 
 /// A per-metric quadratic model of per-option statistics as a function of
 /// the lattice step count.
@@ -144,18 +46,24 @@ impl StatsFit {
             samples.iter().all(|s| s.block_execs.len() == blocks),
             "samples from different kernels"
         );
-        let vs: Vec<Vec<f64>> = samples.iter().map(|s| to_vec(s)).collect();
+        let vs = samples.map(ExecStats::to_counts);
         let x = [ns[0] as f64, ns[1] as f64, ns[2] as f64];
-        let coeffs =
-            (0..vs[0].len()).map(|k| solve_quadratic(x, [vs[0][k], vs[1][k], vs[2][k]])).collect();
+        let coeffs = (0..vs[0].len())
+            .map(|k| solve_quadratic(x, vs.each_ref().map(|v| v[k] as f64)))
+            .collect();
         StatsFit { blocks, coeffs }
     }
 
-    /// Evaluate the fitted per-option statistics at step count `n`.
+    /// Evaluate the fitted per-option statistics at step count `n`,
+    /// rounded to counts.
     pub fn per_option(&self, n: usize) -> ExecStats {
         let x = n as f64;
-        let v: Vec<f64> = self.coeffs.iter().map(|c| c[0] + c[1] * x + c[2] * x * x).collect();
-        from_vec(&v, self.blocks)
+        let counts: Vec<u64> = self
+            .coeffs
+            .iter()
+            .map(|c| (c[0] + c[1] * x + c[2] * x * x).max(0.0).round() as u64)
+            .collect();
+        ExecStats::from_counts(&counts, self.blocks)
     }
 }
 

@@ -38,6 +38,18 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// A uniform integer in `lo..=hi` (modulo reduction: the bias is
+    /// below `span / 2^64`, invisible for the small spans used here).
+    ///
+    /// # Panics
+    /// Panics if the range is empty or covers all of `i64`.
+    pub fn int(&mut self, range: std::ops::RangeInclusive<i64>) -> i64 {
+        let (lo, hi) = range.into_inner();
+        assert!(lo <= hi, "bad range {lo}..={hi}");
+        let span = hi.abs_diff(lo).checked_add(1).expect("range narrower than i64");
+        lo.wrapping_add((self.next_u64() % span) as i64)
+    }
+
     /// A uniform double in `[lo, hi)`.
     ///
     /// # Panics
@@ -83,6 +95,18 @@ mod tests {
         }
         assert!(lo_seen < -0.2, "lower quarter reached: {lo_seen}");
         assert!(hi_seen > 0.7, "upper edge reached: {hi_seen}");
+    }
+
+    #[test]
+    fn int_covers_its_inclusive_range() {
+        let mut rng = SplitMix64::seed_from_u64(5);
+        let mut seen = [false; 5];
+        for _ in 0..1000 {
+            let x = rng.int(-2..=2);
+            seen[(x + 2) as usize] = true;
+        }
+        assert_eq!(seen, [true; 5], "both ends and the middle are drawn");
+        assert_eq!(rng.int(i64::MIN..=i64::MIN), i64::MIN);
     }
 
     #[test]

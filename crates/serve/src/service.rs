@@ -364,6 +364,15 @@ struct Shared {
     work_ready: Condvar,
 }
 
+impl Shared {
+    /// The state lock, recovered if another thread panicked while holding
+    /// it: one panic must not turn into a panic in every submitter and
+    /// worker.
+    fn state(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Marks a shard as running a batch; dropping it — after the batch or
 /// on a panic's unwind — clears the mark and wakes the pool, so
 /// `pool_idle` cannot stick at false. A panicked shard stops for good.
@@ -374,7 +383,7 @@ struct Running<'a> {
 
 impl Drop for Running<'_> {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.shared.state();
         st.shards[self.shard].running = false;
         if thread::panicking() {
             st.shards[self.shard].health = Health::Stopped;
@@ -476,7 +485,7 @@ impl PricingService {
         let n_options = requests.len();
         let request_id = RequestId(self.next_request_id.fetch_add(1, Ordering::Relaxed));
         let agg = Arc::new(Aggregator::new(n_options, request_id, &self.metrics, &self.tracer));
-        let mut st = self.shared.state.lock().expect("service lock");
+        let mut st = self.shared.state();
         if st.shutting_down || st.queue.len() >= self.shared.config.queue_capacity {
             let reason = if st.shutting_down { "shutdown" } else { "full" };
             self.metrics.inc("serve.requests.rejected", &[("reason", reason)], 1);
@@ -549,7 +558,7 @@ impl PricingService {
 
 impl Drop for PricingService {
     fn drop(&mut self) {
-        self.shared.state.lock().unwrap_or_else(PoisonError::into_inner).shutting_down = true;
+        self.shared.state().shutting_down = true;
         self.shared.work_ready.notify_all();
         // Workers exit once the queue is drained and no batch is in
         // flight.
@@ -641,7 +650,7 @@ fn next_batch<'a>(
     tracer: &RequestTracer,
 ) -> Option<(Batch, Running<'a>)> {
     let config = &shared.config;
-    let mut st = shared.state.lock().expect("service lock");
+    let mut st = shared.state();
     let (mut batch, reason) = loop {
         if st.schedulable(shard) {
             if let Some(i) = st.redo.iter().position(|b| st.may_take(shard, b)) {
@@ -659,7 +668,11 @@ fn next_batch<'a>(
                     "shutdown"
                 } else {
                     let linger_left = config.max_linger - lingered;
-                    st = shared.work_ready.wait_timeout(st, linger_left).expect("service lock").0;
+                    st = shared
+                        .work_ready
+                        .wait_timeout(st, linger_left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                     continue;
                 };
                 let batch = extract(&mut st, config.max_batch);
@@ -671,7 +684,7 @@ fn next_batch<'a>(
         if st.shutting_down && drained && st.shards.iter().all(|s| !s.running) {
             return None;
         }
-        st = shared.work_ready.wait(st).expect("service lock");
+        st = shared.work_ready.wait(st).unwrap_or_else(PoisonError::into_inner);
     };
     st.shards[shard].running = true;
     drop(st);
@@ -887,7 +900,7 @@ fn worker_loop(
             Err(error) => {
                 if error.is_retryable() {
                     failure_streak += 1;
-                    let mut st = shared.state.lock().expect("service lock");
+                    let mut st = shared.state();
                     if failure_streak >= config.quarantine_after
                         && st.shards[shard].health == Health::Healthy
                     {
@@ -1050,6 +1063,31 @@ mod tests {
         let outcome = rx.recv_timeout(Duration::from_secs(10)).expect("the wait returns");
         assert!(matches!(outcome, Err(Error::Runtime(_))), "typed failure, got {outcome:?}");
         waiter.join().expect("waiter joins");
+    }
+
+    #[test]
+    fn a_panic_under_the_service_lock_does_not_reach_submit_or_shutdown() {
+        let mut config = bop_core::AcceleratorConfig::new(bop_core::devices::gpu());
+        config.n_steps = 16;
+        let suite = PayoffSuite::from_config(config).expect("suite builds");
+        let service = PricingService::start(vec![suite], ServeConfig::default()).expect("starts");
+        let shared = service.shared.clone();
+        let poisoner = thread::spawn(move || {
+            let _held = shared.state();
+            panic!("a panic while holding the service lock");
+        });
+        assert!(poisoner.join().is_err(), "the helper panicked");
+        assert!(service.shared.state.is_poisoned());
+        let (tx, rx) = mpsc::channel();
+        let caller = thread::spawn(move || {
+            let request = vec![PricingRequest::from_style(OptionParams::example())];
+            let outcome = service.submit(request, None).and_then(Ticket::wait);
+            service.shutdown();
+            tx.send(outcome).expect("receiver alive");
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(60)).expect("submit and shutdown return");
+        caller.join().expect("the caller joins");
+        assert_eq!(outcome.expect("the request prices").len(), 1);
     }
 
     fn pending(requests: Vec<PricingRequest>) -> PendingRequest {

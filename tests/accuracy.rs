@@ -1,12 +1,16 @@
 //! Integration: the Section V.C accuracy story at full paper scale,
-//! plus golden CRR vectors pinning the reference pricer bit-for-bit.
+//! plus golden CRR vectors pinning the reference pricer bit-for-bit, and
+//! the pricing mathematics' invariants (no-arbitrage bounds,
+//! monotonicity, convergence, inversion) over seeded random markets.
 
 use bop_core::experiments::accuracy::pow_operator_rmse;
 use bop_core::experiments::table2::PAPER_STEPS;
 use bop_core::{Accelerator, KernelArch, PayoffSuite, Precision, RiskRequest};
-use bop_finance::binomial::price_american_f64;
+use bop_finance::binomial::{price_american_f32, price_american_f64};
 use bop_finance::black_scholes::bs_price;
+use bop_finance::implied_vol::implied_volatility;
 use bop_finance::payoff::{price_payoff_f64, BarrierKind, Payoff};
+use bop_finance::rng::SplitMix64;
 use bop_finance::types::{ExerciseStyle, OptionKind};
 use bop_finance::{bs_delta, bs_gamma, bs_rho, bs_theta, bs_vega, workload, OptionParams};
 
@@ -367,4 +371,100 @@ fn operator_error_grows_with_lattice_depth() {
     let small = rmse_at(64);
     let large = rmse_at(1024);
     assert!(large > 2.0 * small, "pow RMSE should grow with N: {small:.2e} vs {large:.2e}");
+}
+
+/// A random option, with volatility bounded away from the region where
+/// the CRR up-probability exceeds one.
+fn random_option(rng: &mut SplitMix64) -> OptionParams {
+    OptionParams {
+        spot: rng.uniform(20.0, 300.0),
+        strike: rng.uniform(20.0, 300.0),
+        volatility: rng.uniform(0.08, 0.8),
+        rate: rng.uniform(0.0, 0.08),
+        expiry: rng.uniform(0.1, 2.5),
+        dividend_yield: rng.uniform(0.0, 0.04),
+        kind: if rng.next_u64() & 1 == 0 { OptionKind::Call } else { OptionKind::Put },
+        style: if rng.next_u64() & 1 == 0 {
+            ExerciseStyle::American
+        } else {
+            ExerciseStyle::European
+        },
+    }
+}
+
+/// Over random markets, the reference lattice respects no-arbitrage
+/// bounds, American dominates European, prices rise with volatility and
+/// move the right way with the strike, the European lattice converges to
+/// Black-Scholes, single precision stays close to double, and refining
+/// the lattice stays in a tight band.
+#[test]
+fn lattice_prices_keep_their_invariants_over_random_markets() {
+    const N: usize = 96;
+    let mut rng = SplitMix64::seed_from_u64(0xf1a7ce);
+    for case in 0..128 {
+        let o = random_option(&mut rng);
+        let (vol_bump, strike_bump) = (rng.uniform(0.01, 0.3), rng.uniform(1.0, 40.0));
+        let what = format!("case {case}: {o:?}");
+        let p = price_american_f64(&o, N);
+
+        assert!(p >= -1e-12, "{what}: negative price {p}");
+        if o.style == ExerciseStyle::American {
+            assert!(p + 1e-9 >= o.intrinsic(), "{what}: {p} below intrinsic {}", o.intrinsic());
+        }
+        let cap = match o.kind {
+            OptionKind::Call => o.spot,
+            OptionKind::Put => o.strike,
+        };
+        assert!(p <= cap * (1.0 + 1e-12), "{what}: {p} above {cap}");
+
+        let styled = |style| price_american_f64(&OptionParams { style, ..o }, N);
+        let (amer, euro) = (styled(ExerciseStyle::American), styled(ExerciseStyle::European));
+        assert!(amer + 1e-9 >= euro, "{what}: American {amer} < European {euro}");
+
+        let vega_up =
+            price_american_f64(&OptionParams { volatility: o.volatility + vol_bump, ..o }, N);
+        assert!(vega_up + 1e-9 >= p, "{what}: price fell with vol +{vol_bump}: {p} -> {vega_up}");
+
+        let struck = price_american_f64(&OptionParams { strike: o.strike + strike_bump, ..o }, N);
+        match o.kind {
+            OptionKind::Call => assert!(struck <= p + 1e-9, "{what}: call rose with the strike"),
+            OptionKind::Put => assert!(struck + 1e-9 >= p, "{what}: put fell with the strike"),
+        }
+
+        let european = OptionParams { style: ExerciseStyle::European, ..o };
+        let (lattice, analytic) = (price_american_f64(&european, 512), bs_price(&european));
+        let tolerance = 0.01 * (analytic.abs() + o.spot * 0.01);
+        assert!(
+            (lattice - analytic).abs() < tolerance,
+            "{what}: lattice {lattice} vs BS {analytic}"
+        );
+
+        let single = f64::from(price_american_f32(&o, N));
+        assert!((p - single).abs() < 0.05 + p.abs() * 1e-3, "{what}: f64 {p} vs f32 {single}");
+
+        let (coarse, fine) = (price_american_f64(&o, 64), price_american_f64(&o, 256));
+        assert!((coarse - fine).abs() < 0.05 + fine.abs() * 0.02, "{what}: {coarse} vs {fine}");
+    }
+}
+
+/// Implied volatility inverts Black-Scholes to 1e-5 on random
+/// near-the-money European options with visible time value (where the
+/// inversion is well conditioned).
+#[test]
+fn implied_vol_round_trips_on_random_markets() {
+    let mut rng = SplitMix64::seed_from_u64(0x1f01);
+    for case in 0..128 {
+        let (o, price) = loop {
+            let o = random_option(&mut rng);
+            let strike = o.spot * (0.8 + (o.strike / 300.0) * 0.4);
+            let o = OptionParams { style: ExerciseStyle::European, strike, ..o };
+            let price = bs_price(&o);
+            if price > 0.05 && price < o.spot * 0.95 {
+                break (o, price);
+            }
+        };
+        let vol = implied_volatility(&o, price, bs_price)
+            .unwrap_or_else(|e| panic!("case {case}: inversion failed for {o:?}: {e:?}"));
+        assert!((vol - o.volatility).abs() < 1e-5, "case {case}: {vol} vs {o:?}");
+    }
 }

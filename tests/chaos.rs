@@ -16,15 +16,22 @@
 //!    [`Error::Fault`], never a wrong price and never a hang;
 //! 6. a batch a shard gave up on reaches a peer that has not failed it,
 //!    and quarantine takes a failing shard out of the pull loop while a
-//!    healthy peer exists, without ever stalling the pool.
+//!    healthy peer exists, without ever stalling the pool;
+//! 7. under random fault plans of any rate, the direct path and a
+//!    two-shard pool both return the exact price or a typed fault, and
+//!    the pool always drains.
 
 use bop_core::{AcceleratorConfig, Error, FaultPlan, PayoffSuite, RiskRequest, RiskResult};
 use bop_finance::payoff::{BarrierKind, Payoff};
+use bop_finance::rng::SplitMix64;
 use bop_finance::{workload, OptionParams};
 use bop_obs::{Labels, MetricsRegistry, Series};
-use bop_serve::{PricingRequest, PricingResponse, PricingService, ServeConfig, Ticket};
-use std::sync::{mpsc, Arc};
+use bop_serve::{PricingRequest, PricingService, ServeConfig};
+use common::{price_bounded, shutdown_bounded, wait_all_bounded, wait_bounded, Outcome};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+mod common;
 
 fn chaos_seed() -> u64 {
     match std::env::var("BOP_CHAOS_SEED") {
@@ -95,7 +102,7 @@ fn run_campaign(seed: u64) -> (Vec<String>, Vec<(String, Labels, u64)>) {
     .expect("starts");
     let mut outcomes = Vec::new();
     for i in 0..12 {
-        let outcome = match service.price(batch(6, 1000 + i)) {
+        let outcome = match price_bounded(&service, batch(6, 1000 + i)) {
             Ok(responses) => {
                 let bits: Vec<String> =
                     responses.iter().map(|r| r.price.to_bits().to_string()).collect();
@@ -105,7 +112,7 @@ fn run_campaign(seed: u64) -> (Vec<String>, Vec<(String, Labels, u64)>) {
         };
         outcomes.push(outcome);
     }
-    service.shutdown();
+    shutdown_bounded(service);
     (outcomes, fault_and_serve_counters(&metrics))
 }
 
@@ -121,8 +128,8 @@ fn inert_fault_plans_are_bit_identical_to_no_plan() {
         plain_metrics.clone(),
     )
     .expect("starts");
-    let baseline = plain.price(request.clone()).expect("prices");
-    plain.shutdown();
+    let baseline = price_bounded(&plain, request.clone()).expect("prices");
+    shutdown_bounded(plain);
 
     let inert_metrics = Arc::new(MetricsRegistry::new());
     let inert_shard = gpu_suite(n_steps, &inert_metrics).with_fault_plan(FaultPlan::none());
@@ -133,8 +140,8 @@ fn inert_fault_plans_are_bit_identical_to_no_plan() {
         inert_metrics.clone(),
     )
     .expect("starts");
-    let responses = inert.price(request.clone()).expect("prices");
-    inert.shutdown();
+    let responses = price_bounded(&inert, request.clone()).expect("prices");
+    shutdown_bounded(inert);
 
     assert_eq!(responses, baseline, "FaultPlan::none() must not perturb a single bit");
     assert_eq!(inert_metrics.counter_total("fault.injected"), 0);
@@ -199,7 +206,7 @@ fn survivors_of_a_faulty_pool_price_bit_identically() {
         requests.iter().map(|r| service.submit(r.clone(), None).expect("accepted")).collect();
     let mut survivors = 0;
     for (ticket, request) in tickets.into_iter().zip(&requests) {
-        match ticket.wait() {
+        match wait_bounded(ticket) {
             Ok(responses) => {
                 survivors += 1;
                 let served: Vec<f64> = responses.iter().map(|r| r.price).collect();
@@ -218,7 +225,7 @@ fn survivors_of_a_faulty_pool_price_bit_identically() {
             }
         }
     }
-    service.shutdown();
+    shutdown_bounded(service);
     assert!(survivors > 0, "seed {seed}: a 20% plan with retries must let requests through");
     assert!(
         metrics.counter_total("fault.injected") > 0,
@@ -259,7 +266,7 @@ fn greeks_survive_faults_bit_identically_across_every_payoff() {
         params.spot += round as f64; // vary the spot so rounds are distinct
         let request: Vec<PricingRequest> =
             payoffs.iter().map(|&p| PricingRequest::with_greeks(params, p)).collect();
-        match service.price(request.clone()) {
+        match price_bounded(&service, request.clone()) {
             Ok(responses) => {
                 survivors += 1;
                 let reference = direct_risk(&direct, &request);
@@ -278,7 +285,7 @@ fn greeks_survive_faults_bit_identically_across_every_payoff() {
             Err(e) => assert!(e.is_retryable(), "only fault errors may surface, got {e}"),
         }
     }
-    service.shutdown();
+    shutdown_bounded(service);
     assert!(survivors > 0, "seed {seed}: some greeks rounds must survive a 15% plan");
 }
 
@@ -305,11 +312,11 @@ fn exhausted_recovery_fails_typed_and_never_hangs() {
     let tickets: Vec<_> =
         (0..8).map(|i| service.submit(batch(4, 900 + i), None).expect("accepted")).collect();
     for ticket in tickets {
-        let err = ticket.wait().expect_err("rate-1.0 faults must fail every request");
+        let err = wait_bounded(ticket).expect_err("rate-1.0 faults must fail every request");
         assert!(matches!(err, Error::Fault { .. }), "typed fault, got {err}");
         assert!(err.source().is_some(), "the injected fault rides the source() chain");
     }
-    service.shutdown();
+    shutdown_bounded(service);
 
     assert!(metrics.counter_total("serve.retries") > 0, "local retries were attempted");
     assert!(metrics.counter_total("serve.failed") > 0, "exhausted batches were recorded");
@@ -317,23 +324,6 @@ fn exhausted_recovery_fails_typed_and_never_hangs() {
     // pool keeps draining (degraded pick) instead of deadlocking.
     assert_eq!(metrics.counter_total("serve.quarantined"), 2, "both shards quarantined");
     assert_eq!(metrics.counter_total("serve.requests.completed"), 0);
-}
-
-/// A ticket's outcome.
-type Outcome = Result<Vec<PricingResponse>, Error>;
-
-/// Wait for every ticket on a helper thread, so a lost wake-up fails the
-/// test after a bound instead of hanging it. Outcomes in ticket order.
-fn wait_all_bounded(tickets: Vec<Ticket>) -> Vec<Outcome> {
-    let (tx, rx) = mpsc::channel();
-    let waiter = std::thread::spawn(move || {
-        let outcomes: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
-        tx.send(outcomes).expect("receiver alive");
-    });
-    let outcomes =
-        rx.recv_timeout(Duration::from_secs(120)).expect("every ticket resolves within the bound");
-    waiter.join().expect("the waiter thread joins");
-    outcomes
 }
 
 /// Submit bursts of `burst` requests (built by `request` from a running
@@ -402,7 +392,7 @@ fn batches_given_up_on_reach_a_peer_that_has_not_failed_them() {
         .into_iter()
         .chain(drive_until(&service, 1, 8, |i| batch(4, 900 + i), || false))
         .collect();
-    service.shutdown();
+    shutdown_bounded(service);
     for (request, outcome) in &outcomes {
         let served: Vec<f64> =
             outcome.as_ref().expect("a clean peer prices it").iter().map(|r| r.price).collect();
@@ -435,7 +425,7 @@ fn a_quarantined_shard_takes_no_work_while_a_healthy_peer_exists() {
     assert!(quarantined(), "shard 0 pulled a batch within 50 bursts");
     // Now only shard 1 may pull.
     outcomes.extend(drive_until(&service, 1, 8, |i| batch(1, 800 + i), || false));
-    service.shutdown();
+    shutdown_bounded(service);
     assert!(outcomes.iter().all(|(_, o)| o.is_ok()), "shard 1 prices what shard 0 gave up");
     let attempts_on_0 = metrics.histogram("serve.exec_s", &[("shard", "0")]).map_or(0, |h| h.count);
     assert_eq!(attempts_on_0, 1, "shard 0 pulled nothing after its quarantine");
@@ -460,13 +450,94 @@ fn a_fully_quarantined_pool_still_serves() {
     .expect("starts");
     let mut outcomes = Vec::new();
     for i in 0..40 {
-        outcomes.push(service.price(batch(2, 700 + i)).is_ok());
+        outcomes.push(price_bounded(&service, batch(2, 700 + i)).is_ok());
     }
-    service.shutdown();
+    shutdown_bounded(service);
     let first_failure = outcomes.iter().position(|ok| !ok).expect("some batch faults");
     assert_eq!(metrics.counter_total("serve.quarantined"), 1);
     assert!(
         outcomes[first_failure..].iter().any(|&ok| ok),
         "the quarantined pool kept serving: {outcomes:?}"
     );
+}
+
+/// A fault-free 16-step suite, built once: clones share its compiled
+/// programs, and each clone given a fault plan draws its own fault
+/// stream.
+fn base_suite() -> &'static PayoffSuite {
+    static BASE: OnceLock<PayoffSuite> = OnceLock::new();
+    BASE.get_or_init(|| gpu_suite(16, &Arc::new(MetricsRegistry::new())))
+}
+
+/// A fault rate anywhere in [0, 1]; case 0 takes the closed end, where
+/// every command faults.
+fn any_rate(case: usize, rng: &mut SplitMix64) -> f64 {
+    if case == 0 {
+        1.0
+    } else {
+        rng.uniform(0.0, 1.0)
+    }
+}
+
+#[test]
+fn direct_pricing_under_any_fault_plan_is_exact_or_typed() {
+    // The cases follow BOP_CHAOS_SEED like the campaigns above.
+    let mut rng = SplitMix64::seed_from_u64(chaos_seed() ^ 0xd1ec7);
+    for case in 0..16 {
+        let plan = FaultPlan::new(any_rate(case, &mut rng), rng.next_u64());
+        let request = batch(5, rng.int(0..=999) as u64);
+        let reference: Vec<f64> =
+            direct_risk(base_suite(), &request).iter().map(|r| r.price).collect();
+        let risk: Vec<RiskRequest> =
+            request.iter().map(|r| RiskRequest::price_only(r.params, r.payoff)).collect();
+        match base_suite().clone().with_fault_plan(plan).price_risk(&risk) {
+            Ok((results, _)) => {
+                let prices: Vec<f64> = results.iter().map(|r| r.price).collect();
+                assert_eq!(
+                    prices, reference,
+                    "case {case}, {plan:?}: a price under faults is exact"
+                );
+            }
+            Err(e) => assert!(
+                matches!(e, Error::Fault { .. }) && e.is_retryable(),
+                "case {case}, {plan:?}: a retryable typed fault, got {e}"
+            ),
+        }
+    }
+}
+
+#[test]
+fn a_two_shard_pool_under_any_fault_plan_drains_exact_or_typed() {
+    let mut rng = SplitMix64::seed_from_u64(chaos_seed() ^ 0x9a4d);
+    for case in 0..16 {
+        let (rate, seed) = (any_rate(case, &mut rng), rng.next_u64());
+        let plan = FaultPlan::new(rate, seed);
+        let shards: Vec<PayoffSuite> = (0..2)
+            .map(|i| base_suite().clone().with_fault_plan(FaultPlan::new(rate, seed ^ i)))
+            .collect();
+        let config = ServeConfig {
+            max_batch: 4,
+            max_linger: Duration::from_millis(1),
+            ..ServeConfig::default()
+        };
+        let service = PricingService::start(shards, config).expect("starts");
+        let requests: Vec<Vec<PricingRequest>> = (0..6).map(|i| batch(4, 300 + i)).collect();
+        let tickets =
+            requests.iter().map(|r| service.submit(r.clone(), None).expect("accepted")).collect();
+        for (request, outcome) in requests.iter().zip(wait_all_bounded(tickets)) {
+            match outcome {
+                Ok(responses) => {
+                    let served: Vec<f64> = responses.iter().map(|r| r.price).collect();
+                    let reference: Vec<f64> =
+                        direct_risk(base_suite(), request).iter().map(|r| r.price).collect();
+                    assert_eq!(served, reference, "case {case}, {plan:?}: served prices are exact");
+                }
+                Err(e) => assert!(
+                    matches!(e, Error::Fault { .. }),
+                    "case {case}, {plan:?}: a typed fault, got {e}"
+                ),
+            }
+        }
+        shutdown_bounded(service);
+    }
 }

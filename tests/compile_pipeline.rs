@@ -12,20 +12,29 @@
 //! syntax), the structured errors for pass-corrupted and phi-form IR,
 //! compile metrics, program sharing across pooled shards, and the pinned
 //! final IR of every shipped kernel.
+//!
+//! The randomized tests draw their inputs from fixed-seed
+//! `SplitMix64` streams with fixed case counts. There is no shrinking,
+//! so a failure names the case index and its inputs.
 
+use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
+use bop_clir::mathlib::ExactMath;
+use bop_clir::passes::Pipeline;
+use bop_clir::value::Value;
 use bop_core::hostprog::optimized::OptimizedHost;
 use bop_core::hostprog::straightforward::StraightforwardHost;
 use bop_core::{devices, Accelerator, KernelArch, Precision};
+use bop_finance::rng::SplitMix64;
 use bop_finance::types::OptionParams;
 use bop_obs::{MetricsRegistry, Series};
-use bop_ocl::queue::{parse_engine, parse_step_limit};
-use bop_ocl::{BuildOptions, CommandQueue, Context, Device, Engine, Program};
+use bop_ocl::queue::{parse_engine, parse_step_limit, QueueCounters};
+use bop_ocl::{BuildOptions, CommandQueue, Context, Device, Engine, FaultPlan, Program};
 use std::sync::Arc;
 
 struct Outcome {
     prices: Vec<f64>,
     stats: Option<bop_clir::stats::ExecStats>,
-    counters: bop_ocl::queue::QueueCounters,
+    counters: QueueCounters,
     chrome: String,
     sim_s: f64,
 }
@@ -104,77 +113,487 @@ fn bytecode_and_lanes_engines_are_bit_identical_to_the_tree_walker() {
     }
 }
 
-/// Deterministic anchor for the devtests `proptest_engines` template: a
-/// branchy kernel with per-lane divergence, multiply-assigned locals,
-/// barrier-separated local-memory traffic and an optional integer trap
-/// behaves identically on all three engines at several worker counts.
-#[test]
-fn engines_agree_on_branchy_divergent_kernel_and_trap() {
-    let src = "__kernel void k(__global double* out, __global const double* in,
-                     __local double* tmp, int divisor) {
-        int lid = get_local_id(0);
-        int gid = get_global_id(0);
-        double acc = in[gid];
-        int j = 0;
-        for (int t = 0; t < 3; t++) {
-            if (lid % 2 < 1) {
-                acc = acc * 1.25 + (double)t;
-                j = j + lid;
-            } else {
-                acc = acc - 0.75;
-                j = j - 1;
-            }
-            tmp[lid] = acc;
-            barrier(CLK_LOCAL_MEM_FENCE);
-            double nb = tmp[(lid + 2) % 5];
-            barrier(CLK_LOCAL_MEM_FENCE);
-            acc = fmax(acc * 0.5, fmin(nb, acc));
-        }
-        if (lid == 3) {
-            j = j / divisor;
-        }
-        out[gid] = acc + (double)j;
-    }";
-    let (w, groups) = (5usize, 2usize);
-    let n = w * groups;
-    let run = |engine: Engine, workers: usize, divisor: i32| {
-        let ctx = Context::new(devices::gpu());
-        let queue = CommandQueue::new(&ctx);
-        queue.set_workers(workers);
-        queue.set_engine(engine);
-        let program = Program::from_source(&ctx, "branchy.cl", src, &BuildOptions::default())
+/// One branchy work-group kernel and its launch: divergent control flow
+/// keyed on the local id, multiply-assigned locals that `mem2reg`
+/// promotes through phis, barrier-separated local-memory traffic, and an
+/// optional integer division that traps on a zero divisor.
+#[derive(Debug, Clone)]
+struct BranchyCase {
+    /// Work-items per group.
+    w: usize,
+    /// Work-groups in the dispatch.
+    groups: usize,
+    /// Barrier-synchronised time steps.
+    steps: usize,
+    /// Lanes with `lid % m < r` take the then-side.
+    m: usize,
+    r: usize,
+    /// Neighbour offset of the cross-lane local-memory read.
+    shift: usize,
+    c1: f64,
+    c2: f64,
+    /// Lane that divides by `divisor` (none if `>= w`).
+    trap_lane: usize,
+    divisor: i32,
+}
+
+impl BranchyCase {
+    /// The hand-picked anchor: five lanes in two groups, one of which
+    /// divides by `divisor`.
+    fn anchor(divisor: i32) -> BranchyCase {
+        let (w, groups, steps, m, r, shift) = (5, 2, 3, 2, 1, 2);
+        BranchyCase { w, groups, steps, m, r, shift, c1: 1.25, c2: 0.75, trap_lane: 3, divisor }
+    }
+
+    fn draw(rng: &mut SplitMix64) -> BranchyCase {
+        let mut int = |lo, hi| rng.int(lo..=hi) as usize;
+        let (w, groups, steps, m, r, shift) =
+            (int(2, 8), int(1, 3), int(0, 5), int(1, 4), int(0, 3), int(0, 7));
+        let trap_lane = int(0, 12);
+        let divisor = rng.int(0..=2) as i32;
+        let (c1, c2) = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0));
+        BranchyCase { w, groups, steps, m, r, shift, c1, c2, trap_lane, divisor }
+    }
+
+    fn source(&self) -> String {
+        let BranchyCase { w, steps, m, r, shift, c1, c2, trap_lane, .. } = self;
+        format!(
+            "__kernel void k(__global double* out, __global const double* in,
+                             __local double* tmp, int divisor) {{
+                int lid = get_local_id(0);
+                int gid = get_global_id(0);
+                double acc = in[gid];
+                int j = 0;
+                for (int t = 0; t < {steps}; t++) {{
+                    if (lid % {m} < {r}) {{
+                        acc = acc * {c1:?} + (double)t;
+                        j = j + lid;
+                    }} else {{
+                        acc = acc - {c2:?};
+                        j = j - 1;
+                    }}
+                    tmp[lid] = acc;
+                    barrier(CLK_LOCAL_MEM_FENCE);
+                    double nb = tmp[(lid + {shift}) % {w}];
+                    barrier(CLK_LOCAL_MEM_FENCE);
+                    acc = fmax(acc * 0.5, fmin(nb, acc));
+                }}
+                if (lid == {trap_lane}) {{
+                    j = j / divisor;
+                }}
+                out[gid] = acc + (double)j;
+            }}"
+        )
+    }
+
+    /// Whether the division executes with a zero divisor.
+    fn traps(&self) -> bool {
+        self.trap_lane < self.w && self.divisor == 0
+    }
+}
+
+/// Everything one run of a [`BranchyCase`] observes: output bit
+/// patterns (so NaNs cannot mask a divergence) or the error, stats,
+/// counters and the simulated clock.
+type BranchyOutcome =
+    (Result<Vec<u64>, String>, Option<bop_clir::stats::ExecStats>, QueueCounters, f64);
+
+fn run_branchy(
+    case: &BranchyCase,
+    engine: Engine,
+    workers: usize,
+    plan: Option<FaultPlan>,
+) -> BranchyOutcome {
+    let ctx = Context::new(devices::gpu());
+    let queue = CommandQueue::new(&ctx);
+    queue.set_workers(workers);
+    queue.set_engine(engine);
+    if let Some(plan) = plan {
+        queue.set_fault_plan(plan);
+    }
+    let program =
+        Program::from_source(&ctx, "branchy.cl", &case.source(), &BuildOptions::default())
             .expect("kernel builds");
-        let kernel = program.kernel("k").expect("kernel k");
-        let out = ctx.create_buffer(8 * n);
-        let input = ctx.create_buffer(8 * n);
-        let init: Vec<f64> = (0..n).map(|i| 0.25 * i as f64 - 1.5).collect();
-        queue.enqueue_write_f64(&input, &init).expect("write");
+    let kernel = program.kernel("k").expect("kernel k");
+    let n = case.w * case.groups;
+    let out = ctx.create_buffer(8 * n);
+    let input = ctx.create_buffer(8 * n);
+    let init: Vec<f64> = (0..n).map(|i| 0.25 * i as f64 - 1.5).collect();
+    let result = (|| {
+        queue.enqueue_write_f64(&input, &init)?;
         kernel.set_arg_buffer(0, &out);
         kernel.set_arg_buffer(1, &input);
-        kernel.set_arg_local(2, 8 * w);
-        kernel.set_arg_i32(3, divisor);
-        let launched = queue
-            .enqueue_nd_range(&kernel, bop_ocl::Dispatch::new(n, w))
-            .map_err(|e| e.to_string());
-        let prices = launched.map(|_| {
-            let mut prices = vec![0.0f64; n];
-            queue.enqueue_read_f64(&out, &mut prices).expect("read");
-            prices.iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
-        });
-        (prices, queue.kernel_stats("k"), queue.counters(), queue.elapsed_s())
-    };
+        kernel.set_arg_local(2, 8 * case.w);
+        kernel.set_arg_i32(3, case.divisor);
+        queue.enqueue_nd_range(&kernel, bop_ocl::Dispatch::new(n, case.w))?;
+        let mut prices = vec![0.0f64; n];
+        queue.enqueue_read_f64(&out, &mut prices)?;
+        Ok(prices.iter().map(|p| p.to_bits()).collect())
+    })()
+    .map_err(|e: bop_ocl::queue::RuntimeError| e.to_string());
+    queue.finish();
+    (result, queue.kernel_stats("k"), queue.counters(), queue.elapsed_s())
+}
 
-    let good = run(Engine::Walk, 1, 2);
-    assert!(good.0.is_ok(), "divisor 2 must not trap");
-    let bad = run(Engine::Walk, 1, 0);
-    let trap = bad.0.as_ref().expect_err("divisor 0 must trap");
-    assert!(trap.contains("integer division by zero"), "typed trap payload: {trap}");
-    for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
-        for workers in [1usize, 3] {
-            let what = format!("{engine} engine, {workers} worker(s)");
-            assert_eq!(run(engine, workers, 2), good, "success outcome differs: {what}");
-            assert_eq!(run(engine, workers, 0), bad, "trap outcome differs: {what}");
+/// Walk, bytecode and lanes agree bit for bit on branchy kernels at
+/// several worker counts — prices, stats, counters, simulated time — and
+/// report the identical trap when the kernel divides by zero. Cases 0
+/// and 1 are the hand-picked anchor with a trapping and a clean divisor;
+/// 24 seeded random cases follow.
+#[test]
+fn engines_agree_on_branchy_divergent_kernel_and_trap() {
+    let mut rng = SplitMix64::seed_from_u64(0xb4a2c4);
+    let cases = [BranchyCase::anchor(0), BranchyCase::anchor(2)]
+        .into_iter()
+        .chain((0..24).map(|_| BranchyCase::draw(&mut rng)));
+    for (i, case) in cases.enumerate() {
+        let reference = run_branchy(&case, Engine::Walk, 1, None);
+        match &reference.0 {
+            Err(trap) => assert!(
+                case.traps() && trap.contains("integer division by zero"),
+                "case {i}: unexpected trap `{trap}` for {case:?}"
+            ),
+            Ok(_) => assert!(!case.traps(), "case {i}: a zero divisor must trap: {case:?}"),
         }
+        for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+            for workers in [1, 3] {
+                let got = run_branchy(&case, engine, workers, None);
+                assert_eq!(
+                    got, reference,
+                    "case {i}: {engine} engine, {workers} worker(s), {case:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Injected faults are a deterministic function of the launch sequence,
+/// so under a seeded fault plan every engine still observes the
+/// identical outcome: the same results or the same injected error.
+#[test]
+fn engines_agree_on_branchy_kernels_under_seeded_faults() {
+    let mut rng = SplitMix64::seed_from_u64(0xfa017);
+    for i in 0..24 {
+        let case = BranchyCase::draw(&mut rng);
+        let plan = FaultPlan::new(rng.uniform(0.0, 0.6), rng.next_u64());
+        let reference = run_branchy(&case, Engine::Walk, 1, Some(plan));
+        for engine in [Engine::Bytecode, Engine::Lanes] {
+            for workers in [1, 3] {
+                let got = run_branchy(&case, engine, workers, Some(plan));
+                let what = format!("{engine} engine, {workers} worker(s), {plan:?}, {case:?}");
+                assert_eq!(got, reference, "case {i}: {what}");
+            }
+        }
+    }
+}
+
+/// A floating-point expression over the kernel arguments `x` and `y`.
+#[derive(Debug, Clone)]
+enum FExpr {
+    Lit(f64),
+    X,
+    Y,
+    Add(Box<FExpr>, Box<FExpr>),
+    Sub(Box<FExpr>, Box<FExpr>),
+    Mul(Box<FExpr>, Box<FExpr>),
+    Max(Box<FExpr>, Box<FExpr>),
+    Min(Box<FExpr>, Box<FExpr>),
+    Abs(Box<FExpr>),
+    Neg(Box<FExpr>),
+    Ternary(Box<FExpr>, Box<FExpr>, Box<FExpr>),
+}
+
+impl FExpr {
+    /// A random tree at most `depth` operators deep; leaves are literals
+    /// in [-8, 8), `x` or `y`.
+    fn draw(rng: &mut SplitMix64, depth: u32) -> FExpr {
+        let sub = |rng: &mut SplitMix64| Box::new(FExpr::draw(rng, depth - 1));
+        match if depth == 0 { rng.int(0..=2) } else { rng.int(0..=11) } {
+            0 | 3 => FExpr::Lit(rng.uniform(-8.0, 8.0)),
+            1 => FExpr::X,
+            2 => FExpr::Y,
+            4 => FExpr::Add(sub(rng), sub(rng)),
+            5 => FExpr::Sub(sub(rng), sub(rng)),
+            6 => FExpr::Mul(sub(rng), sub(rng)),
+            7 => FExpr::Max(sub(rng), sub(rng)),
+            8 => FExpr::Min(sub(rng), sub(rng)),
+            9 => FExpr::Abs(sub(rng)),
+            10 => FExpr::Neg(sub(rng)),
+            _ => FExpr::Ternary(sub(rng), sub(rng), sub(rng)),
+        }
+    }
+
+    fn render(&self) -> String {
+        match self {
+            FExpr::Lit(v) => format!("({v:?})"),
+            FExpr::X => "x".into(),
+            FExpr::Y => "y".into(),
+            FExpr::Add(a, b) => format!("({} + {})", a.render(), b.render()),
+            FExpr::Sub(a, b) => format!("({} - {})", a.render(), b.render()),
+            FExpr::Mul(a, b) => format!("({} * {})", a.render(), b.render()),
+            FExpr::Max(a, b) => format!("fmax({}, {})", a.render(), b.render()),
+            FExpr::Min(a, b) => format!("fmin({}, {})", a.render(), b.render()),
+            FExpr::Abs(a) => format!("fabs({})", a.render()),
+            FExpr::Neg(a) => format!("(-{})", a.render()),
+            FExpr::Ternary(c, t, e) => {
+                format!("(({} > 0.0) ? {} : {})", c.render(), t.render(), e.render())
+            }
+        }
+    }
+
+    /// Direct evaluation: the same f64 operations the kernel performs.
+    fn eval(&self, x: f64, y: f64) -> f64 {
+        match self {
+            FExpr::Lit(v) => *v,
+            FExpr::X => x,
+            FExpr::Y => y,
+            FExpr::Add(a, b) => a.eval(x, y) + b.eval(x, y),
+            FExpr::Sub(a, b) => a.eval(x, y) - b.eval(x, y),
+            FExpr::Mul(a, b) => a.eval(x, y) * b.eval(x, y),
+            FExpr::Max(a, b) => a.eval(x, y).max(b.eval(x, y)),
+            FExpr::Min(a, b) => a.eval(x, y).min(b.eval(x, y)),
+            FExpr::Abs(a) => a.eval(x, y).abs(),
+            FExpr::Neg(a) => -a.eval(x, y),
+            FExpr::Ternary(c, t, e) => {
+                if c.eval(x, y) > 0.0 {
+                    t.eval(x, y)
+                } else {
+                    e.eval(x, y)
+                }
+            }
+        }
+    }
+}
+
+/// Compile `src`, a kernel `k(__global double* o, ...)`, run it through
+/// `pipeline`, execute one work-item with `scalars` bound after `o`, and
+/// return `o[0]`.
+fn run_one_item(src: &str, pipeline: &Pipeline, scalars: &[Value]) -> f64 {
+    let module = bop_clc::compile("prop.cl", src, &bop_clc::Options::default())
+        .unwrap_or_else(|e| panic!("compile failed for `{src}`: {e}"));
+    let (module, _) = pipeline.run(module);
+    let func = module.kernel("k").expect("kernel k");
+    let mut mem = VecMemory::new();
+    let out = mem.alloc_global(8);
+    let args: Vec<KernelArgValue> = std::iter::once(KernelArgValue::GlobalBuffer(out))
+        .chain(scalars.iter().map(|&v| KernelArgValue::Scalar(v)))
+        .collect();
+    WorkGroupRun::new(func, GroupShape::linear(1, 1, 0), &args, 0)
+        .expect("args bind")
+        .run(&mut mem, &ExactMath)
+        .expect("runs");
+    mem.read_f64(out, 0)
+}
+
+/// Bit-identical, or both NaN.
+fn bits_eq(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// The front-end computes exactly what direct evaluation of a random
+/// expression does, bit for bit, and the build pipeline — with and
+/// without CSE, which random trees with shared subexpressions exercise —
+/// never changes the result.
+#[test]
+fn random_float_expressions_match_direct_evaluation_through_every_pipeline() {
+    let pipelines = [false, true].map(|cse| Pipeline::for_build(false, cse));
+    let mut rng = SplitMix64::seed_from_u64(0xe4b2);
+    for case in 0..64 {
+        let expr = FExpr::draw(&mut rng, 5);
+        let (x, y) = (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0));
+        let src = format!(
+            "__kernel void k(__global double* o, double x, double y) {{ o[0] = {}; }}",
+            expr.render()
+        );
+        let args = [Value::F64(x), Value::F64(y)];
+        let want = expr.eval(x, y);
+        let what = format!("case {case}: x={x:?} y={y:?} expr `{}`", expr.render());
+        let unopt = run_one_item(&src, &Pipeline::for_build(true, false), &args);
+        assert!(bits_eq(unopt, want), "{what}: compiled {unopt}, direct {want}");
+        for pipeline in &pipelines {
+            let opt = run_one_item(&src, pipeline, &args);
+            assert!(
+                bits_eq(opt, unopt),
+                "{what}: `{}` gives {opt}, unoptimised {unopt}",
+                pipeline.name()
+            );
+        }
+    }
+}
+
+/// Integer arithmetic follows two's-complement C semantics at `int`
+/// width: every intermediate wraps to i32.
+#[test]
+fn integer_ops_match_wrapping_semantics() {
+    let mut rng = SplitMix64::seed_from_u64(0x1e7);
+    for case in 0..64 {
+        let (a, b, shift) = (rng.next_u64() as i32, rng.next_u64() as i32, rng.int(0..=7) as u32);
+        let src = format!(
+            "__kernel void k(__global double* o, int x0, int x1) {{
+                o[0] = (double)((x0 + x1) * (x0 - x1) + ((x0 << {shift}) ^ (x1 & x0)) % 97);
+            }}"
+        );
+        let got =
+            run_one_item(&src, &Pipeline::for_build(true, false), &[Value::I32(a), Value::I32(b)]);
+        let rem = (a.wrapping_shl(shift) ^ (b & a)).wrapping_rem(97);
+        let want = a.wrapping_add(b).wrapping_mul(a.wrapping_sub(b)).wrapping_add(rem) as f64;
+        assert_eq!(got, want, "case {case}: a={a} b={b} shift={shift}");
+    }
+}
+
+/// `#pragma unroll` never changes a loop's result, whatever the trip
+/// count and factor, early `break` included.
+#[test]
+fn unrolling_preserves_loop_semantics() {
+    let mut rng = SplitMix64::seed_from_u64(0x0011);
+    for case in 0..64 {
+        let (trips, factor, start) = (rng.int(0..=19), rng.int(1..=5), rng.uniform(-5.0, 5.0));
+        let src = |pragma: &str| {
+            format!(
+                "__kernel void k(__global double* o, double s) {{
+                    double acc = s;
+                    {pragma}
+                    for (int i = 0; i < {trips}; i++) {{
+                        acc = acc * 1.25 + (double)i;
+                        if (acc > 1e6) {{ break; }}
+                    }}
+                    o[0] = acc;
+                }}"
+            )
+        };
+        let run = |src: String| {
+            run_one_item(&src, &Pipeline::for_build(true, false), &[Value::F64(start)])
+        };
+        let rolled = run(src(""));
+        let unrolled = run(src(&format!("#pragma unroll {factor}")));
+        assert!(
+            bits_eq(rolled, unrolled),
+            "case {case}: trips={trips} factor={factor} start={start:?}: {rolled} vs {unrolled}"
+        );
+    }
+}
+
+/// Malformed programs that have each caught (or could catch) a
+/// front-end crash.
+const MALFORMED: &[&str] = &[
+    "",
+    "{",
+    "}}}}",
+    "__kernel",
+    "__kernel void",
+    "__kernel void k",
+    "__kernel void k(",
+    "__kernel void k()",
+    "__kernel void k() {",
+    "__kernel void k(__global double* o) { o[ }",
+    "__kernel void k(__global double* o) { o[0] = ; }",
+    "__kernel void k(__global double* o) { for (;;) }",
+    "__kernel void k(__global double* o) { if }",
+    "__kernel void k(__global double* o) { double; }",
+    "__kernel void k(__global double* o) { double x[0]; }",
+    "__kernel void k(__global double* o) { double x[-1]; }",
+    "__kernel void k(__global double* o) { return 5; }",
+    "__kernel void k(__global double* o) { continue; }",
+    "__kernel void k(void v) {}",
+    "__kernel int k(__global double* o) { return 1; }",
+    "kernel kernel kernel",
+    "__kernel void k(__global double* o) { o[0] = pow(1.0); }",
+    "__kernel void k(__global double* o) { o[0] = get_global_id(); }",
+    "__kernel void k(__global double* o) { o[0] = get_global_id(9); }",
+    "__kernel void k(__global double* o) { o[0] = unknown_fn(1.0); }",
+    "__kernel void k(__global double* o) { double x = 1.0 <<< 2; }",
+    "#pragma unroll\n__kernel void k(__global double* o) {}",
+    "__kernel void k(__global double* o) { #pragma unroll 2\n o[0] = 1.0; }",
+    "__kernel void k(__global double* o, __global double* o) {}",
+    "__kernel void k(__global double* o) { x = 1.0; }",
+    "__kernel void k(__global double* o) { o = 0; }",
+    "__kernel void k(__local double s) {}",
+    "void helper() {} __kernel void k(__global double* o) {}",
+    "__kernel void k(__global double* o) { o[0] = 1.0e99999; }",
+    "__kernel void k(__global double* o) { o[0] = 99999999999999999999999999; }",
+    "__kernel void k(__global double* o) { /* unterminated",
+    "__kernel void k(__global double* o) { o[0] = (double); }",
+    "__kernel void k(__global double* o) { barrier(); o[0] = barrier(0); }",
+];
+
+/// Whether the front-end returns (accepting, or rejecting with
+/// positioned diagnostics) instead of panicking on `src`.
+fn front_end_copes(src: &str) -> bool {
+    match std::panic::catch_unwind(|| bop_clc::compile("fuzz.cl", src, &Default::default())) {
+        Ok(Err(e)) => !e.diags().is_empty(),
+        Ok(Ok(_)) => true,
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn malformed_corpus_yields_diagnostics_not_panics() {
+    for (i, src) in MALFORMED.iter().enumerate() {
+        assert!(front_end_copes(src), "case {i}: panicked or undiagnosed: `{src}`");
+    }
+}
+
+/// Random printable text, and soups of C keywords and punctuation
+/// (which reach the parser far more often), never panic the front-end.
+#[test]
+fn random_text_and_token_soup_never_panic_the_front_end() {
+    const WORDS: [&str; 41] = [
+        "__kernel",
+        "void",
+        "k",
+        "(",
+        ")",
+        "{",
+        "}",
+        "[",
+        "]",
+        ";",
+        ",",
+        "double",
+        "int",
+        "for",
+        "if",
+        "else",
+        "while",
+        "return",
+        "break",
+        "=",
+        "+",
+        "-",
+        "*",
+        "/",
+        "<",
+        ">",
+        "==",
+        "&&",
+        "||",
+        "?",
+        ":",
+        "1.0",
+        "42",
+        "x",
+        "o",
+        "__global",
+        "__local",
+        "barrier",
+        "get_global_id",
+        "pow",
+        "#pragma unroll 2\n",
+    ];
+    let mut rng = SplitMix64::seed_from_u64(0xf022);
+    for case in 0..256 {
+        // Printable ASCII or a newline, up to 200 characters.
+        let text: String = (0..rng.int(0..=200))
+            .map(|_| match rng.int(0..=95) {
+                95 => '\n',
+                c => char::from(b' ' + c as u8),
+            })
+            .collect();
+        assert!(front_end_copes(&text), "case {case}: text `{text}`");
+        let soup: Vec<&str> =
+            (0..rng.int(0..=59)).map(|_| WORDS[rng.int(0..=40) as usize]).collect();
+        let soup = soup.join(" ");
+        assert!(front_end_copes(&soup), "case {case}: token soup `{soup}`");
     }
 }
 

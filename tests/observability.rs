@@ -5,9 +5,12 @@
 //! `queued ≤ start ≤ end` per event, in-order execution (no overlap,
 //! monotone starts), and the aggregate [`QueueCounters`] must equal what
 //! the per-command trace sums to. The exported artifacts (Chrome trace,
-//! experiment report) must survive a JSON parse round-trip.
+//! experiment report) must survive a JSON parse round-trip. The serve
+//! layer's p50/p95/p99 come from histogram quantiles, which must stay
+//! inside the observed range and ordered for any observation set.
 
 use bop_core::{Accelerator, KernelArch, Precision};
+use bop_finance::rng::SplitMix64;
 use bop_finance::OptionParams;
 use bop_obs::{ExperimentReport, Json, MetricsRegistry};
 use bop_ocl::queue::{CommandKind, TraceEntry};
@@ -498,4 +501,38 @@ fn experiment_report_schema_round_trips() {
     let back = ExperimentReport::from_json(&text).expect("valid schema");
     assert_eq!(back, report);
     assert!((back.rows[0].rel_error().expect("paper ref") + 0.0504).abs() < 1e-3);
+}
+
+/// Over random observation sets spanning the histogram's whole bucket
+/// range (1e-10 to 1e10, under- and overflow included), quantiles are
+/// finite, bracketed by the observed extremes, exact at the ends, and
+/// monotone in q, also for q outside [0, 1] (which clamps).
+#[test]
+fn histogram_quantiles_are_bracketed_exact_at_the_ends_and_monotone() {
+    let mut rng = SplitMix64::seed_from_u64(0x9a47);
+    for case in 0..256 {
+        let values: Vec<f64> =
+            (0..rng.int(1..=199)).map(|_| 10f64.powf(rng.uniform(-10.0, 10.0))).collect();
+        let registry = MetricsRegistry::new();
+        for &v in &values {
+            registry.observe("q", &[], v);
+        }
+        let h = registry.histogram("q", &[]).expect("observed histogram");
+        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let what = format!("case {case}: {values:?}");
+        assert_eq!(h.quantile(0.0), lo, "{what}");
+        assert_eq!(h.quantile(1.0), hi, "{what}");
+        for q in [0.01, 0.25, 0.5, 0.9, 0.95, 0.99] {
+            let v = h.quantile(q);
+            assert!(v.is_finite() && lo <= v && v <= hi, "quantile({q}) = {v}, {what}");
+        }
+
+        let mut qs: Vec<f64> = (0..rng.int(2..=19)).map(|_| rng.uniform(-0.5, 1.5)).collect();
+        qs.sort_by(f64::total_cmp);
+        for pair in qs.windows(2) {
+            let (a, b) = (h.quantile(pair[0]), h.quantile(pair[1]));
+            assert!(a <= b, "quantile({}) = {a} > quantile({}) = {b}, {what}", pair[0], pair[1]);
+        }
+    }
 }

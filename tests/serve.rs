@@ -9,8 +9,11 @@ use bop_finance::{workload, OptionParams};
 use bop_obs::{MetricsRegistry, Series};
 use bop_ocl::Engine;
 use bop_serve::{OutputSet, PricingRequest, PricingResponse, PricingService, ServeConfig};
+use common::{price_bounded, shutdown_bounded, wait_bounded};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
 
 fn gpu_config(n_steps: usize) -> AcceleratorConfig {
     let mut config = AcceleratorConfig::new(bop_core::devices::gpu());
@@ -87,14 +90,15 @@ fn served_prices_are_bit_identical_to_direct_pricing() {
     let tickets: Vec<_> =
         requests.iter().map(|r| service.submit(r.clone(), None).expect("accepted")).collect();
     for (ticket, request) in tickets.into_iter().zip(&requests) {
-        let served: Vec<f64> = ticket.wait().expect("prices").iter().map(|r| r.price).collect();
+        let served: Vec<f64> =
+            wait_bounded(ticket).expect("prices").iter().map(|r| r.price).collect();
         let risk: Vec<RiskRequest> =
             request.iter().map(|r| RiskRequest::price_only(r.params, r.payoff)).collect();
         let (reference, _) = direct.price_risk(&risk).expect("prices");
         let reference: Vec<f64> = reference.iter().map(|r| r.price).collect();
         assert_eq!(served, reference, "served prices must be bit-identical to the direct path");
     }
-    service.shutdown();
+    shutdown_bounded(service);
 }
 
 #[test]
@@ -120,7 +124,7 @@ fn price_and_greeks_flow_through_every_payoff() {
             outputs: OutputSet::PRICE | OutputSet::GREEKS,
         })
         .collect();
-    let responses = service.price(mixed.clone()).expect("prices");
+    let responses = price_bounded(&service, mixed.clone()).expect("prices");
     assert_eq!(responses.len(), 4);
     for (response, request) in responses.iter().zip(&mixed) {
         let greeks = response.greeks.expect("greeks requested");
@@ -141,7 +145,7 @@ fn price_and_greeks_flow_through_every_payoff() {
     }
     // Payoff-aware accounting saw every class and the greeks work.
     let metrics = service.metrics().clone();
-    service.shutdown();
+    shutdown_bounded(service);
     for payoff in ["european", "american", "barrier", "bermudan"] {
         assert_eq!(
             metrics.counter_value("serve.payoff.options", &[("payoff", payoff)]),
@@ -203,10 +207,10 @@ fn default_engine_serving_is_bit_identical_to_the_walker() {
                     params: OptionParams::example(),
                     outputs: OutputSet::PRICE | OutputSet::GREEKS,
                 };
-                response_bits(&service.price(vec![request]).expect("prices")[0])
+                response_bits(&price_bounded(&service, vec![request]).expect("prices")[0])
             })
             .collect();
-        service.shutdown();
+        shutdown_bounded(service);
         (bits, simulated_series(&registry))
     };
     let (walk_bits, walk_series) = serve(Some(Engine::Walk));
@@ -254,10 +258,10 @@ fn full_queue_rejects_with_typed_backpressure_and_drains_on_shutdown() {
     assert_eq!(metrics.counter_total("serve.requests.accepted"), 3);
 
     // Shutdown must flush the two lingering requests, not drop them.
-    service.shutdown();
-    assert_eq!(a.wait().expect("drained").len(), 2);
-    assert_eq!(b.wait().expect("drained").len(), 2);
-    assert_eq!(busy.wait().expect("priced").len(), 64);
+    shutdown_bounded(service);
+    assert_eq!(wait_bounded(a).expect("drained").len(), 2);
+    assert_eq!(wait_bounded(b).expect("drained").len(), 2);
+    assert_eq!(wait_bounded(busy).expect("priced").len(), 64);
     assert_eq!(metrics.counter_total("serve.requests.completed"), 3);
 }
 
@@ -274,13 +278,13 @@ fn a_lingering_request_dispatches_as_soon_as_the_pool_drains() {
     let a = service.submit(long_request(), None).expect("accepted");
     wait_until_dispatched(&service);
     let b = service.submit(batch(2, 3), None).expect("accepted");
-    assert_eq!(a.wait().expect("prices").len(), 64);
+    assert_eq!(wait_bounded(a).expect("prices").len(), 64);
     let a_done = Instant::now();
-    assert_eq!(b.wait().expect("prices").len(), 2);
+    assert_eq!(wait_bounded(b).expect("prices").len(), 2);
     let gap = a_done.elapsed();
     assert!(gap < Duration::from_secs(5), "B waited {gap:?} after A finished");
     let metrics = service.metrics().clone();
-    service.shutdown();
+    shutdown_bounded(service);
     assert_eq!(metrics.counter_value("serve.batches.closed", &[("reason", "linger")]), 0);
 }
 
@@ -293,10 +297,10 @@ fn sequential_requests_on_an_idle_pool_close_as_pool_idle() {
     .expect("starts");
     let n = 5;
     for i in 0..n {
-        assert_eq!(service.price(batch(2, 60 + i)).expect("prices").len(), 2);
+        assert_eq!(price_bounded(&service, batch(2, 60 + i)).expect("prices").len(), 2);
     }
     let metrics = service.metrics().clone();
-    service.shutdown();
+    shutdown_bounded(service);
     assert_eq!(metrics.counter_value("serve.batches.closed", &[("reason", "pool_idle")]), n);
     assert_eq!(metrics.counter_total("serve.batches.closed"), n, "every batch closed early");
 }
@@ -311,10 +315,10 @@ fn a_burst_beyond_max_batch_closes_full_batches() {
     let tickets: Vec<_> =
         (0..3).map(|i| service.submit(batch(5, 70 + i), None).expect("accepted")).collect();
     for t in tickets {
-        assert_eq!(t.wait().expect("prices").len(), 5);
+        assert_eq!(wait_bounded(t).expect("prices").len(), 5);
     }
     let metrics = service.metrics().clone();
-    service.shutdown();
+    shutdown_bounded(service);
     assert!(metrics.counter_value("serve.batches.closed", &[("reason", "full")]) >= 1);
     let batches = metrics.histogram("serve.batch.options", &[]).expect("histogram").count;
     assert_eq!(metrics.counter_total("serve.batches.closed"), batches, "one reason per batch");
@@ -329,8 +333,8 @@ fn submissions_after_shutdown_are_rejected_as_shutting_down() {
     let service =
         PricingService::start(vec![gpu_suite(32)], ServeConfig::default()).expect("starts");
     let ticket = service.submit(batch(1, 7), None).expect("accepted");
-    assert_eq!(ticket.wait().expect("prices").len(), 1);
-    service.shutdown();
+    assert_eq!(wait_bounded(ticket).expect("prices").len(), 1);
+    shutdown_bounded(service);
 }
 
 #[test]
@@ -343,27 +347,24 @@ fn an_already_expired_deadline_fails_typed_without_wasting_a_shard() {
     let ticket = service
         .submit(batch(2, 4), Some(Duration::from_nanos(0)))
         .expect("accepted — deadline is checked at dispatch, not admission");
-    match ticket.wait() {
+    match wait_bounded(ticket) {
         Err(Error::DeadlineExceeded { missed_by_s }) => {
             assert!(missed_by_s >= 0.0, "missed_by_s reports how late: {missed_by_s}");
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     assert_eq!(service.metrics().counter_total("serve.requests.deadline_exceeded"), 1);
-    service.shutdown();
+    shutdown_bounded(service);
 }
 
 #[test]
 fn generous_deadlines_do_not_fire() {
     let service =
         PricingService::start(vec![gpu_suite(32)], ServeConfig::default()).expect("starts");
-    let responses = service
-        .submit(batch(3, 5), Some(Duration::from_secs(60)))
-        .expect("accepted")
-        .wait()
-        .expect("a 60 s deadline never fires in-process");
+    let ticket = service.submit(batch(3, 5), Some(Duration::from_secs(60))).expect("accepted");
+    let responses = wait_bounded(ticket).expect("a 60 s deadline never fires in-process");
     assert_eq!(responses.len(), 3);
-    service.shutdown();
+    shutdown_bounded(service);
 }
 
 #[test]
@@ -382,10 +383,10 @@ fn metrics_cover_the_whole_pipeline() {
         .map(|i| service.submit(batch(4, 40 + i), None).expect("accepted"))
         .collect();
     for t in tickets {
-        t.wait().expect("prices");
+        wait_bounded(t).expect("prices");
     }
     let metrics = service.metrics().clone();
-    service.shutdown();
+    shutdown_bounded(service);
 
     assert_eq!(metrics.counter_total("serve.requests.accepted"), n_requests);
     assert_eq!(metrics.counter_total("serve.requests.completed"), n_requests);
@@ -425,7 +426,7 @@ fn invalid_pools_and_requests_are_rejected_up_front() {
         Payoff::Barrier { kind: BarrierKind::DownAndOut, level: -1.0 },
     );
     assert!(matches!(service.submit(vec![bad_barrier], None), Err(Error::Invalid(_))));
-    service.shutdown();
+    shutdown_bounded(service);
 }
 
 #[test]
@@ -444,7 +445,7 @@ fn concurrent_submitters_all_get_their_own_prices() {
             let service = service.clone();
             std::thread::spawn(move || {
                 let request = batch(5, 200 + i);
-                let responses = service.price(request.clone()).expect("prices");
+                let responses = price_bounded(&service, request.clone()).expect("prices");
                 (request, responses)
             })
         })
@@ -458,4 +459,5 @@ fn concurrent_submitters_all_get_their_own_prices() {
         let reference: Vec<f64> = reference.iter().map(|r| r.price).collect();
         assert_eq!(served, reference, "each submitter gets its own request's prices");
     }
+    shutdown_bounded(Arc::into_inner(service).expect("every submitter has returned"));
 }
