@@ -65,16 +65,17 @@ echo "== vol_surface smoke =="
 ./target/release/vol_surface --strikes 7 --expiries 4 --repeats 3 --json \
   | grep -q '"experiment":"vol_surface"'
 
-# Smoke-run all three kernel execution engines against each other: the
-# run asserts bit-identical prices/stats/counters/traces internally and
-# prints the determinism marker only when every comparison held.
+# Smoke-run both kernel execution engines (the walker oracle and lanes)
+# against each other: the run asserts bit-identical prices/stats/
+# counters/traces internally and prints the determinism marker only when
+# every comparison held.
 echo "== interp_throughput engine determinism smoke =="
 ./target/release/interp_throughput --fast --engine all --json 2>&1 \
   | grep -q 'determinism check: PASS'
 
 # Same determinism contract for the kernel IV.C pipe pair: the streaming
 # producer/consumer launch graph must be bit-identical (stall counters
-# included) across all three engines and every worker count.
+# included) across both engines and every worker count.
 echo "== interp_throughput IV.C pipe smoke =="
 ./target/release/interp_throughput --kernel ivc --engine all --fast --json 2>&1 \
   | grep -q 'determinism check: PASS'
@@ -175,6 +176,26 @@ for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
     *'"correct":true'*'"failed":0'*) echo "perfbench ${workload}: ok" ;;
     *)
       echo "perfbench ${workload} failed its output checks: ${result}" >&2
+      exit 1
+      ;;
+  esac
+done
+
+# Traced pass: with --trace 1 perfbench reports the per-layer rows of
+# BENCHMARK.json (compile stages, per-engine interpreter cost, queue and
+# serve breakdowns) and refuses a set that differs from the file, so a
+# layer that stops reporting fails here. The trace lands under the
+# git-ignored perfbench/out/.
+echo "== perfbench traced pass =="
+for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
+  output=$(./perfbench/target/release/perfbench --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 1) \
+    || { echo "perfbench ${workload} traced run exited with status $?" >&2; exit 1; }
+  result=$(printf '%s\n' "${output}" | tail -n 1)
+  case "${result}" in
+    *'"correct":true'*'"failed":0'*) echo "perfbench ${workload} (traced): ok" ;;
+    *)
+      echo "perfbench ${workload} traced run failed its output checks: ${result}" >&2
       exit 1
       ;;
   esac

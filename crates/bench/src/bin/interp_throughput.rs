@@ -7,15 +7,14 @@
 //! execution engine(s), checks that prices, merged `ExecStats` (pipe
 //! stall counters included), `QueueCounters` and the exported Chrome
 //! trace are bit-identical across worker counts *and* across the
-//! tree-walking, bytecode and lane-vectorized engines, and reports the
-//! wall-clock speedups. Both knobs are wall-clock only: the simulated
-//! device clock never changes.
+//! tree-walking and lane-vectorized engines, and reports the wall-clock
+//! speedups. Both knobs are wall-clock only: the simulated device clock
+//! never changes.
 //!
 //! Pass `--kernel ivb|ivc` (default `ivb`) to pick the architecture,
-//! `--engine walk|bytecode|lanes|both|all` (default `both`; `all`
-//! sweeps all three engines) to pick the engine(s), `--fast` for a
-//! smaller lattice/batch, `--json-out <path>` / `--json` for the
-//! machine-readable report. On success the determinism check prints
+//! `--engine walk|lanes|all` (default `all`, both engines) to pick the
+//! engine(s), `--fast` for a smaller lattice/batch, `--json-out <path>`
+//! / `--json` for the machine-readable report. On success the determinism check prints
 //! `determinism check: PASS` to stderr (grepped by CI).
 
 use bop_bench::reporting::{ReportOpts, Stopwatch};
@@ -148,14 +147,13 @@ fn main() {
         .position(|a| a == "--engine")
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-        .unwrap_or("both")
+        .unwrap_or("all")
     {
-        "both" => vec![Engine::Walk, Engine::Bytecode],
-        "all" => vec![Engine::Walk, Engine::Bytecode, Engine::Lanes],
+        "all" => vec![Engine::Walk, Engine::Lanes],
         other => match bop_ocl::queue::parse_engine(other) {
             Some(e) => vec![e],
             None => {
-                eprintln!("--engine expects walk|bytecode|lanes|both|all, got `{other}`");
+                eprintln!("--engine expects walk|lanes|all, got `{other}`");
                 std::process::exit(2);
             }
         },
@@ -220,26 +218,13 @@ fn main() {
         );
     }
 
-    // Cross-engine speedup at each worker count (baseline wall /
-    // contender wall), for every baseline/contender pair in the sweep.
-    // The lanes-vs-bytecode row is the headline for the lane-vectorized
-    // engine: both compile to the same bytecode, so the ratio isolates
-    // the SoA lane dispatch from the peephole/SSA wins.
+    // Lanes-over-walker speedup at each worker count (walker wall /
+    // lanes wall), when the sweep ran both engines.
     let find = |e: Engine| sweeps.iter().find(|(se, _)| *se == e).map(|(_, r)| r);
-    type SpeedupRows = Vec<(usize, f64)>;
-    let pairs: Vec<(Engine, Engine, SpeedupRows)> = [
-        (Engine::Walk, Engine::Bytecode),
-        (Engine::Walk, Engine::Lanes),
-        (Engine::Bytecode, Engine::Lanes),
-    ]
-    .into_iter()
-    .filter_map(|(base, cont)| {
-        let (b, c) = (find(base)?, find(cont)?);
-        let per: Vec<(usize, f64)> =
-            b.iter().zip(c).map(|((w, br), (_, cr))| (*w, br.wall_s / cr.wall_s)).collect();
-        Some((base, cont, per))
-    })
-    .collect();
+    let speedup: Option<Vec<(usize, f64)>> =
+        find(Engine::Walk).zip(find(Engine::Lanes)).map(|(walk, lanes)| {
+            walk.iter().zip(lanes).map(|((w, wr), (_, lr))| (*w, wr.wall_s / lr.wall_s)).collect()
+        });
 
     // Simulated-device rates (engine- and worker-independent): the
     // snapshot gate tracks these alongside the wall-clock rows.
@@ -263,8 +248,8 @@ fn main() {
             }
             println!();
         }
-        for (base, cont, per) in &pairs {
-            println!("{cont} vs {base} (same worker count):");
+        if let Some(per) = &speedup {
+            println!("lanes vs walk (same worker count):");
             for (w, s) in per {
                 println!("{:>8} workers: {s:.2}x", w);
             }
@@ -289,12 +274,12 @@ fn main() {
             report.push(format!("{engine}.workers_{w}.speedup"), None, base.wall_s / r.wall_s, "x");
         }
     }
-    for (base, cont, per) in &pairs {
+    if let Some(per) = &speedup {
         for (w, s) in per {
-            report.push(format!("{cont}.speedup_vs_{base}.workers_{w}"), None, *s, "x");
+            report.push(format!("lanes.speedup_vs_walk.workers_{w}"), None, *s, "x");
         }
         // Headline: single-worker, pure interpreter throughput.
-        report.push(format!("{cont}.speedup_vs_{base}"), None, per[0].1, "x");
+        report.push("lanes.speedup_vs_walk", None, per[0].1, "x");
     }
     report.push("sim_elapsed_s", None, reference.sim_s, "s");
     report.push("sim_options_per_s", None, sim_options_per_s, "options/s");

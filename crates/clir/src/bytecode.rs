@@ -1,4 +1,4 @@
-//! Register bytecode: a compiled execution engine for kernels.
+//! Register bytecode: the compiled execution engine for kernels.
 //!
 //! The tree-walking interpreter in [`crate::interp`] re-fetches every
 //! instruction through two levels of `Vec` indexing and re-resolves block
@@ -7,18 +7,19 @@
 //! verified [`Function`] once into a [`CompiledKernel`]: a linear stream
 //! of register-machine ops with pre-resolved jump offsets, an interned
 //! constant pool and specialized opcodes for the hot double-precision
-//! arithmetic of the pricing kernels. [`BytecodeRun`] then executes it
-//! with a compact dispatch loop.
+//! arithmetic of the pricing kernels. [`LanesRun`] then executes it the
+//! way kernel IV.B runs on the device: one op dispatch per SIMT group of
+//! work-items in lockstep between barriers.
 //!
-//! The engine is observationally identical to the tree-walker by
-//! construction: same argument-binding errors, same [`ExecStats`]
-//! counting (down to the order of count-vs-trap), same step-budget
-//! accounting (one step per fetched position, terminators included), and
-//! the same barrier-suspension protocol — divergence errors report
-//! original `(block, instruction)` positions via a side table. The
-//! differential suites in `tests/compile_pipeline.rs` (host programs and
-//! seeded random branchy kernels) and `tests/pipes.rs` pin this contract
-//! down.
+//! The engine is observationally identical to the tree-walker, which
+//! stays as the independent oracle: same argument-binding errors, same
+//! [`ExecStats`] counting (down to the order of count-vs-trap), same
+//! step-budget accounting (one step per fetched position, terminators
+//! included), and the same barrier-suspension protocol — divergence
+//! errors report original `(block, instruction)` positions via a side
+//! table. The differential suites in `tests/compile_pipeline.rs` (host
+//! programs and seeded random branchy kernels) and `tests/pipes.rs` pin
+//! this contract down.
 
 use crate::eval::{eval_bin, eval_cast, eval_cmp, eval_un};
 use crate::interp::{
@@ -27,7 +28,7 @@ use crate::interp::{
 };
 use crate::ir::{BinOp, Builtin, CmpOp, Function, Inst, Param, Terminator, UnOp, WiQuery};
 use crate::mathlib::MathLib;
-use crate::pipes::PipeHub;
+use crate::pipes::{decode_value, encode_value, PipeHub};
 use crate::stats::ExecStats;
 use crate::types::{AddressSpace, ScalarType, Type};
 use crate::value::{PtrValue, Value};
@@ -242,7 +243,7 @@ impl ConstKey {
 ///
 /// Compilation is infallible on verified IR; build it once per kernel
 /// (the OpenCL-style runtime caches it in the program object) and run it
-/// many times via [`BytecodeRun`]. The `Display` impl renders a
+/// many times via [`LanesRun`]. The `Display` impl renders a
 /// disassembly listing (the `aoc` bench bin's `--dump-bytecode`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
@@ -685,449 +686,13 @@ impl fmt::Display for CompiledKernel {
     }
 }
 
+/// Where a work-item stands between phases of a [`LanesRun`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BcStatus {
     Running,
     AtBarrier,
     AtPipe,
     Done,
-}
-
-struct BcItem {
-    pc: usize,
-    regs: Vec<Value>,
-    private: Vec<u8>,
-    status: BcStatus,
-    /// Precomputed 3-D local id (saves two divisions per geometry query).
-    lid: [usize; 3],
-}
-
-/// Executes the work-items of one work-group over a [`CompiledKernel`].
-///
-/// Drop-in replacement for [`crate::interp::WorkGroupRun`]: same
-/// constructor contract, same `run`/`stats`/`into_stats` API, and
-/// bit-identical observable behaviour.
-pub struct BytecodeRun<'k> {
-    kernel: &'k CompiledKernel,
-    shape: GroupShape,
-    items: Vec<BcItem>,
-    stats: ExecStats,
-    steps: u64,
-    step_limit: u64,
-}
-
-impl<'k> BytecodeRun<'k> {
-    /// Prepare a run of `kernel` for the group described by `shape`, with
-    /// kernel arguments `args`. `step_limit` of 0 selects
-    /// [`DEFAULT_STEP_LIMIT`].
-    ///
-    /// # Errors
-    /// Returns [`ExecError::BadArgs`] if `args` does not match the kernel
-    /// signature (same messages as the tree-walker).
-    pub fn new(
-        kernel: &'k CompiledKernel,
-        shape: GroupShape,
-        args: &[KernelArgValue],
-        step_limit: u64,
-    ) -> Result<BytecodeRun<'k>, ExecError> {
-        check_pipe_shape(&kernel.name, &kernel.params, &shape)?;
-        let bound = bind_args(kernel, args)?;
-        let n = shape.items_per_group();
-        let mut items = Vec::with_capacity(n);
-        for item in 0..n {
-            let mut regs: Vec<Value> = kernel
-                .reg_types
-                .iter()
-                .map(|ty| match ty {
-                    Type::Scalar(ScalarType::Bool) => Value::Bool(false),
-                    Type::Scalar(ScalarType::I32) => Value::I32(0),
-                    Type::Scalar(ScalarType::I64) => Value::I64(0),
-                    Type::Scalar(ScalarType::F32) => Value::F32(0.0),
-                    Type::Scalar(ScalarType::F64) => Value::F64(0.0),
-                    Type::Ptr(space, _) => Value::Ptr(PtrValue::new(*space, u32::MAX)),
-                })
-                .collect();
-            regs[..bound.len()].copy_from_slice(&bound);
-            items.push(BcItem {
-                pc: 0,
-                regs,
-                private: vec![0; kernel.private_bytes],
-                status: BcStatus::Running,
-                lid: shape.local_id(item),
-            });
-        }
-        let mut stats = ExecStats::with_blocks(kernel.block_starts.len());
-        // Every live item enters block 0.
-        stats.block_execs[0] += n as u64;
-        Ok(BytecodeRun {
-            kernel,
-            shape,
-            items,
-            stats,
-            steps: 0,
-            step_limit: if step_limit == 0 { DEFAULT_STEP_LIMIT } else { step_limit },
-        })
-    }
-
-    /// Execution statistics accumulated so far.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    /// Consume the run and return its statistics.
-    pub fn into_stats(self) -> ExecStats {
-        self.stats
-    }
-
-    /// Run the whole group to completion with no pipes attached; a pipe
-    /// stall is reported as the deterministic deadlock trap (same
-    /// contract as [`crate::interp::WorkGroupRun::run`]).
-    ///
-    /// # Errors
-    /// Propagates memory errors, traps, barrier divergence and step-limit
-    /// exhaustion, with the same payloads as the tree-walker.
-    pub fn run(&mut self, mem: &mut dyn Memory, math: &dyn MathLib) -> Result<(), ExecError> {
-        let mut pipes = PipeHub::default();
-        match self.run_resumable(mem, math, &mut pipes)? {
-            RunOutcome::Complete => Ok(()),
-            RunOutcome::Stalled => Err(pipe_deadlock_trap()),
-        }
-    }
-
-    /// Run until every work-item retires or a pipe op stalls; same
-    /// resume/accounting contract as
-    /// [`crate::interp::WorkGroupRun::run_resumable`].
-    ///
-    /// # Errors
-    /// Propagates memory errors, traps, barrier divergence and step-limit
-    /// exhaustion, with the same payloads as the tree-walker.
-    pub fn run_resumable(
-        &mut self,
-        mem: &mut dyn Memory,
-        math: &dyn MathLib,
-        pipes: &mut PipeHub,
-    ) -> Result<RunOutcome, ExecError> {
-        loop {
-            let mut any_running = false;
-            for item in 0..self.items.len() {
-                if matches!(self.items[item].status, BcStatus::Running | BcStatus::AtPipe) {
-                    any_running = true;
-                    self.run_item(item, mem, math, pipes)?;
-                }
-            }
-            let live: Vec<usize> =
-                (0..self.items.len()).filter(|&i| self.items[i].status != BcStatus::Done).collect();
-            if live.is_empty() {
-                return Ok(RunOutcome::Complete);
-            }
-            if live.iter().any(|&i| self.items[i].status == BcStatus::AtPipe) {
-                // A stalled pipe op cannot be released locally; hand
-                // control back to the co-scheduler.
-                return Ok(RunOutcome::Stalled);
-            }
-            // All live items are now suspended at barriers.
-            let pos = self.kernel.pos(self.items[live[0]].pc);
-            for &i in &live[1..] {
-                let p = self.kernel.pos(self.items[i].pc);
-                if p != pos {
-                    return Err(ExecError::BarrierDivergence { a: pos, b: p });
-                }
-            }
-            if !any_running {
-                // Defensive: should be unreachable, barrier release below
-                // always makes progress.
-                return Err(ExecError::Trap("scheduler made no progress".into()));
-            }
-            // Release the barrier: step every live item past it.
-            self.stats.barriers += 1;
-            for &i in &live {
-                let it = &mut self.items[i];
-                it.pc += 1;
-                it.status = BcStatus::Running;
-            }
-        }
-    }
-
-    /// Execute `item` until it retires, reaches a barrier or stalls on a
-    /// pipe.
-    fn run_item(
-        &mut self,
-        item: usize,
-        mem: &mut dyn Memory,
-        math: &dyn MathLib,
-        pipes: &mut PipeHub,
-    ) -> Result<(), ExecError> {
-        self.stats.item_phases += 1;
-        let code = &self.kernel.code[..];
-        let consts = &self.kernel.consts[..];
-        let stats = &mut self.stats;
-        let steps = &mut self.steps;
-        let step_limit = self.step_limit;
-        let shape = &self.shape;
-        let it = &mut self.items[item];
-        loop {
-            *steps += 1;
-            if *steps > step_limit {
-                return Err(ExecError::StepLimitExceeded);
-            }
-            match &code[it.pc] {
-                Op::Const { dst, idx } => {
-                    it.regs[*dst as usize] = consts[*idx as usize];
-                }
-                Op::Mov { dst, src } => {
-                    stats.ops.mov += 1;
-                    it.regs[*dst as usize] = it.regs[*src as usize];
-                }
-                Op::AddF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() + it.regs[*b as usize].as_f64();
-                    stats.ops.add64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::SubF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() - it.regs[*b as usize].as_f64();
-                    stats.ops.add64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::MulF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() * it.regs[*b as usize].as_f64();
-                    stats.ops.mul64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::DivF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() / it.regs[*b as usize].as_f64();
-                    stats.ops.div64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::MinF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64().min(it.regs[*b as usize].as_f64());
-                    stats.ops.minmax64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::MaxF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64().max(it.regs[*b as usize].as_f64());
-                    stats.ops.minmax64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::AddI64 { dst, a, b } => {
-                    let out =
-                        it.regs[*a as usize].as_i64().wrapping_add(it.regs[*b as usize].as_i64());
-                    stats.ops.int_alu += 1;
-                    it.regs[*dst as usize] = Value::I64(out);
-                }
-                Op::Bin { op, ty, dst, a, b } => {
-                    let (va, vb) = (it.regs[*a as usize], it.regs[*b as usize]);
-                    let out = eval_bin(*op, *ty, va, vb).map_err(ExecError::Trap)?;
-                    stats.ops.count_bin(*op, *ty);
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Un { op, ty, dst, a } => {
-                    let out = eval_un(*op, *ty, it.regs[*a as usize]);
-                    stats.ops.int_alu += 1;
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Cmp { op, ty, dst, a, b } => {
-                    let out = eval_cmp(*op, *ty, it.regs[*a as usize], it.regs[*b as usize]);
-                    stats.ops.cmp += 1;
-                    it.regs[*dst as usize] = Value::Bool(out);
-                }
-                Op::Select { ty, dst, cond, a, b } => {
-                    let out = if it.regs[*cond as usize].as_bool() {
-                        it.regs[*a as usize]
-                    } else {
-                        it.regs[*b as usize]
-                    };
-                    debug_assert_eq!(out.scalar_type(), Some(*ty));
-                    stats.ops.select += 1;
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Cast { dst, a, from, to } => {
-                    stats.ops.cast += 1;
-                    it.regs[*dst as usize] = eval_cast(it.regs[*a as usize], *from, *to);
-                }
-                Op::Call1 { func, ty, dst, a } => {
-                    let x = it.regs[*a as usize].as_f64();
-                    let out = match func {
-                        Builtin::Exp => math.exp64(x),
-                        Builtin::Log => math.log64(x),
-                        Builtin::Sqrt => math.sqrt64(x),
-                        Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
-                    };
-                    let out = if *ty == ScalarType::F32 {
-                        let x32 = x as f32;
-                        Value::F32(match func {
-                            Builtin::Exp => math.exp32(x32),
-                            Builtin::Log => math.log32(x32),
-                            Builtin::Sqrt => math.sqrt32(x32),
-                            Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
-                        })
-                    } else {
-                        Value::F64(out)
-                    };
-                    stats.ops.count_builtin(*func, *ty);
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Pow { ty, dst, a, b } => {
-                    let x = it.regs[*a as usize].as_f64();
-                    let y = it.regs[*b as usize].as_f64();
-                    let out = if *ty == ScalarType::F32 {
-                        Value::F32(math.pow32(x as f32, y as f32))
-                    } else {
-                        Value::F64(math.pow64(x, y))
-                    };
-                    stats.ops.count_builtin(Builtin::Pow, *ty);
-                    it.regs[*dst as usize] = out;
-                }
-                Op::WorkItem { query, dim, dst } => {
-                    let dim = *dim as usize;
-                    let out = match query {
-                        WiQuery::GlobalId => {
-                            shape.group_id[dim] * shape.local_size[dim] + it.lid[dim]
-                        }
-                        WiQuery::LocalId => it.lid[dim],
-                        WiQuery::GroupId => shape.group_id[dim],
-                        WiQuery::GlobalSize => shape.global_size[dim],
-                        WiQuery::LocalSize => shape.local_size[dim],
-                        WiQuery::NumGroups => shape.num_groups()[dim],
-                    };
-                    stats.ops.wi_query += 1;
-                    it.regs[*dst as usize] = Value::I64(out as i64);
-                }
-                Op::Gep { dst, base, index, elem } => {
-                    let p = it.regs[*base as usize].as_ptr();
-                    let idx = it.regs[*index as usize].as_i64();
-                    stats.ops.int_alu += 1;
-                    it.regs[*dst as usize] = Value::Ptr(p.offset_by(idx, *elem));
-                }
-                Op::Load { dst, ptr, ty } => {
-                    let p = it.regs[*ptr as usize].as_ptr();
-                    let v = if p.space == AddressSpace::Private {
-                        bc_private_load(&it.private, p, *ty)?
-                    } else {
-                        mem.load(p, *ty)?
-                    };
-                    stats.mem.count_load(p.space, ty.size_bytes());
-                    it.regs[*dst as usize] = v;
-                }
-                Op::Store { ptr, val, ty } => {
-                    let p = it.regs[*ptr as usize].as_ptr();
-                    let v = it.regs[*val as usize];
-                    debug_assert_eq!(v.scalar_type(), Some(*ty));
-                    if p.space == AddressSpace::Private {
-                        bc_private_store(&mut it.private, p, v)?;
-                    } else {
-                        mem.store(p, v)?;
-                    }
-                    stats.mem.count_store(p.space, ty.size_bytes());
-                }
-                Op::MulAddF64 { dst, a, b, c, c_first } => {
-                    // Second step for the fused add, as the walker pays.
-                    *steps += 1;
-                    if *steps > step_limit {
-                        return Err(ExecError::StepLimitExceeded);
-                    }
-                    let prod = it.regs[*a as usize].as_f64() * it.regs[*b as usize].as_f64();
-                    let cv = it.regs[*c as usize].as_f64();
-                    // Operand order mirrors the unfused source expression so
-                    // NaN payloads stay bit-identical to the tree-walker.
-                    #[allow(clippy::if_same_then_else)]
-                    let out = if *c_first { cv + prod } else { prod + cv };
-                    stats.ops.mul64 += 1;
-                    stats.ops.add64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::ChargeMov => {
-                    stats.ops.mov += 1;
-                }
-                Op::JumpThread { target, mid_block, block } => {
-                    // Step for the skipped block's jump, as the walker pays.
-                    *steps += 1;
-                    if *steps > step_limit {
-                        return Err(ExecError::StepLimitExceeded);
-                    }
-                    stats.block_execs[*mid_block as usize] += 1;
-                    stats.block_execs[*block as usize] += 1;
-                    it.pc = *target as usize;
-                    continue;
-                }
-                Op::Barrier => {
-                    it.status = BcStatus::AtBarrier;
-                    return Ok(());
-                }
-                Op::PipeRead { dst, pipe, ty } => {
-                    let p = it.regs[*pipe as usize].as_ptr();
-                    match pipes.try_read(p.buffer, *ty).map_err(ExecError::Trap)? {
-                        None => {
-                            stats.pipe_read_stalls += 1;
-                            it.status = BcStatus::AtPipe;
-                            return Ok(());
-                        }
-                        Some(bits) => {
-                            stats.pipe_reads += 1;
-                            it.regs[*dst as usize] = decode_scalar(*ty, bits);
-                        }
-                    }
-                    it.status = BcStatus::Running;
-                }
-                Op::PipeWrite { pipe, val, ty } => {
-                    let p = it.regs[*pipe as usize].as_ptr();
-                    let bits = encode_scalar(it.regs[*val as usize]);
-                    if !pipes.try_write(p.buffer, *ty, bits).map_err(ExecError::Trap)? {
-                        stats.pipe_write_stalls += 1;
-                        it.status = BcStatus::AtPipe;
-                        return Ok(());
-                    }
-                    stats.pipe_writes += 1;
-                    it.status = BcStatus::Running;
-                }
-                Op::Jump { target, block } => {
-                    stats.block_execs[*block as usize] += 1;
-                    it.pc = *target as usize;
-                    continue;
-                }
-                Op::Branch { cond, then_target, then_block, else_target, else_block } => {
-                    let (target, block) = if it.regs[*cond as usize].as_bool() {
-                        (*then_target, *then_block)
-                    } else {
-                        (*else_target, *else_block)
-                    };
-                    stats.block_execs[block as usize] += 1;
-                    it.pc = target as usize;
-                    continue;
-                }
-                Op::Return => {
-                    it.status = BcStatus::Done;
-                    return Ok(());
-                }
-            }
-            it.pc += 1;
-        }
-    }
-}
-
-/// Pack a scalar [`Value`] into a 64-bit register cell. Pointers live
-/// in a separate plane (see [`LanesRun`]).
-#[inline]
-fn encode_scalar(v: Value) -> u64 {
-    match v {
-        Value::Bool(b) => b as u64,
-        Value::I32(x) => x as u32 as u64,
-        Value::I64(x) => x as u64,
-        Value::F32(x) => x.to_bits() as u64,
-        Value::F64(x) => x.to_bits(),
-        Value::Ptr(_) => unreachable!("pointers live in the pointer plane"),
-    }
-}
-
-/// Unpack a 64-bit register cell back into a typed scalar [`Value`].
-#[inline]
-fn decode_scalar(ty: ScalarType, bits: u64) -> Value {
-    match ty {
-        ScalarType::Bool => Value::Bool(bits != 0),
-        ScalarType::I32 => Value::I32(bits as u32 as i32),
-        ScalarType::I64 => Value::I64(bits as i64),
-        ScalarType::F32 => Value::F32(f32::from_bits(bits as u32)),
-        ScalarType::F64 => Value::F64(f64::from_bits(bits)),
-    }
 }
 
 /// A SIMT group: lanes in lockstep at one pc. Lanes of a group share an
@@ -1264,31 +829,31 @@ fn lanes_i64_cmp(
 
 /// Lane-vectorized execution of one work-group over a [`CompiledKernel`].
 ///
-/// Where [`BytecodeRun`] dispatches every op once per work-item,
-/// `LanesRun` keeps a structure-of-arrays register file (`W` lanes per
-/// register, bit-packed `u64` cells for scalars, and a compact pointer
-/// plane with rows for the pointer-typed registers only) and dispatches
-/// each op *once per SIMT group*, running its
-/// inner loop across all live lanes. Control divergence splits a group;
-/// lanes that trap or reach a barrier are masked out and their outcome
+/// Where the tree-walker ([`crate::interp::WorkGroupRun`]) runs one
+/// work-item at a time, `LanesRun` keeps a structure-of-arrays register
+/// file (`W` lanes per register, bit-packed `u64` cells for scalars, and
+/// a compact pointer plane with rows for the pointer-typed registers
+/// only) and dispatches each op *once per SIMT group*, running its inner
+/// loop across all live lanes. Control divergence splits a group; lanes
+/// that trap or reach a barrier are masked out and their outcome
 /// recorded.
 ///
-/// Observational parity with the serial engines is maintained by
-/// construction:
+/// Observational parity with the walker, which it mirrors, is
+/// maintained by construction:
 ///
 /// - per-op statistics are charged once per executing lane, and the
 ///   shared step budget is settled at each phase end by replaying the
 ///   per-lane fetch counts in work-item order — so `StepLimitExceeded`
-///   vs. a real trap resolves exactly as in serial execution;
+///   vs. a real trap resolves exactly as in the walker's
+///   one-item-at-a-time execution;
 /// - argument binding, trap payloads, barrier divergence positions and
-///   the barrier-release protocol are shared with / mirrored from
-///   [`BytecodeRun`].
+///   the barrier-release protocol mirror the walker's.
 ///
 /// The one caveat is failed launches: lanes past a trapping work-item
 /// may already have executed (and written memory) in lockstep, where the
-/// serial engines would have stopped. Error values and successful runs
-/// are bit-identical for race-free kernels; partially-written buffers of
-/// a *failed* launch are not part of the contract on any engine.
+/// walker would have stopped. Error values and successful runs are
+/// bit-identical for race-free kernels; partially-written buffers of a
+/// *failed* launch are not part of the contract on either engine.
 pub struct LanesRun<'k> {
     kernel: &'k CompiledKernel,
     shape: GroupShape,
@@ -1319,7 +884,8 @@ pub struct LanesRun<'k> {
 
 impl<'k> LanesRun<'k> {
     /// Prepare a lane-vectorized run. Same contract (and error messages)
-    /// as [`BytecodeRun::new`].
+    /// as [`crate::interp::WorkGroupRun::new`]; `step_limit` of 0 selects
+    /// [`DEFAULT_STEP_LIMIT`].
     ///
     /// # Errors
     /// Returns [`ExecError::BadArgs`] if `args` does not match the
@@ -1351,7 +917,7 @@ impl<'k> LanesRun<'k> {
                     let row = kernel.ptr_row(r as u32) * w;
                     ptrs[row..row + w].fill(p)
                 }
-                v => cells[r * w..(r + 1) * w].fill(encode_scalar(v)),
+                v => cells[r * w..(r + 1) * w].fill(encode_value(v)),
             }
         }
         let mut stats = ExecStats::with_blocks(kernel.block_starts.len());
@@ -1392,8 +958,8 @@ impl<'k> LanesRun<'k> {
     ///
     /// # Errors
     /// Propagates memory errors, traps, barrier divergence and
-    /// step-limit exhaustion, with the same payloads as the serial
-    /// engines.
+    /// step-limit exhaustion, with the same payloads as the
+    /// tree-walker.
     pub fn run(&mut self, mem: &mut dyn Memory, math: &dyn MathLib) -> Result<(), ExecError> {
         let mut pipes = PipeHub::default();
         match self.run_resumable(mem, math, &mut pipes)? {
@@ -1410,8 +976,8 @@ impl<'k> LanesRun<'k> {
     ///
     /// # Errors
     /// Propagates memory errors, traps, barrier divergence and
-    /// step-limit exhaustion, with the same payloads as the serial
-    /// engines.
+    /// step-limit exhaustion, with the same payloads as the
+    /// tree-walker.
     pub fn run_resumable(
         &mut self,
         mem: &mut dyn Memory,
@@ -1557,7 +1123,7 @@ impl<'k> LanesRun<'k> {
                             }
                             v => {
                                 let d = *dst as usize * w;
-                                let bits = encode_scalar(v);
+                                let bits = encode_value(v);
                                 if contig {
                                     self.cells[d + lo..d + lo + n].fill(bits);
                                 } else {
@@ -1635,7 +1201,8 @@ impl<'k> LanesRun<'k> {
                             let y = f64::from_bits(cells[bi + i]);
                             let cv = f64::from_bits(cells[ci + i]);
                             let prod = x * y;
-                            // Same operand-order contract as the scalar engine.
+                            // Operand order mirrors the unfused source expression so
+                            // NaN payloads stay bit-identical to the tree-walker.
                             #[allow(clippy::if_same_then_else)]
                             let out = if cf { cv + prod } else { prod + cv };
                             cells[di + i] = out.to_bits();
@@ -1693,22 +1260,22 @@ impl<'k> LanesRun<'k> {
                             };
                             if trap_free {
                                 for &l in &g.lanes {
-                                    let va = decode_scalar(*ty, self.cells[idx(*a, l)]);
-                                    let vb = decode_scalar(*ty, self.cells[idx(*b, l)]);
+                                    let va = decode_value(*ty, self.cells[idx(*a, l)]);
+                                    let vb = decode_value(*ty, self.cells[idx(*b, l)]);
                                     let out = eval_bin(*op, *ty, va, vb).expect("trap-free bin op");
-                                    self.cells[idx(*dst, l)] = encode_scalar(out);
+                                    self.cells[idx(*dst, l)] = encode_value(out);
                                 }
                                 self.stats.ops.count_bins(*op, *ty, nl);
                             } else {
                                 let mut survivors = pool.pop().unwrap_or_default();
                                 survivors.clear();
                                 for &l in &g.lanes {
-                                    let va = decode_scalar(*ty, self.cells[idx(*a, l)]);
-                                    let vb = decode_scalar(*ty, self.cells[idx(*b, l)]);
+                                    let va = decode_value(*ty, self.cells[idx(*a, l)]);
+                                    let vb = decode_value(*ty, self.cells[idx(*b, l)]);
                                     match eval_bin(*op, *ty, va, vb) {
                                         Ok(out) => {
                                             self.stats.ops.count_bin(*op, *ty);
-                                            self.cells[idx(*dst, l)] = encode_scalar(out);
+                                            self.cells[idx(*dst, l)] = encode_value(out);
                                             survivors.push(l);
                                         }
                                         Err(msg) => {
@@ -1728,8 +1295,8 @@ impl<'k> LanesRun<'k> {
                     }
                     Op::Un { op, ty, dst, a } => {
                         for &l in &g.lanes {
-                            let out = eval_un(*op, *ty, decode_scalar(*ty, self.cells[idx(*a, l)]));
-                            self.cells[idx(*dst, l)] = encode_scalar(out);
+                            let out = eval_un(*op, *ty, decode_value(*ty, self.cells[idx(*a, l)]));
+                            self.cells[idx(*dst, l)] = encode_value(out);
                         }
                         self.stats.ops.int_alu += nl;
                     }
@@ -1747,8 +1314,8 @@ impl<'k> LanesRun<'k> {
                             }
                         } else {
                             for &l in &g.lanes {
-                                let va = decode_scalar(*ty, self.cells[idx(*a, l)]);
-                                let vb = decode_scalar(*ty, self.cells[idx(*b, l)]);
+                                let va = decode_value(*ty, self.cells[idx(*a, l)]);
+                                let vb = decode_value(*ty, self.cells[idx(*b, l)]);
                                 self.cells[idx(*dst, l)] = eval_cmp(*op, *ty, va, vb) as u64;
                             }
                         }
@@ -1786,15 +1353,15 @@ impl<'k> LanesRun<'k> {
                             }
                         } else {
                             for &l in &g.lanes {
-                                let v = decode_scalar(*from, self.cells[idx(*a, l)]);
-                                self.cells[idx(*dst, l)] = encode_scalar(eval_cast(v, *from, *to));
+                                let v = decode_value(*from, self.cells[idx(*a, l)]);
+                                self.cells[idx(*dst, l)] = encode_value(eval_cast(v, *from, *to));
                             }
                         }
                         self.stats.ops.cast += nl;
                     }
                     Op::Call1 { func, ty, dst, a } => {
                         for &l in &g.lanes {
-                            let x = decode_scalar(*ty, self.cells[idx(*a, l)]).as_f64();
+                            let x = decode_value(*ty, self.cells[idx(*a, l)]).as_f64();
                             let out = if *ty == ScalarType::F32 {
                                 let x32 = x as f32;
                                 (match func {
@@ -1819,8 +1386,8 @@ impl<'k> LanesRun<'k> {
                     }
                     Op::Pow { ty, dst, a, b } => {
                         for &l in &g.lanes {
-                            let x = decode_scalar(*ty, self.cells[idx(*a, l)]).as_f64();
-                            let y = decode_scalar(*ty, self.cells[idx(*b, l)]).as_f64();
+                            let x = decode_value(*ty, self.cells[idx(*a, l)]).as_f64();
+                            let y = decode_value(*ty, self.cells[idx(*b, l)]).as_f64();
                             let out = if *ty == ScalarType::F32 {
                                 math.pow32(x as f32, y as f32).to_bits() as u64
                             } else {
@@ -1937,7 +1504,7 @@ impl<'k> LanesRun<'k> {
                                 match res {
                                     Ok(v) => {
                                         self.stats.mem.count_load(p.space, len);
-                                        self.cells[idx(*dst, l)] = encode_scalar(v);
+                                        self.cells[idx(*dst, l)] = encode_value(v);
                                         survivors.push(l);
                                     }
                                     Err(err) => {
@@ -2006,7 +1573,7 @@ impl<'k> LanesRun<'k> {
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
                                 let p = self.ptrs[pidx(*ptr, l)];
-                                let v = decode_scalar(*ty, self.cells[idx(*val, l)]);
+                                let v = decode_value(*ty, self.cells[idx(*val, l)]);
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_store(&mut self.private[l * pb..(l + 1) * pb], p, v)
                                 } else {
@@ -2217,7 +1784,7 @@ impl<'k> LanesRun<'k> {
         }
         // Serial settlement (rare): replay per-lane fetch counts in
         // work-item order against the shared budget, exactly as the
-        // serial engines interleave them — deciding `StepLimitExceeded`
+        // walker interleaves them — deciding `StepLimitExceeded`
         // vs. a real trap per lane.
         let mut cum: u64 = 0;
         for &l in running {
@@ -2241,8 +1808,7 @@ impl<'k> LanesRun<'k> {
 }
 
 /// Check `args` against the kernel signature and bind them to values,
-/// with the exact error messages of the tree-walker. Shared by
-/// [`BytecodeRun`] and [`LanesRun`].
+/// with the exact error messages of the tree-walker.
 fn bind_args(kernel: &CompiledKernel, args: &[KernelArgValue]) -> Result<Vec<Value>, ExecError> {
     if args.len() != kernel.params.len() {
         return Err(ExecError::BadArgs(format!(
@@ -2314,22 +1880,18 @@ mod tests {
     use crate::interp::{GlobalArena, VecMemory, WorkGroupRun, WorkerMemory};
     use crate::mathlib::ExactMath;
 
-    /// Run `func` under all three engines over the same NDRange with
+    /// Run `func` on the walker and on lanes over the same NDRange with
     /// identically initialised memories; return each memory and stats.
-    #[allow(clippy::type_complexity)]
-    fn run_all(
+    fn run_both(
         func: &Function,
         global: usize,
         local: usize,
         init: impl Fn(&mut VecMemory) -> Vec<KernelArgValue>,
-    ) -> ((VecMemory, ExecStats), (VecMemory, ExecStats), (VecMemory, ExecStats)) {
+    ) -> ((VecMemory, ExecStats), (VecMemory, ExecStats)) {
         let compiled = CompiledKernel::compile(func);
         let mut walk_mem = VecMemory::new();
         let walk_args = init(&mut walk_mem);
         let mut walk_stats = ExecStats::with_blocks(func.blocks.len());
-        let mut bc_mem = VecMemory::new();
-        let bc_args = init(&mut bc_mem);
-        let mut bc_stats = ExecStats::with_blocks(func.blocks.len());
         let mut ln_mem = VecMemory::new();
         let ln_args = init(&mut ln_mem);
         let mut ln_stats = ExecStats::with_blocks(func.blocks.len());
@@ -2338,14 +1900,11 @@ mod tests {
             let mut w = WorkGroupRun::new(func, shape, &walk_args, 0).expect("walk args");
             w.run(&mut walk_mem, &ExactMath).expect("walk runs");
             walk_stats.merge(w.stats());
-            let mut b = BytecodeRun::new(&compiled, shape, &bc_args, 0).expect("bc args");
-            b.run(&mut bc_mem, &ExactMath).expect("bc runs");
-            bc_stats.merge(b.stats());
             let mut l = LanesRun::new(&compiled, shape, &ln_args, 0).expect("lanes args");
             l.run(&mut ln_mem, &ExactMath).expect("lanes runs");
             ln_stats.merge(l.stats());
         }
-        ((walk_mem, walk_stats), (bc_mem, bc_stats), (ln_mem, ln_stats))
+        ((walk_mem, walk_stats), (ln_mem, ln_stats))
     }
 
     /// Looping kernel with barrier, local exchange, math call and private
@@ -2407,23 +1966,21 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_and_lanes_match_walker_bit_for_bit() {
+    fn lanes_match_walker_bit_for_bit() {
         let func = busy_kernel();
-        let ((wm, ws), (bm, bs), (lm, ls)) = run_all(&func, 8, 4, |mem| {
+        let ((wm, ws), (lm, ls)) = run_both(&func, 8, 4, |mem| {
             let buf = mem.alloc_global(8 * 8);
             let l = mem.alloc_local(4 * 8);
             vec![KernelArgValue::GlobalBuffer(buf), KernelArgValue::LocalBuffer(l)]
         });
-        assert_eq!(wm.global_bytes(0), bm.global_bytes(0), "bit-identical bytecode buffers");
         assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "bit-identical lanes buffers");
-        assert_eq!(ws, bs, "identical bytecode ExecStats");
         assert_eq!(ws, ls, "identical lanes ExecStats (blocks, ops, mem, barriers, phases)");
         assert!(ws.barriers > 0 && ws.ops.transc64 > 0, "kernel actually exercised features");
     }
 
     #[test]
     fn trap_messages_match_walker() {
-        // out[0] = 1 / 0 (integer) — both engines must trap identically.
+        // out[0] = 1 / 0 (integer) — walker and lanes must trap identically.
         use crate::ir::BinOp;
         let mut b = FunctionBuilder::new("div0", true);
         let out = b.param("out", Type::ptr(AddressSpace::Global, ScalarType::F64));
@@ -2444,14 +2001,7 @@ mod tests {
         let mut w = WorkGroupRun::new(&func, shape, &[KernelArgValue::GlobalBuffer(wbuf)], 0)
             .expect("args");
         let werr = w.run(&mut wm, &ExactMath).expect_err("walker traps");
-
-        let mut bm = VecMemory::new();
-        let bbuf = bm.alloc_global(8);
-        let mut bc = BytecodeRun::new(&compiled, shape, &[KernelArgValue::GlobalBuffer(bbuf)], 0)
-            .expect("args");
-        let berr = bc.run(&mut bm, &ExactMath).expect_err("bytecode traps");
-        assert_eq!(werr.to_string(), berr.to_string());
-        assert!(berr.to_string().contains("integer division by zero"));
+        assert!(werr.to_string().contains("integer division by zero"));
 
         let mut lm = VecMemory::new();
         let lbuf = lm.alloc_global(8);
@@ -2484,29 +2034,21 @@ mod tests {
         let compiled = CompiledKernel::compile(&func);
         let shape = GroupShape::linear(2, 2, 0);
 
-        let run_engine = |which: u8| -> ExecError {
+        let run_engine = |lanes: bool| -> ExecError {
             let mut mem = VecMemory::new();
             let buf = mem.alloc_global(8);
             let args = [KernelArgValue::GlobalBuffer(buf)];
-            match which {
-                0 => {
-                    let mut r = WorkGroupRun::new(&func, shape, &args, 0).expect("args");
-                    r.run(&mut mem, &ExactMath).expect_err("diverges")
-                }
-                1 => {
-                    let mut r = BytecodeRun::new(&compiled, shape, &args, 0).expect("args");
-                    r.run(&mut mem, &ExactMath).expect_err("diverges")
-                }
-                _ => {
-                    let mut r = LanesRun::new(&compiled, shape, &args, 0).expect("args");
-                    r.run(&mut mem, &ExactMath).expect_err("diverges")
-                }
+            if lanes {
+                let mut r = LanesRun::new(&compiled, shape, &args, 0).expect("args");
+                r.run(&mut mem, &ExactMath).expect_err("diverges")
+            } else {
+                let mut r = WorkGroupRun::new(&func, shape, &args, 0).expect("args");
+                r.run(&mut mem, &ExactMath).expect_err("diverges")
             }
         };
-        let (we, be, le) = (run_engine(0), run_engine(1), run_engine(2));
-        assert_eq!(we.to_string(), be.to_string(), "same (block, inst) positions reported");
-        assert_eq!(we.to_string(), le.to_string(), "lanes reports the same positions");
-        assert!(matches!(be, ExecError::BarrierDivergence { .. }));
+        let (we, le) = (run_engine(false), run_engine(true));
+        assert_eq!(we.to_string(), le.to_string(), "same (block, inst) positions reported");
+        assert!(matches!(le, ExecError::BarrierDivergence { .. }));
     }
 
     #[test]
@@ -2522,7 +2064,7 @@ mod tests {
         let shape = GroupShape::linear(1, 1, 0);
         let mut mem = VecMemory::new();
         let buf = mem.alloc_global(8);
-        let mut r = BytecodeRun::new(&compiled, shape, &[KernelArgValue::GlobalBuffer(buf)], 500)
+        let mut r = WorkGroupRun::new(&func, shape, &[KernelArgValue::GlobalBuffer(buf)], 500)
             .expect("args");
         assert!(matches!(r.run(&mut mem, &ExactMath), Err(ExecError::StepLimitExceeded)));
         let mut r = LanesRun::new(&compiled, shape, &[KernelArgValue::GlobalBuffer(buf)], 500)
@@ -2542,18 +2084,13 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("walker accepted bad args"),
         };
-        let bc_err = match BytecodeRun::new(&compiled, shape, &[], 0) {
-            Err(e) => e,
-            Ok(_) => panic!("bytecode accepted bad args"),
-        };
-        assert_eq!(walker_err.to_string(), bc_err.to_string());
         let lanes_err = match LanesRun::new(&compiled, shape, &[], 0) {
             Err(e) => e,
             Ok(_) => panic!("lanes accepted bad args"),
         };
         assert_eq!(walker_err.to_string(), lanes_err.to_string());
         assert!(matches!(
-            BytecodeRun::new(&compiled, shape, &[KernelArgValue::Scalar(Value::F64(1.0))], 0),
+            LanesRun::new(&compiled, shape, &[KernelArgValue::Scalar(Value::F64(1.0))], 0),
             Err(ExecError::BadArgs(_))
         ));
     }
@@ -2594,7 +2131,7 @@ mod tests {
     }
 
     /// `out[0] = x*y + z` with the product dead after the add: the
-    /// peephole must fuse it, and all engines must agree bit-for-bit on
+    /// peephole must fuse it, and walker and lanes must agree bit-for-bit on
     /// result and stats (the fused op charges the unfused costs).
     fn muladd_kernel(c_first: bool) -> Function {
         use crate::ir::BinOp;
@@ -2621,13 +2158,12 @@ mod tests {
                 compiled.to_string().contains("muladd.double"),
                 "mul+add pair fused (c_first={c_first})"
             );
-            let ((wm, ws), (bm, bs), (lm, ls)) =
-                run_all(&func, 1, 1, |mem| vec![KernelArgValue::GlobalBuffer(mem.alloc_global(8))]);
+            let ((wm, ws), (lm, ls)) = run_both(&func, 1, 1, |mem| {
+                vec![KernelArgValue::GlobalBuffer(mem.alloc_global(8))]
+            });
             assert_eq!(wm.read_f64(0, 0), 22.0);
-            assert_eq!(wm.global_bytes(0), bm.global_bytes(0));
             assert_eq!(wm.global_bytes(0), lm.global_bytes(0));
-            assert_eq!(ws, bs, "fused op charges exactly the unfused mul+add");
-            assert_eq!(ws, ls);
+            assert_eq!(ws, ls, "fused op charges exactly the unfused mul+add");
         }
     }
 
@@ -2676,12 +2212,10 @@ mod tests {
         let dump = compiled.to_string();
         assert!(dump.contains("mov (self, elided)"), "self-move becomes a charge op");
         assert!(dump.contains("(b1 -> b2)"), "jump threaded through the hop block");
-        let ((wm, ws), (bm, bs), (lm, ls)) =
-            run_all(&func, 2, 2, |mem| vec![KernelArgValue::GlobalBuffer(mem.alloc_global(16))]);
-        assert_eq!(wm.global_bytes(0), bm.global_bytes(0));
+        let ((wm, ws), (lm, ls)) =
+            run_both(&func, 2, 2, |mem| vec![KernelArgValue::GlobalBuffer(mem.alloc_global(16))]);
         assert_eq!(wm.global_bytes(0), lm.global_bytes(0));
-        assert_eq!(ws, bs, "elided/threaded ops charge walker-identical stats");
-        assert_eq!(ws, ls);
+        assert_eq!(ws, ls, "elided/threaded ops charge walker-identical stats");
         assert!(ws.ops.mov >= 4, "both movs charged on both items");
         assert_eq!(ws.block_execs[1], 2, "threaded-through block still charged");
     }
@@ -2692,7 +2226,7 @@ mod tests {
         // run under several group sizes to cross group boundaries.
         let func = busy_kernel();
         for local in [1, 2, 8] {
-            let ((wm, ws), _, (lm, ls)) = run_all(&func, 8, local, |mem| {
+            let ((wm, ws), (lm, ls)) = run_both(&func, 8, local, |mem| {
                 let buf = mem.alloc_global(8 * 8);
                 let l = mem.alloc_local(local * 8);
                 vec![KernelArgValue::GlobalBuffer(buf), KernelArgValue::LocalBuffer(l)]
@@ -2706,7 +2240,6 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Engine {
         Walk,
-        Bytecode,
         Lanes,
     }
 
@@ -2723,10 +2256,6 @@ mod tests {
         let (outcome, stats) = match engine {
             Engine::Walk => {
                 let mut r = WorkGroupRun::new(func, shape, args, 0)?;
-                (r.run_resumable(mem, &ExactMath, pipes)?, r.into_stats())
-            }
-            Engine::Bytecode => {
-                let mut r = BytecodeRun::new(compiled, shape, args, 0)?;
                 (r.run_resumable(mem, &ExactMath, pipes)?, r.into_stats())
             }
             Engine::Lanes => {
@@ -2927,7 +2456,7 @@ mod tests {
             for flip in [0, 1] {
                 for (bad_local, bad_private) in bads {
                     let mut outcomes = Vec::new();
-                    for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+                    for engine in [Engine::Walk, Engine::Lanes] {
                         for workers in [1, 4] {
                             let mut arena = GlobalArena::new();
                             let out = arena.alloc(global * 8);

@@ -807,7 +807,7 @@ impl<'f> WorkGroupRun<'f> {
     /// ([`RunOutcome::Stalled`]). A stalled run may be resumed by calling
     /// this again once the peer kernel has moved the FIFO; every failed
     /// resume attempt costs one step and one stall count, identically in
-    /// all engines.
+    /// both engines.
     ///
     /// # Errors
     /// Propagates memory errors, traps, barrier divergence and step-limit

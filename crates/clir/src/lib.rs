@@ -5,9 +5,9 @@
 //! together with
 //!
 //! * a work-group **interpreter** with faithful barrier suspension semantics
-//!   ([`interp`]), and a compiled **bytecode engine** ([`bytecode`]) that is
-//!   bit-identical to it but replaces tree-walking with a linear dispatch
-//!   loop,
+//!   ([`interp`]), kept as the reference oracle, and a compiled
+//!   **bytecode engine** ([`bytecode`]) that is bit-identical to it but
+//!   runs a linear op stream once per SIMT group of lockstep work-items,
 //! * an optimizing **pass pipeline** ([`passes`]: constant folding, DCE,
 //!   local CSE, branch simplification) standing in for the scalar cleanups
 //!   of the offline `aoc` compiler,

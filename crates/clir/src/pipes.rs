@@ -11,18 +11,19 @@
 //! scheduler detect deadlock deterministically: a full resume round with
 //! no new successful op can never unblock.
 //!
-//! Element values are stored bit-packed in 64-bit cells (the same
-//! encoding as the bytecode engines), so FIFO contents are engine
-//! independent by construction.
+//! Element values are stored bit-packed in 64-bit cells (the encoding
+//! the lanes engine also uses for its registers), so FIFO contents are
+//! engine independent by construction.
 
 use std::collections::VecDeque;
 
 use crate::types::ScalarType;
 use crate::value::Value;
 
-/// Pack a scalar [`Value`] into a 64-bit FIFO cell. The encoding is the
-/// same one the bytecode engines use for register cells, so a value
-/// written by any engine reads back identically in every other.
+/// Pack a scalar [`Value`] into a 64-bit FIFO cell. The lanes engine
+/// packs its register cells with the same function, so a value written
+/// by either engine reads back identically in the other.
+#[inline]
 pub fn encode_value(v: Value) -> u64 {
     match v {
         Value::Bool(b) => b as u64,
@@ -30,11 +31,12 @@ pub fn encode_value(v: Value) -> u64 {
         Value::I64(x) => x as u64,
         Value::F32(x) => x.to_bits() as u64,
         Value::F64(x) => x.to_bits(),
-        Value::Ptr(_) => unreachable!("pointers cannot travel through pipes"),
+        Value::Ptr(_) => unreachable!("pointers have no cell encoding"),
     }
 }
 
 /// Unpack a 64-bit FIFO cell back into a typed scalar [`Value`].
+#[inline]
 pub fn decode_value(ty: ScalarType, bits: u64) -> Value {
     match ty {
         ScalarType::Bool => Value::Bool(bits != 0),

@@ -5,11 +5,11 @@
 //! `Pipeline::for_build` with and without CSE, and checks that the
 //! optimised module verifies, that the kernel does not grow, and that
 //! the tree-walking interpreter on the original, the tree-walker on the
-//! optimised IR and the bytecode engine on the optimised IR produce
-//! byte-identical output buffers.
+//! optimised IR and the lanes engine (the production engine) on the
+//! optimised IR produce byte-identical output buffers.
 
 use bop_clir::builder::FunctionBuilder;
-use bop_clir::bytecode::{BytecodeRun, CompiledKernel};
+use bop_clir::bytecode::{CompiledKernel, LanesRun};
 use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
 use bop_clir::ir::{BinOp, Builtin, Function, Module, RegId};
 use bop_clir::mathlib::ExactMath;
@@ -107,19 +107,17 @@ fn random_kernel(rng: &mut SplitMix64) -> Function {
 const GLOBAL: usize = 8;
 const LOCAL: usize = 4;
 
-/// Run `func` over the full NDRange on the tree-walker (`bytecode:
-/// false`) or the bytecode engine; return the output buffer bytes.
-fn run(func: &Function, bytecode: bool) -> Vec<u8> {
+/// Run `func` over the full NDRange on the tree-walker (`lanes: false`)
+/// or the lanes engine; return the output buffer bytes.
+fn run(func: &Function, lanes: bool) -> Vec<u8> {
     let compiled = CompiledKernel::compile(func);
     let mut mem = VecMemory::new();
     let buf = mem.alloc_global(GLOBAL * 8);
     let args = vec![KernelArgValue::GlobalBuffer(buf)];
     for group in 0..GLOBAL / LOCAL {
         let shape = GroupShape::linear(GLOBAL, LOCAL, group);
-        let ran = if bytecode {
-            BytecodeRun::new(&compiled, shape, &args, 0)
-                .expect("args bind")
-                .run(&mut mem, &ExactMath)
+        let ran = if lanes {
+            LanesRun::new(&compiled, shape, &args, 0).expect("args bind").run(&mut mem, &ExactMath)
         } else {
             WorkGroupRun::new(func, shape, &args, 0).expect("args bind").run(&mut mem, &ExactMath)
         };
@@ -145,7 +143,7 @@ fn build_pipelines_preserve_straight_line_semantics() {
             assert!(opt.inst_count() <= func.inst_count(), "{what} grew the function");
             assert!(!report.passes.is_empty(), "{what} reports its passes");
             assert_eq!(run(opt, false), reference, "walker on optimised IR diverges: {what}");
-            assert_eq!(run(opt, true), reference, "bytecode on optimised IR diverges: {what}");
+            assert_eq!(run(opt, true), reference, "lanes on optimised IR diverges: {what}");
         }
     }
 }

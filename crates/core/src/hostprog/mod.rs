@@ -20,6 +20,14 @@ use bop_finance::types::OptionParams;
 use bop_ocl::queue::RuntimeError;
 use bop_ocl::{Buffer, CommandQueue};
 
+/// Reject an empty batch, which no host program can price.
+pub(crate) fn require_options(options: &[OptionParams]) -> Result<(), RuntimeError> {
+    if options.is_empty() {
+        return Err(RuntimeError::Invalid("empty batch".into()));
+    }
+    Ok(())
+}
+
 /// Byte width of the kernel's `REAL` type.
 pub(crate) fn real_width(precision: Precision) -> usize {
     match precision {
@@ -121,5 +129,55 @@ mod tests {
         assert!(v.iter().all(|&x| x >= 0.0));
         assert_eq!(v[0], 0.0, "deep OTM call leaf is worthless");
         assert!(v[64] > 0.0, "deep ITM call leaf has value");
+    }
+
+    /// Every host program answers a malformed batch with a typed
+    /// [`RuntimeError::Invalid`] before it enqueues anything, instead of
+    /// panicking.
+    #[test]
+    fn malformed_batches_are_typed_errors_not_panics() {
+        use crate::KernelArch;
+        use bop_finance::payoff::Payoff;
+        use bop_ocl::queue::QueueCounters;
+        use bop_ocl::{BuildOptions, Context, Program};
+
+        let (n_steps, precision) = (16, Precision::Double);
+        let ctx = Context::new(crate::devices::fpga());
+        let queue = CommandQueue::new(&ctx);
+        let build = |arch: KernelArch| {
+            let source = arch.source_sized(precision, n_steps);
+            Program::from_source(&ctx, "k.cl", &source, &BuildOptions::default()).expect("builds")
+        };
+        let (iva, ivb, ivc) = (
+            build(KernelArch::Straightforward),
+            build(KernelArch::Bermudan),
+            build(KernelArch::Streaming),
+        );
+        let iva_host = straightforward::StraightforwardHost { n_steps, precision, read_full: true };
+        let ivb_host = optimized::OptimizedHost {
+            n_steps,
+            precision,
+            host_leaves: false,
+            kernel_name: KernelArch::Bermudan.kernel_name(),
+        };
+        let ivc_host = streaming::StreamingHost { n_steps, precision };
+        let one = [OptionParams::example()];
+        let two_payoffs = [Payoff::Bermudan { exercise_every: 2 }; 2];
+        for (host, what, result) in [
+            ("IV.A", "empty batch", iva_host.run(&ctx, &queue, &iva, &[])),
+            ("IV.B", "empty batch", ivb_host.run(&ctx, &queue, &ivb, &[])),
+            ("IV.B", "empty batch", ivb_host.run_payoffs(&ctx, &queue, &ivb, &[], &[])),
+            ("IV.B", "payoff count", ivb_host.run_payoffs(&ctx, &queue, &ivb, &one, &two_payoffs)),
+            ("IV.B", "payoff count", ivb_host.run_payoffs(&ctx, &queue, &ivb, &one, &[])),
+            ("IV.C", "empty batch", ivc_host.run(&ctx, &queue, &ivc, &[])),
+        ] {
+            match result {
+                Err(RuntimeError::Invalid(msg)) => {
+                    assert!(msg.contains(what), "{host}: `{msg}` should name the {what}")
+                }
+                other => panic!("{host}: {what} gave {other:?}, not RuntimeError::Invalid"),
+            }
+        }
+        assert_eq!(queue.counters(), QueueCounters::default(), "nothing was enqueued");
     }
 }

@@ -10,7 +10,9 @@
 //! direction, or the Bermudan exercise spacing) ride along in the same
 //! transfer.
 
-use super::{leaf_assets, option_coefficients, read_reals, real_width, write_reals};
+use super::{
+    leaf_assets, option_coefficients, read_reals, real_width, require_options, write_reals,
+};
 use bop_cpu::Precision;
 use bop_finance::payoff::Payoff;
 use bop_finance::types::OptionParams;
@@ -50,10 +52,11 @@ impl OptimizedHost {
     /// returning prices in input order.
     ///
     /// # Errors
-    /// Propagates runtime errors from the queue (capacity, execution).
+    /// Returns [`RuntimeError::Invalid`] if `options` is empty, and
+    /// propagates runtime errors from the queue (capacity, execution).
     ///
     /// # Panics
-    /// Panics if `options` is empty or any option is invalid.
+    /// Panics if any option is invalid.
     pub fn run(
         &self,
         ctx: &Arc<Context>,
@@ -69,11 +72,12 @@ impl OptimizedHost {
     /// values; returns prices in input order.
     ///
     /// # Errors
-    /// Propagates runtime errors from the queue (capacity, execution).
+    /// Returns [`RuntimeError::Invalid`] if the batch is empty or the
+    /// lengths differ, and propagates runtime errors from the queue
+    /// (capacity, execution).
     ///
     /// # Panics
-    /// Panics if the batch is empty, the lengths differ, or any option
-    /// is invalid.
+    /// Panics if any option is invalid.
     pub fn run_payoffs(
         &self,
         ctx: &Arc<Context>,
@@ -82,7 +86,13 @@ impl OptimizedHost {
         options: &[OptionParams],
         payoffs: &[Payoff],
     ) -> Result<Vec<f64>, RuntimeError> {
-        assert_eq!(options.len(), payoffs.len(), "one payoff per option");
+        if options.len() != payoffs.len() {
+            return Err(RuntimeError::Invalid(format!(
+                "payoff count {} does not match the {} options",
+                payoffs.len(),
+                options.len()
+            )));
+        }
         self.run_inner(ctx, queue, program, options, Some(payoffs))
     }
 
@@ -94,7 +104,7 @@ impl OptimizedHost {
         options: &[OptionParams],
         payoffs: Option<&[Payoff]>,
     ) -> Result<Vec<f64>, RuntimeError> {
-        assert!(!options.is_empty(), "empty batch");
+        require_options(options)?;
         let span =
             queue.begin_span(&format!("IV.B {} ({} options)", self.kernel_name, options.len()));
         let result = self.commands(ctx, queue, program, options, payoffs);

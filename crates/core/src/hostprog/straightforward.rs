@@ -14,7 +14,10 @@
 //! level-`t` row computed at batch `b + N - 1 - t`, and its root exits at
 //! batch `b + N - 1`.
 
-use super::{leaf_assets, leaf_values, option_coefficients, read_reals, real_width, write_reals};
+use super::{
+    leaf_assets, leaf_values, option_coefficients, read_reals, real_width, require_options,
+    write_reals,
+};
 use bop_cpu::Precision;
 use bop_finance::types::OptionParams;
 use bop_ocl::device::Dispatch;
@@ -43,10 +46,11 @@ impl StraightforwardHost {
     /// Price `options`, returning prices in input order.
     ///
     /// # Errors
-    /// Propagates runtime errors from the queue.
+    /// Returns [`RuntimeError::Invalid`] if `options` is empty, and
+    /// propagates runtime errors from the queue.
     ///
     /// # Panics
-    /// Panics if `options` is empty or any option is invalid.
+    /// Panics if any option is invalid.
     pub fn run(
         &self,
         ctx: &Arc<Context>,
@@ -54,7 +58,7 @@ impl StraightforwardHost {
         program: &Program,
         options: &[OptionParams],
     ) -> Result<Vec<f64>, RuntimeError> {
-        assert!(!options.is_empty(), "empty batch");
+        require_options(options)?;
         let span = queue.begin_span(&format!("IV.A pipeline ({} options)", options.len()));
         let result = self.run_inner(ctx, queue, program, options);
         queue.end_span(span);

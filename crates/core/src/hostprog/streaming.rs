@@ -6,7 +6,7 @@
 //! nothing in between. There is no leaves buffer and no per-level
 //! command: every tree level lives and dies device-resident.
 
-use super::{option_coefficients, read_reals, real_width, write_reals};
+use super::{option_coefficients, read_reals, real_width, require_options, write_reals};
 use crate::kernels::KernelArch;
 use bop_clir::types::ScalarType;
 use bop_cpu::Precision;
@@ -35,11 +35,12 @@ impl StreamingHost {
     /// Price `options`, returning prices in input order.
     ///
     /// # Errors
-    /// Propagates runtime errors from the queue (capacity, execution,
+    /// Returns [`RuntimeError::Invalid`] if `options` is empty, and
+    /// propagates runtime errors from the queue (capacity, execution,
     /// pipe deadlock).
     ///
     /// # Panics
-    /// Panics if `options` is empty or any option is invalid.
+    /// Panics if any option is invalid.
     pub fn run(
         &self,
         ctx: &Arc<Context>,
@@ -47,7 +48,7 @@ impl StreamingHost {
         program: &Program,
         options: &[OptionParams],
     ) -> Result<Vec<f64>, RuntimeError> {
-        assert!(!options.is_empty(), "empty batch");
+        require_options(options)?;
         let span = queue.begin_span(&format!("IV.C streaming ({} options)", options.len()));
         let result = self.run_inner(ctx, queue, program, options);
         queue.end_span(span);

@@ -373,35 +373,35 @@ mod tests {
 
     #[test]
     fn results_are_bit_identical_across_engines_and_worker_counts() {
-        let runs: Vec<Vec<RiskResult>> = [
+        let matrix = [
             (bop_ocl::Engine::Walk, 1),
-            (bop_ocl::Engine::Bytecode, 1),
-            (bop_ocl::Engine::Bytecode, 4),
+            (bop_ocl::Engine::Walk, 4),
             (bop_ocl::Engine::Lanes, 1),
             (bop_ocl::Engine::Lanes, 4),
-        ]
-        .into_iter()
-        .map(|(engine, workers)| {
-            let mut config = AcceleratorConfig::new(crate::devices::gpu());
-            config.n_steps = 32;
-            config.engine = Some(engine);
-            config.workers = Some(workers);
-            let suite = PayoffSuite::from_config(config).expect("builds");
-            let reqs: Vec<RiskRequest> = all_payoffs()
-                .into_iter()
-                .map(|p| RiskRequest::with_greeks(OptionParams::example(), p))
-                .collect();
-            reqs.iter()
-                .map(|r| {
-                    let (results, _) = suite.price_risk(std::slice::from_ref(r)).expect("prices");
-                    results[0]
-                })
-                .collect()
-        })
-        .collect();
-        assert_eq!(runs[0], runs[1], "walk vs bytecode");
-        assert_eq!(runs[1], runs[2], "1 vs 4 workers");
-        assert_eq!(runs[0], runs[3], "walk vs lanes");
-        assert_eq!(runs[3], runs[4], "lanes: 1 vs 4 workers");
+        ];
+        let runs: Vec<Vec<RiskResult>> = matrix
+            .into_iter()
+            .map(|(engine, workers)| {
+                let mut config = AcceleratorConfig::new(crate::devices::gpu());
+                config.n_steps = 32;
+                config.engine = Some(engine);
+                config.workers = Some(workers);
+                let suite = PayoffSuite::from_config(config).expect("builds");
+                let reqs: Vec<RiskRequest> = all_payoffs()
+                    .into_iter()
+                    .map(|p| RiskRequest::with_greeks(OptionParams::example(), p))
+                    .collect();
+                reqs.iter()
+                    .map(|r| {
+                        let (results, _) =
+                            suite.price_risk(std::slice::from_ref(r)).expect("prices");
+                        results[0]
+                    })
+                    .collect()
+            })
+            .collect();
+        for ((engine, workers), run) in matrix.iter().zip(&runs).skip(1) {
+            assert_eq!(*run, runs[0], "{engine} on {workers} worker(s) vs walk on 1");
+        }
     }
 }

@@ -17,8 +17,8 @@
 //! Programs are optimised by the runtime pass pipeline and flattened to
 //! register bytecode at build time; launches execute it on the
 //! lane-vectorized engine by default ([`queue::Engine`],
-//! `BOP_SIM_ENGINE`), with the tree-walking interpreter available as the
-//! bit-identical reference.
+//! `BOP_SIM_ENGINE=walk|lanes`). The tree-walking interpreter is the
+//! one other engine, kept as the bit-identical reference oracle.
 //!
 //! For paper-scale workloads (10^9 tree nodes) functional interpretation is
 //! replaced by a caller-supplied statistics model

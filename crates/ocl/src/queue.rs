@@ -13,7 +13,7 @@ use crate::context::{Buffer, Context};
 use crate::device::Dispatch;
 use crate::faults::{FaultDecision, FaultPlan, FaultSite, FaultState, InjectedFault};
 use crate::program::{Kernel, KernelArg};
-use bop_clir::bytecode::{BytecodeRun, CompiledKernel, LanesRun};
+use bop_clir::bytecode::{CompiledKernel, LanesRun};
 use bop_clir::interp::WorkerMemory;
 use bop_clir::interp::{
     pipe_deadlock_trap, ExecError, GlobalArena, GroupShape, KernelArgValue, RunOutcome,
@@ -30,18 +30,22 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-/// Which kernel execution engine an NDRange launch uses. All engines are
-/// bit-identical — same prices, statistics, counters, traces and error
-/// messages; bytecode and lanes are simply faster wall-clock. Lanes is
-/// the default. Every kernel of a built program has bytecode, so each
-/// engine always runs as selected.
+/// Which kernel execution engine an NDRange launch uses. Both engines
+/// are bit-identical — same prices, statistics, counters, traces and
+/// error messages; lanes is simply faster wall-clock, and the default.
+/// Every kernel of a built program has bytecode, so each engine always
+/// runs as selected.
+// The hidden variant is a deprecated alias, not a `#[non_exhaustive]`
+// marker, so the lint that reads it as one does not apply.
+#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The `bop-clir` tree-walking interpreter ([`WorkGroupRun`]) — the
-    /// reference engine.
+    /// reference engine, kept as the oracle.
     Walk,
-    /// The compiled register-bytecode engine ([`BytecodeRun`]), one
-    /// work-item at a time.
+    /// Runs on lanes; kept only so existing callers still compile.
+    #[deprecated(note = "the scalar bytecode engine is gone; this runs on `Engine::Lanes`")]
+    #[doc(hidden)]
     Bytecode,
     /// The lane-vectorized bytecode engine ([`LanesRun`]), the default:
     /// each op dispatches once per SIMT group and executes across all
@@ -54,6 +58,7 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Engine::Walk => "walk",
+            #[allow(deprecated)]
             Engine::Bytecode => "bytecode",
             Engine::Lanes => "lanes",
         })
@@ -61,12 +66,10 @@ impl fmt::Display for Engine {
 }
 
 /// Parse an engine name as accepted by `BOP_SIM_ENGINE`: `walk` (or
-/// `tree`), `bytecode` (or `bc`), and `lanes` (or `simd`),
-/// case-insensitive.
+/// `tree`) and `lanes` (or `simd`), case-insensitive.
 pub fn parse_engine(s: &str) -> Option<Engine> {
     match s.trim().to_ascii_lowercase().as_str() {
         "walk" | "tree" => Some(Engine::Walk),
-        "bytecode" | "bc" => Some(Engine::Bytecode),
         "lanes" | "simd" => Some(Engine::Lanes),
         _ => None,
     }
@@ -414,7 +417,7 @@ impl CommandQueue {
 
     /// Select the kernel execution engine for NDRange launches (default:
     /// `BOP_SIM_ENGINE`, else the lanes engine). Purely a wall-clock
-    /// knob: all engines produce bit-identical results, statistics,
+    /// knob: both engines produce bit-identical results, statistics,
     /// counters, traces and errors.
     pub fn set_engine(&self, engine: Engine) {
         *self.engine.lock().unwrap() = engine;
@@ -1271,7 +1274,6 @@ impl CommandQueue {
 /// place an engine maps to its runner.
 enum GroupRun<'a> {
     Walk(WorkGroupRun<'a>),
-    Bytecode(BytecodeRun<'a>),
     Lanes(LanesRun<'a>),
 }
 
@@ -1286,17 +1288,16 @@ impl<'a> GroupRun<'a> {
     ) -> Result<GroupRun<'a>, ExecError> {
         Ok(match engine {
             Engine::Walk => GroupRun::Walk(WorkGroupRun::new(func, shape, args, step_limit)?),
-            Engine::Bytecode => {
-                GroupRun::Bytecode(BytecodeRun::new(compiled, shape, args, step_limit)?)
+            #[allow(deprecated)]
+            Engine::Lanes | Engine::Bytecode => {
+                GroupRun::Lanes(LanesRun::new(compiled, shape, args, step_limit)?)
             }
-            Engine::Lanes => GroupRun::Lanes(LanesRun::new(compiled, shape, args, step_limit)?),
         })
     }
 
     fn run(&mut self, mem: &mut WorkerMemory, math: &dyn MathLib) -> Result<(), ExecError> {
         match self {
             GroupRun::Walk(r) => r.run(mem, math),
-            GroupRun::Bytecode(r) => r.run(mem, math),
             GroupRun::Lanes(r) => r.run(mem, math),
         }
     }
@@ -1309,7 +1310,6 @@ impl<'a> GroupRun<'a> {
     ) -> Result<RunOutcome, ExecError> {
         match self {
             GroupRun::Walk(r) => r.run_resumable(mem, math, hub),
-            GroupRun::Bytecode(r) => r.run_resumable(mem, math, hub),
             GroupRun::Lanes(r) => r.run_resumable(mem, math, hub),
         }
     }
@@ -1317,7 +1317,6 @@ impl<'a> GroupRun<'a> {
     fn stats(&self) -> &ExecStats {
         match self {
             GroupRun::Walk(r) => r.stats(),
-            GroupRun::Bytecode(r) => r.stats(),
             GroupRun::Lanes(r) => r.stats(),
         }
     }
@@ -1411,7 +1410,7 @@ fn run_graph(
 /// sequential loop would have hit first.
 ///
 /// Each group runs on the selected [`Engine`] (see [`GroupRun::new`]).
-/// All engines are bit-identical, so the choice never changes results or
+/// Both engines are bit-identical, so the choice never changes results or
 /// statistics.
 #[allow(clippy::too_many_arguments)]
 fn interpret_groups(
@@ -1918,7 +1917,7 @@ mod tests {
     #[test]
     fn spurious_traps_kill_launches_on_all_engines() {
         use crate::faults::{FaultPlan, FaultSites};
-        for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             let (ctx, q, p) = setup("__kernel void k(__global double* io) {}");
             q.set_engine(engine);
             q.set_fault_plan(FaultPlan::new(1.0, 5).with_sites(FaultSites {
@@ -1989,7 +1988,8 @@ mod tests {
     fn each_engine_runs_on_its_own_runner() {
         // The engines are bit-identical, so only this test notices an
         // engine routed to another engine's runner (say, the reference
-        // walker silently replaced by lanes).
+        // walker silently replaced by lanes). The deprecated bytecode
+        // name runs on lanes.
         let (ctx, _q, p) = setup("__kernel void k(__global double* io) {}");
         let k = p.kernel("k").expect("kernel");
         let func = p.module().kernel("k").expect("kernel");
@@ -1998,7 +1998,9 @@ mod tests {
         let shape = GroupShape::linear(1, 1, 0);
         let runner = |engine| GroupRun::new(engine, &k.compiled, func, shape, &args, 0);
         assert!(matches!(runner(Engine::Walk), Ok(GroupRun::Walk(_))));
-        assert!(matches!(runner(Engine::Bytecode), Ok(GroupRun::Bytecode(_))));
+        #[allow(deprecated)]
+        let bytecode = runner(Engine::Bytecode);
+        assert!(matches!(bytecode, Ok(GroupRun::Lanes(_))));
         assert!(matches!(runner(Engine::Lanes), Ok(GroupRun::Lanes(_))));
     }
 

@@ -144,10 +144,20 @@ impl Aggregator {
     }
 
     fn wait(&self) -> Result<Vec<PricingResponse>, Error> {
-        let mut st = self.state();
-        while st.remaining > 0 {
-            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
+        let st = self.done.wait_while(self.state(), |st| st.remaining > 0);
+        Self::outcome(st.unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// [`Aggregator::wait`] for at most `timeout`; `None` if the request
+    /// is still outstanding then.
+    fn wait_timeout(&self, timeout: Duration) -> Option<Result<Vec<PricingResponse>, Error>> {
+        let waited = self.done.wait_timeout_while(self.state(), timeout, |st| st.remaining > 0);
+        let (st, _) = waited.unwrap_or_else(PoisonError::into_inner);
+        (st.remaining == 0).then(|| Self::outcome(st))
+    }
+
+    /// The outcome of a finished request; takes its responses.
+    fn outcome(mut st: MutexGuard<'_, AggState>) -> Result<Vec<PricingResponse>, Error> {
         match &st.error {
             Some(e) => Err(e.clone()),
             None => Ok(std::mem::take(&mut st.responses)),
@@ -228,6 +238,19 @@ impl Ticket {
     /// in the queue; any shard pricing error otherwise.
     pub fn wait(self) -> Result<Vec<PricingResponse>, Error> {
         self.agg.wait()
+    }
+
+    /// [`Ticket::wait`] for at most `timeout`. If the request is still
+    /// outstanding then, the ticket comes back as `Err(self)`: wait on
+    /// it again, or drop it to abandon the result.
+    ///
+    /// # Errors
+    /// `Err(ticket)` on timeout. The inner result is [`Ticket::wait`]'s.
+    pub fn wait_timeout(
+        self,
+        timeout: Duration,
+    ) -> Result<Result<Vec<PricingResponse>, Error>, Ticket> {
+        self.agg.wait_timeout(timeout).ok_or(self)
     }
 }
 
@@ -1032,6 +1055,19 @@ mod tests {
         );
         let prices: Vec<f64> = agg.wait().expect("ok").iter().map(|r| r.price).collect();
         assert_eq!(prices, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn a_timed_out_wait_hands_the_ticket_back_until_the_request_finishes() {
+        let ticket = Ticket { agg: Arc::new(aggregator(2, 4)) };
+        let ticket = ticket.wait_timeout(Duration::from_millis(1)).expect_err("nothing priced");
+        ticket.agg.fill(0, &[response(1.0)]);
+        let ticket = ticket.wait_timeout(Duration::ZERO).expect_err("one option outstanding");
+        assert_eq!(ticket.agg.state().remaining, 1);
+        ticket.agg.fill(1, &[response(2.0)]);
+        let responses = ticket.wait_timeout(Duration::ZERO).expect("finished").expect("ok");
+        let prices: Vec<f64> = responses.iter().map(|r| r.price).collect();
+        assert_eq!(prices, vec![1.0, 2.0]);
     }
 
     #[test]

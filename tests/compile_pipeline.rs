@@ -87,25 +87,25 @@ fn run_host(
 }
 
 #[test]
-fn bytecode_and_lanes_engines_are_bit_identical_to_the_tree_walker() {
+fn lanes_engine_is_bit_identical_to_the_tree_walker() {
     let archs = [KernelArch::Straightforward, KernelArch::Optimized];
     let device_of = [devices::fpga, devices::gpu, devices::cpu];
     for arch in archs {
         for make in device_of {
             let reference = run_host(make(), arch, Some(Engine::Walk), 1);
             // `None`: the engine a queue runs on when none is configured.
-            for engine in [Some(Engine::Bytecode), Some(Engine::Lanes), None] {
+            for engine in [Some(Engine::Walk), Some(Engine::Lanes), None] {
                 for workers in [1, 3] {
-                    let bc = run_host(make(), arch, engine, workers);
+                    let got = run_host(make(), arch, engine, workers);
                     let what = format!(
                         "{arch:?} on {:?}, engine {engine:?}, {workers} worker(s)",
                         make().info().kind
                     );
-                    assert_eq!(bc.prices, reference.prices, "prices differ: {what}");
-                    assert_eq!(bc.stats, reference.stats, "kernel stats differ: {what}");
-                    assert_eq!(bc.counters, reference.counters, "counters differ: {what}");
-                    assert_eq!(bc.chrome, reference.chrome, "chrome export differs: {what}");
-                    assert_eq!(bc.sim_s, reference.sim_s, "simulated clock differs: {what}");
+                    assert_eq!(got.prices, reference.prices, "prices differ: {what}");
+                    assert_eq!(got.stats, reference.stats, "kernel stats differ: {what}");
+                    assert_eq!(got.counters, reference.counters, "counters differ: {what}");
+                    assert_eq!(got.chrome, reference.chrome, "chrome export differs: {what}");
+                    assert_eq!(got.sim_s, reference.sim_s, "simulated clock differs: {what}");
                 }
             }
             assert!(reference.stats.is_some(), "launches must record kernel stats");
@@ -235,7 +235,7 @@ fn run_branchy(
     (result, queue.kernel_stats("k"), queue.counters(), queue.elapsed_s())
 }
 
-/// Walk, bytecode and lanes agree bit for bit on branchy kernels at
+/// Walk and lanes agree bit for bit on branchy kernels at
 /// several worker counts — prices, stats, counters, simulated time — and
 /// report the identical trap when the kernel divides by zero. Cases 0
 /// and 1 are the hand-picked anchor with a trapping and a clean divisor;
@@ -255,7 +255,7 @@ fn engines_agree_on_branchy_divergent_kernel_and_trap() {
             ),
             Ok(_) => assert!(!case.traps(), "case {i}: a zero divisor must trap: {case:?}"),
         }
-        for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             for workers in [1, 3] {
                 let got = run_branchy(&case, engine, workers, None);
                 assert_eq!(
@@ -277,7 +277,7 @@ fn engines_agree_on_branchy_kernels_under_seeded_faults() {
         let case = BranchyCase::draw(&mut rng);
         let plan = FaultPlan::new(rng.uniform(0.0, 0.6), rng.next_u64());
         let reference = run_branchy(&case, Engine::Walk, 1, Some(plan));
-        for engine in [Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             for workers in [1, 3] {
                 let got = run_branchy(&case, engine, workers, Some(plan));
                 let what = format!("{engine} engine, {workers} worker(s), {plan:?}, {case:?}");
@@ -604,8 +604,6 @@ fn engine_knob_round_trips_and_env_syntax_parses() {
     assert_eq!(queue.engine(), Engine::default(), "queue starts on the default engine");
     queue.set_engine(Engine::Walk);
     assert_eq!(queue.engine(), Engine::Walk);
-    queue.set_engine(Engine::Bytecode);
-    assert_eq!(queue.engine(), Engine::Bytecode);
     queue.set_engine(Engine::Lanes);
     assert_eq!(queue.engine(), Engine::Lanes);
     assert_eq!(Engine::default(), Engine::Lanes, "lanes is the default hot path");
@@ -614,8 +612,8 @@ fn engine_knob_round_trips_and_env_syntax_parses() {
     for (s, want) in [
         ("walk", Some(Engine::Walk)),
         ("tree", Some(Engine::Walk)),
-        ("Bytecode", Some(Engine::Bytecode)),
-        (" bc ", Some(Engine::Bytecode)),
+        ("Bytecode", None),
+        (" bc ", None),
         ("lanes", Some(Engine::Lanes)),
         (" SIMD ", Some(Engine::Lanes)),
         ("llvm", None),
@@ -716,7 +714,7 @@ fn accelerator_engine_knob_is_wall_clock_only() {
             walk.2.iter().any(|s| matches!(s, Series::Counter { name, .. } if name == "clir.ops")),
             "{arch:?}: kernels published interpreter statistics"
         );
-        for engine in [Some(Engine::Bytecode), Some(Engine::Lanes), None] {
+        for engine in [Some(Engine::Lanes), None] {
             let run = price(engine);
             let what = format!("{arch:?}, engine {engine:?}");
             assert_eq!(run.0, walk.0, "{what}: pricing run or session trace differs");

@@ -5,8 +5,8 @@
 //! ordering through a producer/consumer launch graph, blocking-stall
 //! behaviour when the FIFO fills, a deterministic deadlock trap when a
 //! read can never be satisfied, and bit-identity of prices, statistics
-//! (stall counters included) and queue counters across all three
-//! execution engines at several worker counts.
+//! (stall counters included) and queue counters across the walker and
+//! lanes engines at several worker counts.
 
 use bop_clir::stats::ExecStats;
 use bop_clir::types::ScalarType;
@@ -289,10 +289,8 @@ fn run_random_pair(
 /// The engine and worker-count matrix every pair must match the
 /// walker on one worker under; `None` is the engine a queue runs on
 /// when none is configured.
-const MATRIX: [(Option<Engine>, usize); 7] = [
+const MATRIX: [(Option<Engine>, usize); 5] = [
     (Some(Engine::Walk), 4),
-    (Some(Engine::Bytecode), 1),
-    (Some(Engine::Bytecode), 4),
     (Some(Engine::Lanes), 1),
     (Some(Engine::Lanes), 4),
     (None, 1),
