@@ -199,6 +199,20 @@ for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
       exit 1
       ;;
   esac
+  if [ "${workload}" = paper-ivb ]; then ivb_result=${result}; fi
 done
+
+# Exact gate on perfbench's deterministic rows: every count and bytes
+# row (instruction counts, bytecode lengths, commands and transfer
+# bytes per option, pipe stalls) and every simulated-device figure
+# (fpga.sim_*) of the traced paper-ivb run must match the golden value
+# for value. An intended change to one of them regenerates
+# tests/golden/perfbench-paper-ivb.json in the same change.
+echo "== perfbench deterministic rows =="
+printf '%s\n' "${ivb_result}" | grep -o '"[^"]*":{"unit":"[^"]*","value":[^}]*}' \
+  | grep '^"[^"]*":{"unit":"\(count\|bytes\)"\|^"fpga\.sim_' \
+  | sed '$!s/$/,/' | { echo '{'; cat; echo '}'; } \
+  | cmp - tests/golden/perfbench-paper-ivb.json \
+  || { echo "perfbench paper-ivb: deterministic rows differ from tests/golden/perfbench-paper-ivb.json" >&2; exit 1; }
 
 echo "CI: all gates passed"
