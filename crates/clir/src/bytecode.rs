@@ -686,22 +686,14 @@ impl fmt::Display for CompiledKernel {
     }
 }
 
-/// Where a work-item stands between phases of a [`LanesRun`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BcStatus {
-    Running,
-    AtBarrier,
-    AtPipe,
-    Done,
-}
-
 /// A SIMT group: lanes in lockstep at one pc. Lanes of a group share an
 /// identical per-phase history, hence one `fetched` counter.
 ///
 /// Lane lists are always ascending (divergence partitions and trap
-/// masking both preserve order), so a contiguous run — the common case,
-/// detected in O(1) — lets the per-op inner loops walk a dense index
-/// range instead of gathering through the list.
+/// masking both preserve order, and a barrier release merges sorted), so
+/// a contiguous run — the common case, detected in O(1) — lets the
+/// per-op inner loops walk a dense index range instead of gathering
+/// through the list.
 struct LaneGroup {
     pc: usize,
     lanes: Vec<usize>,
@@ -849,6 +841,32 @@ fn lanes_i64_cmp(
 /// - argument binding, trap payloads, barrier divergence positions and
 ///   the barrier-release protocol mirror the walker's.
 ///
+/// # Release protocol
+///
+/// The unit of the phase protocol is the SIMT group, not the lane. A
+/// phase starts as one group: the lanes of `running` at `start_pc`. A
+/// group that reaches a barrier is handed back whole in `arrived`, and
+/// one that retires (or exhausts the fetch cap) is kept in `ended`, each
+/// with its lane list and its one `fetched` count; neither writes a
+/// per-lane array. When every arrived group sits at one pc, the release
+/// merges their ascending lane lists into the next `running` and starts
+/// the next phase at pc + 1. Groups at different barriers are the
+/// walker's [`ExecError::BarrierDivergence`]: `a` is the position of the
+/// lowest live lane, `b` that of the lowest lane standing elsewhere.
+///
+/// Which per-lane state is valid when:
+///
+/// - `cells`, `ptrs`, `private` and `lid` always;
+/// - `lane_fetches` only for the lanes of the phase just run, and only on
+///   its slow paths: a trapping or pipe-stalled lane writes its count
+///   when it stops, and the serial settlement (a trap, a stall against
+///   the fetch cap, or a phase whose fetches overrun the budget) first
+///   writes the count of every recorded group's lanes.
+///
+/// Pipe kernels are single-work-item tasks (checked in [`LanesRun::new`]),
+/// so a pipe stall suspends the whole group: its lane becomes `running`
+/// and its pc `start_pc`, and a resume re-enters the phase there.
+///
 /// The one caveat is failed launches: lanes past a trapping work-item
 /// may already have executed (and written memory) in lockstep, where the
 /// walker would have stopped. Error values and successful runs are
@@ -867,15 +885,21 @@ pub struct LanesRun<'k> {
     /// Per-lane private arenas, stride `private_bytes`.
     private: Vec<u8>,
     lid: Vec<[usize; 3]>,
-    status: Vec<BcStatus>,
-    pc: Vec<usize>,
+    /// The lanes the next phase runs, ascending (empty once every lane
+    /// has retired), and the pc they all start it at.
+    running: Vec<usize>,
+    start_pc: usize,
     stats: ExecStats,
     steps: u64,
     step_limit: u64,
     /// Per-lane fetch count of the current phase (`u64::MAX` marks a
-    /// lane that stalled against the fetch cap). Scratch, valid for the
-    /// lanes that ran the phase only.
+    /// lane that stalled against the fetch cap). Scratch for the serial
+    /// settlement; see the release protocol for when it is written.
     lane_fetches: Vec<u64>,
+    /// Groups of the current phase that reached a barrier, and groups
+    /// that retired or ran into the fetch cap (`fetched == u64::MAX`).
+    arrived: Vec<LaneGroup>,
+    ended: Vec<LaneGroup>,
     /// Reusable group worklist and lane-vector pool: the steady state
     /// of a phase allocates nothing.
     group_stack: Vec<LaneGroup>,
@@ -931,12 +955,14 @@ impl<'k> LanesRun<'k> {
             ptrs,
             private: vec![0; kernel.private_bytes * w],
             lid: (0..w).map(|i| shape.local_id(i)).collect(),
-            status: vec![BcStatus::Running; w],
-            pc: vec![0; w],
+            running: (0..w).collect(),
+            start_pc: 0,
             stats,
             steps: 0,
             step_limit: if step_limit == 0 { DEFAULT_STEP_LIMIT } else { step_limit },
             lane_fetches: vec![0; w],
+            arrived: Vec::new(),
+            ended: Vec::new(),
             group_stack: Vec::new(),
             lane_pool: Vec::new(),
         })
@@ -984,56 +1010,42 @@ impl<'k> LanesRun<'k> {
         math: &dyn MathLib,
         pipes: &mut PipeHub,
     ) -> Result<RunOutcome, ExecError> {
-        // `running` is exactly the set of `BcStatus::Running` lanes at
-        // the top of each iteration: initially every lane (or, on a
-        // resume, the lanes suspended at pipes), then the
-        // barrier-released survivors of the previous phase — so the
-        // live-set update only inspects lanes that ran, not all of `w`.
-        let mut running: Vec<usize> = (0..self.w)
-            .filter(|&i| matches!(self.status[i], BcStatus::Running | BcStatus::AtPipe))
-            .collect();
-        let mut live: Vec<usize> = Vec::with_capacity(self.w);
         loop {
-            let any_running = !running.is_empty();
-            if any_running {
-                self.stats.item_phases += running.len() as u64;
-                for &l in &running {
-                    self.status[l] = BcStatus::Running;
-                }
-                self.run_phase(&running, mem, math, pipes)?;
-            }
-            live.clear();
-            live.extend(running.iter().copied().filter(|&i| self.status[i] != BcStatus::Done));
-            if live.is_empty() {
+            if self.running.is_empty() {
                 return Ok(RunOutcome::Complete);
             }
-            if live.iter().any(|&i| self.status[i] == BcStatus::AtPipe) {
+            self.stats.item_phases += self.running.len() as u64;
+            let lanes = std::mem::take(&mut self.running);
+            if let Some(pc) = self.run_phase(self.start_pc, lanes, mem, math, pipes)? {
                 // A stalled pipe op cannot be released locally; hand
                 // control back to the co-scheduler.
+                self.start_pc = pc;
                 return Ok(RunOutcome::Stalled);
             }
-            // All live lanes are now suspended at barriers. Equal pcs
-            // (the overwhelmingly common case) imply equal positions, so
-            // the position table is only consulted when pcs differ.
-            let pc0 = self.pc[live[0]];
-            if live[1..].iter().any(|&i| self.pc[i] != pc0) {
-                let pos = self.kernel.pos(pc0);
-                for &i in &live[1..] {
-                    let p = self.kernel.pos(self.pc[i]);
-                    if p != pos {
-                        return Err(ExecError::BarrierDivergence { a: pos, b: p });
-                    }
-                }
-            }
-            if !any_running {
-                return Err(ExecError::Trap("scheduler made no progress".into()));
+            let Some(lowest) = self.arrived.iter().min_by_key(|g| g.lanes[0]) else {
+                return Ok(RunOutcome::Complete);
+            };
+            // Every live lane now waits at a barrier. Barrier pcs and
+            // source positions correspond one to one, so groups at
+            // different pcs are groups at different barriers.
+            let pc = lowest.pc;
+            if let Some(other) =
+                self.arrived.iter().filter(|g| g.pc != pc).min_by_key(|g| g.lanes[0])
+            {
+                let (a, b) = (self.kernel.pos(pc), self.kernel.pos(other.pc));
+                return Err(ExecError::BarrierDivergence { a, b });
             }
             self.stats.barriers += 1;
-            for &i in &live {
-                self.pc[i] += 1;
-                self.status[i] = BcStatus::Running;
+            let mut merged = self.arrived.pop().expect("a lowest group arrived").lanes;
+            if !self.arrived.is_empty() {
+                for g in self.arrived.drain(..) {
+                    merged.extend_from_slice(&g.lanes);
+                    self.lane_pool.push(g.lanes);
+                }
+                merged.sort_unstable();
             }
-            std::mem::swap(&mut running, &mut live);
+            self.running = merged;
+            self.start_pc = pc + 1;
         }
     }
 
@@ -1057,20 +1069,24 @@ impl<'k> LanesRun<'k> {
         }
     }
 
-    /// Execute one phase (all running lanes until barrier/retire/trap)
-    /// as a worklist of lockstep groups, then settle the step budget.
+    /// Execute one phase (the ascending `lanes`, all at `start_pc`, until
+    /// each reaches a barrier, retires, traps or stalls) as a worklist
+    /// of lockstep groups, then settle the step budget. Groups at
+    /// barriers are handed back in `self.arrived`; a pipe stall returns
+    /// its pc, with its lane in `self.running`.
     ///
-    /// The steady state allocates nothing: the group worklist and the
-    /// lane vectors are pooled on `self`, per-lane outcomes live in
-    /// `self.lane_fetches`, and traps/stalls (rare) divert settlement to
-    /// a serial replay in work-item order.
+    /// The steady state allocates nothing and writes no per-lane array:
+    /// the group worklist and the lane vectors are pooled on `self`, and
+    /// traps, stalls against the fetch cap and budget overruns (rare)
+    /// divert settlement to a serial replay in work-item order.
     fn run_phase(
         &mut self,
-        running: &[usize],
+        start_pc: usize,
+        lanes: Vec<usize>,
         mem: &mut dyn Memory,
         math: &dyn MathLib,
         pipes: &mut PipeHub,
-    ) -> Result<(), ExecError> {
+    ) -> Result<Option<usize>, ExecError> {
         let kernel = self.kernel;
         let w = self.w;
         let pb = kernel.private_bytes;
@@ -1080,29 +1096,24 @@ impl<'k> LanesRun<'k> {
         // run dry even with every other lane charging nothing.
         let budget = self.step_limit - self.steps;
         let cap = budget.saturating_add(1);
-        let start_pc = self.pc[running[0]];
-        debug_assert!(running.iter().all(|&l| self.pc[l] == start_pc));
         let mut groups = std::mem::take(&mut self.group_stack);
         let mut pool = std::mem::take(&mut self.lane_pool);
-        let mut first = pool.pop().unwrap_or_default();
-        first.clear();
-        first.extend_from_slice(running);
-        groups.push(LaneGroup { pc: start_pc, lanes: first, fetched: 0 });
-        // Σ fetches of completed lanes; traps and stalls flip `any_bad`
-        // so settlement takes the serial replay instead.
+        groups.push(LaneGroup { pc: start_pc, lanes, fetched: 0 });
+        // Σ fetches of lanes that reached a barrier, retired or stalled;
+        // traps and the fetch cap flip `any_bad` so settlement takes the
+        // serial replay instead.
         let mut sum_fetches: u64 = 0;
         let mut any_bad = false;
         let mut trapped: Vec<(usize, ExecError)> = Vec::new();
+        let mut stalled_at = None;
 
         'groups: while let Some(mut g) = groups.pop() {
             loop {
                 g.fetched += 1;
                 if g.fetched > cap {
                     any_bad = true;
-                    for &l in &g.lanes {
-                        self.lane_fetches[l] = u64::MAX;
-                    }
-                    pool.push(std::mem::take(&mut g.lanes));
+                    g.fetched = u64::MAX;
+                    self.ended.push(g);
                     continue 'groups;
                 }
                 let nl = g.lanes.len() as u64;
@@ -1187,10 +1198,8 @@ impl<'k> LanesRun<'k> {
                         g.fetched += 1;
                         if g.fetched > cap {
                             any_bad = true;
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = u64::MAX;
-                            }
-                            pool.push(std::mem::take(&mut g.lanes));
+                            g.fetched = u64::MAX;
+                            self.ended.push(g);
                             continue 'groups;
                         }
                         let (ai, bi, ci, di) =
@@ -1451,17 +1460,22 @@ impl<'k> LanesRun<'k> {
                         // buffer, out of bounds, bool loads (which
                         // canonicalize through `Value`) — take the per-lane
                         // slow path, which also produces the exact walker
-                        // error payloads.
-                        let p0 = self.ptrs[pidx(*ptr, g.lanes[0])];
+                        // error payloads. The pointer and destination rows
+                        // are looked up once and indexed by lane.
+                        let prow = kernel.ptr_row(*ptr) * w;
+                        let p0 = self.ptrs[prow + g.lanes[0]];
                         let fast =
                             if *ty == ScalarType::Bool { None } else { self.lane_region(mem, p0) };
+                        let ptrs = &self.ptrs[prow..prow + w];
+                        let drow = *dst as usize * w;
+                        let out = &mut self.cells[drow..drow + w];
                         let mut k = 0;
                         if let Some((base, rlen, stride)) = fast {
                             let contig = lanes_contiguous(&g.lanes);
                             let lo = g.lanes[0];
                             while k < g.lanes.len() {
                                 let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = self.ptrs[pidx(*ptr, l)];
+                                let p = ptrs[l];
                                 if p.space != p0.space || p.buffer != p0.buffer {
                                     break;
                                 }
@@ -1485,7 +1499,7 @@ impl<'k> LanesRun<'k> {
                                         u64::from_le_bytes(raw)
                                     }
                                 };
-                                self.cells[idx(*dst, l)] = bits;
+                                out[l] = bits;
                                 k += 1;
                             }
                             self.stats.mem.count_loads(p0.space, len, k as u64);
@@ -1495,7 +1509,7 @@ impl<'k> LanesRun<'k> {
                             survivors.clear();
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
-                                let p = self.ptrs[pidx(*ptr, l)];
+                                let p = ptrs[l];
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_load(&self.private[l * pb..(l + 1) * pb], p, *ty)
                                 } else {
@@ -1504,7 +1518,7 @@ impl<'k> LanesRun<'k> {
                                 match res {
                                     Ok(v) => {
                                         self.stats.mem.count_load(p.space, len);
-                                        self.cells[idx(*dst, l)] = encode_value(v);
+                                        out[l] = encode_value(v);
                                         survivors.push(l);
                                     }
                                     Err(err) => {
@@ -1529,19 +1543,23 @@ impl<'k> LanesRun<'k> {
                         // exact little-endian bit patterns
                         // `Value::to_le_bytes` would produce (bool
                         // included: cells are canonical 0/1).
-                        let p0 = self.ptrs[pidx(*ptr, g.lanes[0])];
+                        let prow = kernel.ptr_row(*ptr) * w;
+                        let p0 = self.ptrs[prow + g.lanes[0]];
                         let fast = if p0.space == AddressSpace::Constant {
                             None
                         } else {
                             self.lane_region(mem, p0)
                         };
+                        let ptrs = &self.ptrs[prow..prow + w];
+                        let vrow = *val as usize * w;
+                        let vals = &self.cells[vrow..vrow + w];
                         let mut k = 0;
                         if let Some((base, rlen, stride)) = fast {
                             let contig = lanes_contiguous(&g.lanes);
                             let lo = g.lanes[0];
                             while k < g.lanes.len() {
                                 let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = self.ptrs[pidx(*ptr, l)];
+                                let p = ptrs[l];
                                 if p.space != p0.space || p.buffer != p0.buffer {
                                     break;
                                 }
@@ -1550,7 +1568,7 @@ impl<'k> LanesRun<'k> {
                                 else {
                                     break;
                                 };
-                                let bits = self.cells[idx(*val, l)];
+                                let bits = vals[l];
                                 // SAFETY: bounds checked above against the
                                 // lane's region; race-freedom per the
                                 // `raw_region` contract.
@@ -1572,8 +1590,8 @@ impl<'k> LanesRun<'k> {
                             survivors.clear();
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
-                                let p = self.ptrs[pidx(*ptr, l)];
-                                let v = decode_value(*ty, self.cells[idx(*val, l)]);
+                                let p = ptrs[l];
+                                let v = decode_value(*ty, vals[l]);
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_store(&mut self.private[l * pb..(l + 1) * pb], p, v)
                                 } else {
@@ -1599,20 +1617,8 @@ impl<'k> LanesRun<'k> {
                         }
                     }
                     Op::Barrier => {
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            self.lane_fetches[lo..lo + n].fill(g.fetched);
-                            self.status[lo..lo + n].fill(BcStatus::AtBarrier);
-                            self.pc[lo..lo + n].fill(g.pc);
-                        } else {
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = g.fetched;
-                                self.status[l] = BcStatus::AtBarrier;
-                                self.pc[l] = g.pc;
-                            }
-                        }
                         sum_fetches = sum_fetches.saturating_add(g.fetched.saturating_mul(nl));
-                        pool.push(std::mem::take(&mut g.lanes));
+                        self.arrived.push(g);
                         continue 'groups;
                     }
                     Op::PipeRead { dst, pipe, ty } => {
@@ -1633,8 +1639,8 @@ impl<'k> LanesRun<'k> {
                                 Ok(None) => {
                                     self.stats.pipe_read_stalls += 1;
                                     self.lane_fetches[l] = g.fetched;
-                                    self.status[l] = BcStatus::AtPipe;
-                                    self.pc[l] = g.pc;
+                                    self.running.push(l);
+                                    stalled_at = Some(g.pc);
                                     sum_fetches = sum_fetches.saturating_add(g.fetched);
                                 }
                                 Ok(Some(bits)) => {
@@ -1665,8 +1671,8 @@ impl<'k> LanesRun<'k> {
                                 Ok(false) => {
                                     self.stats.pipe_write_stalls += 1;
                                     self.lane_fetches[l] = g.fetched;
-                                    self.status[l] = BcStatus::AtPipe;
-                                    self.pc[l] = g.pc;
+                                    self.running.push(l);
+                                    stalled_at = Some(g.pc);
                                     sum_fetches = sum_fetches.saturating_add(g.fetched);
                                 }
                                 Ok(true) => {
@@ -1691,10 +1697,8 @@ impl<'k> LanesRun<'k> {
                         g.fetched += 1;
                         if g.fetched > cap {
                             any_bad = true;
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = u64::MAX;
-                            }
-                            pool.push(std::mem::take(&mut g.lanes));
+                            g.fetched = u64::MAX;
+                            self.ended.push(g);
                             continue 'groups;
                         }
                         self.stats.block_execs[*mid_block as usize] += nl;
@@ -1757,18 +1761,8 @@ impl<'k> LanesRun<'k> {
                         continue;
                     }
                     Op::Return => {
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            self.lane_fetches[lo..lo + n].fill(g.fetched);
-                            self.status[lo..lo + n].fill(BcStatus::Done);
-                        } else {
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = g.fetched;
-                                self.status[l] = BcStatus::Done;
-                            }
-                        }
                         sum_fetches = sum_fetches.saturating_add(g.fetched.saturating_mul(nl));
-                        pool.push(std::mem::take(&mut g.lanes));
+                        self.ended.push(g);
                         continue 'groups;
                     }
                 }
@@ -1777,17 +1771,38 @@ impl<'k> LanesRun<'k> {
         }
 
         self.group_stack = groups;
-        self.lane_pool = pool;
-        if !any_bad && sum_fetches <= budget {
+        let settled = if !any_bad && sum_fetches <= budget {
             self.steps += sum_fetches;
-            return Ok(());
+            Ok(())
+        } else {
+            self.settle(budget, trapped)
+        };
+        pool.extend(self.ended.drain(..).map(|g| g.lanes));
+        self.lane_pool = pool;
+        settled.map(|()| stalled_at)
+    }
+
+    /// Serial settlement (rare): replay the per-lane fetch counts of the
+    /// phase in work-item order against the shared budget, exactly as
+    /// the walker interleaves them — deciding `StepLimitExceeded` vs. a
+    /// real trap per lane. Trapped and stalled lanes wrote their counts
+    /// when they stopped; the recorded groups' lanes are written here.
+    fn settle(
+        &mut self,
+        budget: u64,
+        mut trapped: Vec<(usize, ExecError)>,
+    ) -> Result<(), ExecError> {
+        let mut ran: Vec<usize> = trapped.iter().map(|&(l, _)| l).collect();
+        ran.extend_from_slice(&self.running);
+        for g in self.arrived.iter().chain(&self.ended) {
+            for &l in &g.lanes {
+                self.lane_fetches[l] = g.fetched;
+            }
+            ran.extend_from_slice(&g.lanes);
         }
-        // Serial settlement (rare): replay per-lane fetch counts in
-        // work-item order against the shared budget, exactly as the
-        // walker interleaves them — deciding `StepLimitExceeded`
-        // vs. a real trap per lane.
+        ran.sort_unstable();
         let mut cum: u64 = 0;
-        for &l in running {
+        for l in ran {
             let fetches = self.lane_fetches[l];
             if fetches == u64::MAX {
                 return Err(ExecError::StepLimitExceeded);
@@ -1880,31 +1895,92 @@ mod tests {
     use crate::interp::{GlobalArena, VecMemory, WorkGroupRun, WorkerMemory};
     use crate::mathlib::ExactMath;
 
+    /// One engine's outcome of an NDRange: its memory and merged stats,
+    /// or the text of the first group's error.
+    type Outcome = Result<(VecMemory, ExecStats), String>;
+
     /// Run `func` on the walker and on lanes over the same NDRange with
-    /// identically initialised memories; return each memory and stats.
+    /// identically initialised memories and a per-group `step_limit`
+    /// (0 selects the default); return each engine's outcome.
+    fn run_both_limited(
+        func: &Function,
+        global: usize,
+        local: usize,
+        step_limit: u64,
+        init: impl Fn(&mut VecMemory) -> Vec<KernelArgValue>,
+    ) -> (Outcome, Outcome) {
+        let compiled = CompiledKernel::compile(func);
+        let run = |lanes: bool| -> Outcome {
+            let mut mem = VecMemory::new();
+            let args = init(&mut mem);
+            let mut stats = ExecStats::with_blocks(func.blocks.len());
+            for group in 0..global / local {
+                let shape = GroupShape::linear(global, local, group);
+                let err = |e: ExecError| e.to_string();
+                if lanes {
+                    let mut r = LanesRun::new(&compiled, shape, &args, step_limit).map_err(err)?;
+                    r.run(&mut mem, &ExactMath).map_err(err)?;
+                    stats.merge(r.stats());
+                } else {
+                    let mut r = WorkGroupRun::new(func, shape, &args, step_limit).map_err(err)?;
+                    r.run(&mut mem, &ExactMath).map_err(err)?;
+                    stats.merge(r.stats());
+                }
+            }
+            Ok((mem, stats))
+        };
+        (run(false), run(true))
+    }
+
+    /// [`run_both_limited`] at the default step limit, where both engines
+    /// must succeed; return each memory and stats.
     fn run_both(
         func: &Function,
         global: usize,
         local: usize,
         init: impl Fn(&mut VecMemory) -> Vec<KernelArgValue>,
     ) -> ((VecMemory, ExecStats), (VecMemory, ExecStats)) {
-        let compiled = CompiledKernel::compile(func);
-        let mut walk_mem = VecMemory::new();
-        let walk_args = init(&mut walk_mem);
-        let mut walk_stats = ExecStats::with_blocks(func.blocks.len());
-        let mut ln_mem = VecMemory::new();
-        let ln_args = init(&mut ln_mem);
-        let mut ln_stats = ExecStats::with_blocks(func.blocks.len());
-        for group in 0..global / local {
-            let shape = GroupShape::linear(global, local, group);
-            let mut w = WorkGroupRun::new(func, shape, &walk_args, 0).expect("walk args");
-            w.run(&mut walk_mem, &ExactMath).expect("walk runs");
-            walk_stats.merge(w.stats());
-            let mut l = LanesRun::new(&compiled, shape, &ln_args, 0).expect("lanes args");
-            l.run(&mut ln_mem, &ExactMath).expect("lanes runs");
-            ln_stats.merge(l.stats());
+        let (walk, lanes) = run_both_limited(func, global, local, 0, init);
+        (walk.expect("walk runs"), lanes.expect("lanes runs"))
+    }
+
+    /// Sweep the per-group step limit from 1 until both engines succeed
+    /// or fail with something other than `StepLimitExceeded` (which a
+    /// larger budget no longer changes): at every limit the engines must
+    /// agree, on identical `ExecStats` and global buffer 0, or on the
+    /// error text. Returns the errors the sweep saw, in limit order.
+    fn sweep_step_limits(
+        func: &Function,
+        global: usize,
+        local: usize,
+        init: impl Fn(&mut VecMemory) -> Vec<KernelArgValue>,
+    ) -> Vec<String> {
+        let step_limit = ExecError::StepLimitExceeded.to_string();
+        let mut errors = Vec::new();
+        for limit in 1.. {
+            match run_both_limited(func, global, local, limit, &init) {
+                (Ok((wm, ws)), Ok((lm, ls))) => {
+                    assert_eq!(ws, ls, "{}: stats at step limit {limit}", func.name);
+                    assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "{}: {limit}", func.name);
+                    return errors;
+                }
+                (Err(we), Err(le)) => {
+                    assert_eq!(we, le, "{}: error at step limit {limit}", func.name);
+                    let done = we != step_limit;
+                    errors.push(we);
+                    if done {
+                        return errors;
+                    }
+                }
+                (walk, lanes) => panic!(
+                    "{}: at step limit {limit} the walker gave {:?}, lanes {:?}",
+                    func.name,
+                    walk.map(|(_, s)| s),
+                    lanes.map(|(_, s)| s)
+                ),
+            }
         }
-        ((walk_mem, walk_stats), (ln_mem, ln_stats))
+        unreachable!("the sweep ends when both engines succeed")
     }
 
     /// Looping kernel with barrier, local exchange, math call and private
@@ -2013,11 +2089,20 @@ mod tests {
 
     #[test]
     fn divergence_positions_match_walker() {
+        // Lane 0 alone at one barrier, lanes 1 and 2 at another; with
+        // `Ne` the lowest lane's group is the second to arrive, so the
+        // report must still name its barrier first.
+        for op in [CmpOp::Eq, CmpOp::Ne] {
+            diverge_at_barriers(op);
+        }
+    }
+
+    fn diverge_at_barriers(op: CmpOp) {
         let mut b = FunctionBuilder::new("div", true);
         let _out = b.param("out", Type::ptr(AddressSpace::Global, ScalarType::F64));
         let lid = b.local_id(0);
         let zero = b.const_i64(0);
-        let cond = b.cmp(CmpOp::Eq, ScalarType::I64, lid, zero);
+        let cond = b.cmp(op, ScalarType::I64, lid, zero);
         let t = b.create_block();
         let e = b.create_block();
         let join = b.create_block();
@@ -2032,7 +2117,7 @@ mod tests {
         b.ret();
         let func = b.finish().expect("valid");
         let compiled = CompiledKernel::compile(&func);
-        let shape = GroupShape::linear(2, 2, 0);
+        let shape = GroupShape::linear(3, 3, 0);
 
         let run_engine = |lanes: bool| -> ExecError {
             let mut mem = VecMemory::new();
@@ -2047,8 +2132,11 @@ mod tests {
             }
         };
         let (we, le) = (run_engine(false), run_engine(true));
-        assert_eq!(we.to_string(), le.to_string(), "same (block, inst) positions reported");
-        assert!(matches!(le, ExecError::BarrierDivergence { .. }));
+        assert_eq!(we.to_string(), le.to_string(), "{op:?}: same (block, inst) positions");
+        let ExecError::BarrierDivergence { a, b } = le else { panic!("{op:?}: {le}") };
+        // Lane 0 takes the `then` arm (block 1) under `Eq`, `else` under `Ne`.
+        let lane0_block = if op == CmpOp::Eq { 1 } else { 2 };
+        assert_eq!((a.0, b.0), (lane0_block, 3 - lane0_block), "{op:?}: {le}");
     }
 
     #[test]
@@ -2233,6 +2321,214 @@ mod tests {
             });
             assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "local={local}");
             assert_eq!(ws, ls, "local={local}");
+        }
+    }
+
+    /// Kernel IV.B's shape: one work-item per row of a local array, two
+    /// barriers per time step, and rows that retire while the others
+    /// wait at a barrier. Row 0 after `n_steps` steps of
+    /// `v[l] = v[l+1]/2 + v[l]/4` lands in `out[group]`.
+    fn ivb_shaped_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("ivb_shaped", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let v = b.param("v", Type::ptr(AddressSpace::Local, F64));
+        let n_steps = b.param("n_steps", Type::Scalar(I64));
+        let l = b.local_id(0);
+        let lf = b.cast(l, I64, F64);
+        let row = b.gep(v, l, F64);
+        b.store(row, lf, F64);
+        b.barrier();
+        let one = b.const_i64(1);
+        let t = b.fresh(Type::Scalar(I64));
+        let last = b.bin(BinOp::Sub, I64, n_steps, one);
+        b.mov_into(t, last);
+        let (header, body, exit) = (b.create_block(), b.create_block(), b.create_block());
+        b.jump(header);
+        b.switch_to(header);
+        let live = b.cmp(CmpOp::Ge, I64, t, l);
+        b.branch(live, body, exit);
+        b.switch_to(body);
+        let l1 = b.bin(BinOp::Add, I64, l, one);
+        let up = b.gep(v, l1, F64);
+        let vup = b.load(up, F64);
+        let vsame = b.load(row, F64);
+        b.barrier(); // reads before anyone overwrites
+        let half = b.const_f64(0.5);
+        let quarter = b.const_f64(0.25);
+        let a = b.bin(BinOp::Mul, F64, half, vup);
+        let c = b.bin(BinOp::Mul, F64, quarter, vsame);
+        let next = b.fadd(a, c, F64);
+        b.store(row, next, F64);
+        b.barrier(); // writes before the next reads
+        let t1 = b.bin(BinOp::Sub, I64, t, one);
+        b.mov_into(t, t1);
+        b.jump(header);
+        b.switch_to(exit);
+        let zero = b.const_i64(0);
+        let first = b.cmp(CmpOp::Eq, I64, l, zero);
+        let (write, done) = (b.create_block(), b.create_block());
+        b.branch(first, write, done);
+        b.switch_to(write);
+        let group = b.group_id(0);
+        let v0 = b.load(row, F64);
+        let dst = b.gep(out, group, F64);
+        b.store(dst, v0, F64);
+        b.jump(done);
+        b.switch_to(done);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn step_limit_sweeps_match_walker() {
+        use KernelArgValue::{GlobalBuffer, LocalBuffer, Scalar};
+        let busy = sweep_step_limits(&busy_kernel(), 8, 4, |mem| {
+            vec![GlobalBuffer(mem.alloc_global(8 * 8)), LocalBuffer(mem.alloc_local(4 * 8))]
+        });
+        let rows = 7;
+        let ivb = sweep_step_limits(&ivb_shaped_kernel(), 2 * rows, rows, |mem| {
+            vec![
+                GlobalBuffer(mem.alloc_global(2 * 8)),
+                LocalBuffer(mem.alloc_local(rows * 8)),
+                Scalar(Value::I64(rows as i64 - 1)),
+            ]
+        });
+        for errors in [busy, ivb] {
+            // Every limit below the first success runs out of steps, in
+            // some phase after the first barrier too.
+            assert!(errors.len() > 50, "{} limits swept", errors.len());
+            assert!(errors.iter().all(|e| *e == ExecError::StepLimitExceeded.to_string()));
+        }
+    }
+
+    /// `q = 1 / (lid - bad)`: work-item `bad` divides by zero in the phase
+    /// in which every other work-item reaches the barrier.
+    fn trap_at_barrier_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("trap_at_barrier", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let bad = b.param("bad", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let d = b.bin(BinOp::Sub, I64, lid, bad);
+        let one = b.const_i64(1);
+        let q = b.bin(BinOp::Div, I64, one, d);
+        b.barrier();
+        let qf = b.cast(q, I64, F64);
+        let gid = b.global_id(0);
+        let slot = b.gep(out, gid, F64);
+        b.store(slot, qf, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn trap_at_a_barrier_matches_walker() {
+        // Lane 0 traps first in work-item order; lane 3 traps after the
+        // others' barrier fetches, which the settlement must count first.
+        let func = trap_at_barrier_kernel();
+        for bad in [0, 3] {
+            let init = |mem: &mut VecMemory| {
+                vec![
+                    KernelArgValue::GlobalBuffer(mem.alloc_global(4 * 8)),
+                    KernelArgValue::Scalar(Value::I64(bad)),
+                ]
+            };
+            let (walk, lanes) = run_both_limited(&func, 4, 4, 0, init);
+            let (we, le) = (walk.expect_err("walker traps"), lanes.expect_err("lanes trap"));
+            assert_eq!(we, le, "bad={bad}");
+            assert!(we.contains("integer division by zero"), "bad={bad}: {we}");
+            let errors = sweep_step_limits(&func, 4, 4, init);
+            assert_eq!(errors.last(), Some(&we), "bad={bad}: the sweep ends at the trap");
+            assert!(errors.len() > 1, "bad={bad}: some limits run out of steps first");
+        }
+    }
+
+    /// A data-dependent if/else that reconverges before a barrier, in a
+    /// loop: the lanes of each arm reach the barrier as their own group,
+    /// at one pc, every iteration. Work-items with `lid % 3 == 2` retire
+    /// before the loop, so the released lane lists are not contiguous.
+    fn reconverged_split_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("reconverged", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let v = b.param("v", Type::ptr(AddressSpace::Local, F64));
+        let lid = b.local_id(0);
+        let n = b.wi_query(WiQuery::LocalSize, 0);
+        let (zero, one, two, three) =
+            (b.const_i64(0), b.const_i64(1), b.const_i64(2), b.const_i64(3));
+        let rem3 = b.bin(BinOp::Rem, I64, lid, three);
+        let early = b.cmp(CmpOp::Eq, I64, rem3, two);
+        let (retire, start) = (b.create_block(), b.create_block());
+        b.branch(early, retire, start);
+        b.switch_to(retire);
+        b.ret();
+        b.switch_to(start);
+        let acc = b.fresh(Type::Scalar(F64));
+        let lf = b.cast(lid, I64, F64);
+        b.mov_into(acc, lf);
+        let i = b.fresh(Type::Scalar(I64));
+        b.mov_into(i, zero);
+        let (header, body, exit) = (b.create_block(), b.create_block(), b.create_block());
+        b.jump(header);
+        b.switch_to(header);
+        let more = b.cmp(CmpOp::Lt, I64, i, three);
+        b.branch(more, body, exit);
+        b.switch_to(body);
+        let sum = b.bin(BinOp::Add, I64, lid, i);
+        let parity = b.bin(BinOp::Rem, I64, sum, two);
+        let even = b.cmp(CmpOp::Eq, I64, parity, zero);
+        let (then_bb, else_bb, join) = (b.create_block(), b.create_block(), b.create_block());
+        b.branch(even, then_bb, else_bb);
+        b.switch_to(then_bb);
+        let doubled = b.fadd(acc, acc, F64);
+        b.mov_into(acc, doubled);
+        b.jump(join);
+        b.switch_to(else_bb);
+        let onef = b.const_f64(1.0);
+        let bumped = b.fadd(acc, onef, F64);
+        b.mov_into(acc, bumped);
+        b.jump(join);
+        b.switch_to(join);
+        let row = b.gep(v, lid, F64);
+        b.store(row, acc, F64);
+        b.barrier();
+        let next = b.bin(BinOp::Add, I64, lid, one);
+        let wrapped = b.bin(BinOp::Rem, I64, next, n);
+        let neighbour = b.gep(v, wrapped, F64);
+        let x = b.load(neighbour, F64);
+        let acc2 = b.fadd(acc, x, F64);
+        b.mov_into(acc, acc2);
+        b.barrier();
+        let i1 = b.bin(BinOp::Add, I64, i, one);
+        b.mov_into(i, i1);
+        b.jump(header);
+        b.switch_to(exit);
+        let gid = b.global_id(0);
+        let slot = b.gep(out, gid, F64);
+        b.store(slot, acc, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn reconverged_split_at_one_barrier_matches_walker() {
+        let func = reconverged_split_kernel();
+        for local in [2, 4, 6, 8] {
+            let init = |mem: &mut VecMemory| {
+                vec![
+                    KernelArgValue::GlobalBuffer(mem.alloc_global(2 * local * 8)),
+                    KernelArgValue::LocalBuffer(mem.alloc_local(local * 8)),
+                ]
+            };
+            let ((wm, ws), (lm, ls)) = run_both(&func, 2 * local, local, init);
+            assert_eq!(ws, ls, "local={local}");
+            assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "local={local}");
+            assert_eq!(ws.barriers, 2 * 2 * 3, "local={local}: two barriers x 3 iterations");
+            sweep_step_limits(&func, 2 * local, local, init);
         }
     }
 
