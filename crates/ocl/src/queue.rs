@@ -28,7 +28,7 @@ use bop_obs::{Json, MetricsRegistry, SpanCategory, TraceLog, TraceSpan};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// Which kernel execution engine an NDRange launch uses. Both engines
 /// are bit-identical — same prices, statistics, counters, traces and
@@ -76,10 +76,16 @@ pub fn parse_engine(s: &str) -> Option<Engine> {
 }
 
 /// Engine used when none is configured: `BOP_SIM_ENGINE` if set to a name
-/// [`parse_engine`] accepts, else the lanes engine.
+/// [`parse_engine`] accepts, else the lanes engine. A rejected name warns
+/// once per process on stderr.
 fn default_engine() -> Engine {
-    std::env::var("BOP_SIM_ENGINE").ok().and_then(|v| parse_engine(&v)).unwrap_or_default()
+    static WARNED: Once = Once::new();
+    setting_from_env("BOP_SIM_ENGINE", &WARNED, parse_engine, ENGINE_SPELLINGS, Engine::default())
 }
+
+/// The spellings [`parse_engine`] accepts, for the warning on a rejected
+/// `BOP_SIM_ENGINE`.
+const ENGINE_SPELLINGS: &str = "walk, tree, lanes or simd (any case)";
 
 /// Parse a step-limit value as accepted by `BOP_SIM_STEP_LIMIT`: a
 /// non-negative integer, where 0 selects the interpreter default
@@ -90,9 +96,51 @@ pub fn parse_step_limit(s: &str) -> Option<u64> {
 
 /// Per-work-group instruction budget used when none is configured:
 /// `BOP_SIM_STEP_LIMIT` if set to an integer, else 0 (the interpreter
-/// default).
+/// default). A rejected value warns once per process on stderr.
 fn default_step_limit() -> u64 {
-    std::env::var("BOP_SIM_STEP_LIMIT").ok().and_then(|v| parse_step_limit(&v)).unwrap_or(0)
+    static WARNED: Once = Once::new();
+    let accepted = "a non-negative integer (0 selects the interpreter default)";
+    setting_from_env("BOP_SIM_STEP_LIMIT", &WARNED, parse_step_limit, accepted, 0)
+}
+
+/// The `var` setting, read from the environment through `parse`, or
+/// `default` when it is unset or rejected; a rejected value prints its
+/// warning once per process (`warned`).
+fn setting_from_env<T: fmt::Display>(
+    var: &str,
+    warned: &Once,
+    parse: fn(&str) -> Option<T>,
+    accepted: &str,
+    default: T,
+) -> T {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    let (setting, warning) = parse_setting(var, value.as_deref(), parse, accepted, default);
+    if let Some(warning) = warning {
+        warned.call_once(|| eprintln!("{warning}"));
+    }
+    setting
+}
+
+/// Resolve the `var` setting from its environment `value`: the value
+/// `parse` accepts, else `default`. A value `parse` rejects comes back
+/// with the warning to print, naming the variable, the rejected value
+/// and the `accepted` spellings.
+fn parse_setting<T: fmt::Display>(
+    var: &str,
+    value: Option<&str>,
+    parse: fn(&str) -> Option<T>,
+    accepted: &str,
+    default: T,
+) -> (T, Option<String>) {
+    match value.map(|v| (v, parse(v))) {
+        None => (default, None),
+        Some((_, Some(setting))) => (setting, None),
+        Some((v, None)) => {
+            let warning =
+                format!("warning: ignoring {var}={v:?}: expected {accepted}; using {default}");
+            (default, Some(warning))
+        }
+    }
 }
 
 /// Runtime error from an enqueued command.
@@ -1523,6 +1571,30 @@ mod tests {
         let q = CommandQueue::new(&ctx);
         let p = Program::from_source(&ctx, "t.cl", src, &BuildOptions::default()).expect("builds");
         (ctx, q, p)
+    }
+
+    #[test]
+    fn rejected_env_settings_fall_back_with_a_warning() {
+        let engine =
+            |v| parse_setting("BOP_SIM_ENGINE", v, parse_engine, ENGINE_SPELLINGS, Engine::Lanes);
+        assert_eq!(engine(None), (Engine::Lanes, None));
+        assert_eq!(engine(Some(" WALK ")), (Engine::Walk, None));
+        // The removed scalar engine's name is a typo like any other.
+        let (fallback, warning) = engine(Some("bytecode"));
+        assert_eq!(fallback, Engine::Lanes);
+        let warning = warning.expect("a rejected engine warns");
+        for part in ["BOP_SIM_ENGINE", "\"bytecode\"", ENGINE_SPELLINGS, "using lanes"] {
+            assert!(warning.contains(part), "{part:?} missing from {warning:?}");
+        }
+
+        let limit = |v| parse_setting("BOP_SIM_STEP_LIMIT", v, parse_step_limit, "an integer", 0);
+        assert_eq!(limit(Some("1000")), (1000, None));
+        let (fallback, warning) = limit(Some("-3"));
+        assert_eq!(fallback, 0);
+        let warning = warning.expect("a rejected limit warns");
+        for part in ["BOP_SIM_STEP_LIMIT", "\"-3\"", "an integer", "using 0"] {
+            assert!(warning.contains(part), "{part:?} missing from {warning:?}");
+        }
     }
 
     #[test]
