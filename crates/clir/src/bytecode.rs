@@ -847,21 +847,19 @@ fn lanes_i64_cmp(
 /// phase starts as one group: the lanes of `running` at `start_pc`. A
 /// group that reaches a barrier is handed back whole in `arrived`, and
 /// one that retires (or exhausts the fetch cap) is kept in `ended`, each
-/// with its lane list and its one `fetched` count; neither writes a
-/// per-lane array. When every arrived group sits at one pc, the release
-/// merges their ascending lane lists into the next `running` and starts
-/// the next phase at pc + 1. Groups at different barriers are the
-/// walker's [`ExecError::BarrierDivergence`]: `a` is the position of the
-/// lowest live lane, `b` that of the lowest lane standing elsewhere.
+/// with its lane list and its one `fetched` count. When every arrived
+/// group sits at one pc, the release merges their ascending lane lists
+/// into the next `running` and starts the next phase at pc + 1. Groups
+/// at different barriers are the walker's
+/// [`ExecError::BarrierDivergence`]: `a` is the position of the lowest
+/// live lane, `b` that of the lowest lane standing elsewhere.
 ///
-/// Which per-lane state is valid when:
-///
-/// - `cells`, `ptrs`, `private` and `lid` always;
-/// - `lane_fetches` only for the lanes of the phase just run, and only on
-///   its slow paths: a trapping or pipe-stalled lane writes its count
-///   when it stops, and the serial settlement (a trap, a stall against
-///   the fetch cap, or a phase whose fetches overrun the budget) first
-///   writes the count of every recorded group's lanes.
+/// Per-lane state is only the register file (`cells`, `ptrs`), the
+/// `private` arenas and `lid`. There is no per-lane status, pc or fetch
+/// array: when a phase needs the serial settlement (a trap, a group at
+/// the fetch cap, or fetches that overrun the budget), it gathers each
+/// lane's fetch count from the trapped lanes, the stalled lane and the
+/// recorded groups, and replays them in work-item order.
 ///
 /// Pipe kernels are single-work-item tasks (checked in [`LanesRun::new`]),
 /// so a pipe stall suspends the whole group: its lane becomes `running`
@@ -890,12 +888,8 @@ pub struct LanesRun<'k> {
     running: Vec<usize>,
     start_pc: usize,
     stats: ExecStats,
-    steps: u64,
-    step_limit: u64,
-    /// Per-lane fetch count of the current phase (`u64::MAX` marks a
-    /// lane that stalled against the fetch cap). Scratch for the serial
-    /// settlement; see the release protocol for when it is written.
-    lane_fetches: Vec<u64>,
+    /// Fetches left in the group's step budget.
+    steps_left: u64,
     /// Groups of the current phase that reached a barrier, and groups
     /// that retired or ran into the fetch cap (`fetched == u64::MAX`).
     arrived: Vec<LaneGroup>,
@@ -958,9 +952,7 @@ impl<'k> LanesRun<'k> {
             running: (0..w).collect(),
             start_pc: 0,
             stats,
-            steps: 0,
-            step_limit: if step_limit == 0 { DEFAULT_STEP_LIMIT } else { step_limit },
-            lane_fetches: vec![0; w],
+            steps_left: if step_limit == 0 { DEFAULT_STEP_LIMIT } else { step_limit },
             arrived: Vec::new(),
             ended: Vec::new(),
             group_stack: Vec::new(),
@@ -1094,7 +1086,7 @@ impl<'k> LanesRun<'k> {
         let pidx = |r: u32, l: usize| kernel.ptr_row(r) * w + l;
         // Fetches a lane may consume before the shared budget would have
         // run dry even with every other lane charging nothing.
-        let budget = self.step_limit - self.steps;
+        let budget = self.steps_left;
         let cap = budget.saturating_add(1);
         let mut groups = std::mem::take(&mut self.group_stack);
         let mut pool = std::mem::take(&mut self.lane_pool);
@@ -1104,7 +1096,9 @@ impl<'k> LanesRun<'k> {
         // serial replay instead.
         let mut sum_fetches: u64 = 0;
         let mut any_bad = false;
-        let mut trapped: Vec<(usize, ExecError)> = Vec::new();
+        // Trapped lanes with their fetch counts, and the pc and fetch
+        // count of a pipe stall.
+        let mut trapped: Vec<(usize, u64, ExecError)> = Vec::new();
         let mut stalled_at = None;
 
         'groups: while let Some(mut g) = groups.pop() {
@@ -1289,8 +1283,7 @@ impl<'k> LanesRun<'k> {
                                         }
                                         Err(msg) => {
                                             any_bad = true;
-                                            self.lane_fetches[l] = g.fetched;
-                                            trapped.push((l, ExecError::Trap(msg)));
+                                            trapped.push((l, g.fetched, ExecError::Trap(msg)));
                                         }
                                     }
                                 }
@@ -1523,8 +1516,7 @@ impl<'k> LanesRun<'k> {
                                     }
                                     Err(err) => {
                                         any_bad = true;
-                                        self.lane_fetches[l] = g.fetched;
-                                        trapped.push((l, err));
+                                        trapped.push((l, g.fetched, err));
                                     }
                                 }
                             }
@@ -1604,8 +1596,7 @@ impl<'k> LanesRun<'k> {
                                     }
                                     Err(err) => {
                                         any_bad = true;
-                                        self.lane_fetches[l] = g.fetched;
-                                        trapped.push((l, err));
+                                        trapped.push((l, g.fetched, err));
                                     }
                                 }
                             }
@@ -1633,14 +1624,12 @@ impl<'k> LanesRun<'k> {
                             match pipes.try_read(p.buffer, *ty) {
                                 Err(msg) => {
                                     any_bad = true;
-                                    self.lane_fetches[l] = g.fetched;
-                                    trapped.push((l, ExecError::Trap(msg)));
+                                    trapped.push((l, g.fetched, ExecError::Trap(msg)));
                                 }
                                 Ok(None) => {
                                     self.stats.pipe_read_stalls += 1;
-                                    self.lane_fetches[l] = g.fetched;
                                     self.running.push(l);
-                                    stalled_at = Some(g.pc);
+                                    stalled_at = Some((g.pc, g.fetched));
                                     sum_fetches = sum_fetches.saturating_add(g.fetched);
                                 }
                                 Ok(Some(bits)) => {
@@ -1665,14 +1654,12 @@ impl<'k> LanesRun<'k> {
                             match pipes.try_write(p.buffer, *ty, bits) {
                                 Err(msg) => {
                                     any_bad = true;
-                                    self.lane_fetches[l] = g.fetched;
-                                    trapped.push((l, ExecError::Trap(msg)));
+                                    trapped.push((l, g.fetched, ExecError::Trap(msg)));
                                 }
                                 Ok(false) => {
                                     self.stats.pipe_write_stalls += 1;
-                                    self.lane_fetches[l] = g.fetched;
                                     self.running.push(l);
-                                    stalled_at = Some(g.pc);
+                                    stalled_at = Some((g.pc, g.fetched));
                                     sum_fetches = sum_fetches.saturating_add(g.fetched);
                                 }
                                 Ok(true) => {
@@ -1772,52 +1759,50 @@ impl<'k> LanesRun<'k> {
 
         self.group_stack = groups;
         let settled = if !any_bad && sum_fetches <= budget {
-            self.steps += sum_fetches;
+            self.steps_left -= sum_fetches;
             Ok(())
         } else {
-            self.settle(budget, trapped)
+            self.settle(budget, trapped, stalled_at.map(|(_, fetched)| fetched))
         };
         pool.extend(self.ended.drain(..).map(|g| g.lanes));
         self.lane_pool = pool;
-        settled.map(|()| stalled_at)
+        settled.map(|()| stalled_at.map(|(pc, _)| pc))
     }
 
-    /// Serial settlement (rare): replay the per-lane fetch counts of the
-    /// phase in work-item order against the shared budget, exactly as
-    /// the walker interleaves them — deciding `StepLimitExceeded` vs. a
-    /// real trap per lane. Trapped and stalled lanes wrote their counts
-    /// when they stopped; the recorded groups' lanes are written here.
+    /// Serial settlement (rare): replay the phase's per-lane fetch counts
+    /// in work-item order against the shared budget, exactly as the
+    /// walker interleaves them — deciding `StepLimitExceeded` vs. a real
+    /// trap per lane. The counts come from the trapped lanes, the stalled
+    /// lanes in `self.running` (`stall_fetches`) and the lanes of every
+    /// recorded group.
     fn settle(
         &mut self,
         budget: u64,
-        mut trapped: Vec<(usize, ExecError)>,
+        trapped: Vec<(usize, u64, ExecError)>,
+        stall_fetches: Option<u64>,
     ) -> Result<(), ExecError> {
-        let mut ran: Vec<usize> = trapped.iter().map(|&(l, _)| l).collect();
-        ran.extend_from_slice(&self.running);
-        for g in self.arrived.iter().chain(&self.ended) {
-            for &l in &g.lanes {
-                self.lane_fetches[l] = g.fetched;
-            }
-            ran.extend_from_slice(&g.lanes);
+        let mut ran: Vec<(usize, u64, Option<ExecError>)> =
+            trapped.into_iter().map(|(l, fetches, err)| (l, fetches, Some(err))).collect();
+        if let Some(fetches) = stall_fetches {
+            ran.extend(self.running.iter().map(|&l| (l, fetches, None)));
         }
-        ran.sort_unstable();
+        for g in self.arrived.iter().chain(&self.ended) {
+            ran.extend(g.lanes.iter().map(|&l| (l, g.fetched, None)));
+        }
+        ran.sort_unstable_by_key(|&(l, ..)| l);
         let mut cum: u64 = 0;
-        for l in ran {
-            let fetches = self.lane_fetches[l];
-            if fetches == u64::MAX {
-                return Err(ExecError::StepLimitExceeded);
-            }
-            let over = cum.checked_add(fetches).is_none_or(|s| s > budget);
-            if let Some(pos) = trapped.iter().position(|(tl, _)| *tl == l) {
-                let (_, err) = trapped.swap_remove(pos);
-                return Err(if over { ExecError::StepLimitExceeded } else { err });
-            }
+        for (_, fetches, trap) in ran {
+            // `u64::MAX` marks a group stopped at the fetch cap.
+            let over = fetches == u64::MAX || cum.checked_add(fetches).is_none_or(|s| s > budget);
             if over {
                 return Err(ExecError::StepLimitExceeded);
             }
+            if let Some(err) = trap {
+                return Err(err);
+            }
             cum += fetches;
         }
-        self.steps += cum;
+        self.steps_left -= cum;
         Ok(())
     }
 }
