@@ -204,13 +204,14 @@ done
 
 # Exact gate on perfbench's deterministic rows: every count and bytes
 # row (instruction counts, bytecode lengths, commands and transfer
-# bytes per option, pipe stalls) and every simulated-device figure
-# (fpga.sim_*) of the traced paper-ivb run must match the golden value
-# for value. An intended change to one of them regenerates
+# bytes per option, pipe stalls), every simulated-device figure
+# (fpga.sim_*) and the served options per simulated joule of the
+# traced paper-ivb run must match the golden value for value. An
+# intended change to one of them regenerates
 # tests/golden/perfbench-paper-ivb.json in the same change.
 echo "== perfbench deterministic rows =="
 printf '%s\n' "${ivb_result}" | grep -o '"[^"]*":{"unit":"[^"]*","value":[^}]*}' \
-  | grep '^"[^"]*":{"unit":"\(count\|bytes\)"\|^"fpga\.sim_' \
+  | grep '^"[^"]*":{"unit":"\(count\|bytes\)"\|^"fpga\.sim_\|^"serve\.sim_options_per_j"' \
   | sed '$!s/$/,/' | { echo '{'; cat; echo '}'; } \
   | cmp - tests/golden/perfbench-paper-ivb.json \
   || { echo "perfbench paper-ivb: deterministic rows differ from tests/golden/perfbench-paper-ivb.json" >&2; exit 1; }

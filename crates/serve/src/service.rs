@@ -823,6 +823,7 @@ fn worker_loop(
     // One success resets it; reaching `quarantine_after` takes the shard
     // out of scheduling.
     let mut failure_streak = 0usize;
+    let mut energy = EnergyMeter::default();
     while let Some((batch, running)) = next_batch(shard, shared, metrics, tracer) {
         let now = Instant::now();
         let mut live = Vec::with_capacity(batch.chunks.len());
@@ -898,9 +899,10 @@ fn worker_loop(
                 // Cumulative per-shard energy, from the session's
                 // simulated busy time × modeled watts — bit-identical
                 // for a given request stream regardless of wall-clock
-                // knobs (worker counts, thread timing). The run covers
-                // the whole device batch, Greeks bumps included.
-                metrics.add_gauge("energy.joules", &[("shard", &label)], run.joules);
+                // knobs (worker counts, thread timing) and of the order
+                // batches complete in. The run covers the whole device
+                // batch, Greeks bumps included.
+                metrics.set_gauge("energy.joules", &[("shard", &label)], energy.add(run.joules));
                 metrics.add_gauge("energy.busy_s", &[("shard", &label)], run.device_busy_s);
                 metrics.inc("serve.shard.options", &[("shard", &label)], risk.len() as u64);
                 metrics.inc("serve.payoff.options", &[("payoff", batch.class)], risk.len() as u64);
@@ -1025,6 +1027,27 @@ fn risk_attempt(
     outcome.map(|(results, run, _)| (results, run))
 }
 
+/// A shard's cumulative energy as a count of 2^-32 J units. Its value in
+/// joules, and every sum of such values, is exact while the total stays
+/// under 2^21 J (about 2 MJ), so a sum over shards does not depend on the
+/// order batches completed in or on the shards they ran on.
+#[derive(Debug, Default)]
+struct EnergyMeter {
+    units: u64,
+}
+
+impl EnergyMeter {
+    /// Fixed-point units per joule.
+    const UNITS_PER_J: f64 = (1u64 << 32) as f64;
+
+    /// Add one batch's `joules`, rounded to the nearest unit, and return
+    /// the shard's total in joules.
+    fn add(&mut self, joules: f64) -> f64 {
+        self.units = self.units.saturating_add((joules * Self::UNITS_PER_J).round() as u64);
+        self.units as f64 / Self::UNITS_PER_J
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,6 +1062,33 @@ mod tests {
     fn aggregator(n_options: usize, id: u64) -> Aggregator {
         let (metrics, tracer) = (Arc::new(MetricsRegistry::new()), Arc::new(RequestTracer::new()));
         Aggregator::new(n_options, RequestId(id), &metrics, &tracer)
+    }
+
+    #[test]
+    fn shard_energy_sums_are_exact_in_any_order_and_split() {
+        let batches: Vec<f64> = (1..=40).map(|i| 0.1 * i as f64 / 7.0 + 1e-3 / i as f64).collect();
+        let reversed: Vec<f64> = batches.iter().rev().copied().collect();
+        let float_sum = |xs: &[f64]| xs.iter().sum::<f64>().to_bits();
+        assert_ne!(float_sum(&batches), float_sum(&reversed), "a float sum depends on the order");
+        // The two shard gauges after every batch has run, summed as a
+        // reader of the registry sums them.
+        let total = |order: &[f64], on_shard_0: &dyn Fn(usize) -> bool| {
+            let (mut meters, mut gauges) =
+                ([EnergyMeter::default(), EnergyMeter::default()], [0.0; 2]);
+            for (i, &joules) in order.iter().enumerate() {
+                let shard = usize::from(!on_shard_0(i));
+                gauges[shard] = meters[shard].add(joules);
+            }
+            (gauges[0] + gauges[1]).to_bits()
+        };
+        let alternate = |i: usize| i.is_multiple_of(2);
+        let halves = |i: usize| i < batches.len() / 2;
+        let reference = total(&batches, &alternate);
+        for order in [&batches, &reversed] {
+            for split in [&alternate as &dyn Fn(usize) -> bool, &halves] {
+                assert_eq!(total(order, split), reference);
+            }
+        }
     }
 
     #[test]
