@@ -700,6 +700,34 @@ struct LaneGroup {
     fetched: u64,
 }
 
+/// The space and buffer of a lane's pointer: a [`PtrValue`] without its
+/// offset, which lives in a plane of its own so that a `Gep` touches
+/// only the offsets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PtrTag {
+    space: AddressSpace,
+    buffer: u32,
+}
+
+impl PtrTag {
+    fn of(p: PtrValue) -> PtrTag {
+        PtrTag { space: p.space, buffer: p.buffer }
+    }
+
+    /// The pointer this tag names at byte `offset`.
+    fn at(self, offset: i64) -> PtrValue {
+        PtrValue { space: self.space, buffer: self.buffer, offset }
+    }
+}
+
+/// `offset` displaced by `count` elements of `size` bytes: the
+/// arithmetic of [`PtrValue::offset_by`], so an overflow traps in debug
+/// builds exactly where the walker's does.
+#[inline(always)]
+fn displaced(offset: i64, count: i64, size: i64) -> i64 {
+    offset + count * size
+}
+
 /// `true` if `lanes` is the dense range `lanes[0]..=lanes[n-1]`.
 #[inline]
 fn lanes_contiguous(lanes: &[usize]) -> bool {
@@ -719,6 +747,55 @@ fn lanes_copy<T: Copy>(plane: &mut [T], lanes: &[usize], d: usize, s: usize) {
         for &l in lanes {
             plane[d + l] = plane[s + l];
         }
+    }
+}
+
+/// `true` if every lane of `range` (a dense group) points into `t0`'s
+/// buffer at an offset `o` with `0 <= o` and `o + len <= rlen`: one
+/// branch-free pass over the tag and offset rows of a pointer register.
+#[inline(always)]
+fn lanes_in_region(
+    tags: &[PtrTag],
+    offs: &[i64],
+    range: std::ops::Range<usize>,
+    t0: PtrTag,
+    len: usize,
+    rlen: usize,
+) -> bool {
+    // A negative offset reads as a `u64` above any buffer length.
+    let Some(last) = rlen.checked_sub(len) else { return false };
+    let tags = &tags[range.clone()];
+    let offs = &offs[range];
+    tags.iter().zip(offs).fold(true, |ok, (&t, &o)| ok & (t == t0) & (o as u64 <= last as u64))
+}
+
+/// Read `len` (at most 8) little-endian bytes at `at` as a cell.
+///
+/// # Safety
+/// `at..at + len` must be readable.
+#[inline(always)]
+unsafe fn read_cell(at: *const u8, len: usize) -> u64 {
+    if len == 8 {
+        u64::from_le(at.cast::<u64>().read_unaligned())
+    } else {
+        let mut raw = [0u8; 8];
+        std::ptr::copy_nonoverlapping(at, raw.as_mut_ptr(), len);
+        u64::from_le_bytes(raw)
+    }
+}
+
+/// Write the low `len` (at most 8) bytes of `bits`, little-endian, at
+/// `at`.
+///
+/// # Safety
+/// `at..at + len` must be writable.
+#[inline(always)]
+unsafe fn write_cell(at: *mut u8, len: usize, bits: u64) {
+    if len == 8 {
+        at.cast::<u64>().write_unaligned(bits.to_le());
+    } else {
+        let raw = bits.to_le_bytes();
+        std::ptr::copy_nonoverlapping(raw.as_ptr(), at, len);
     }
 }
 
@@ -824,11 +901,11 @@ fn lanes_i64_cmp(
 /// Where the tree-walker ([`crate::interp::WorkGroupRun`]) runs one
 /// work-item at a time, `LanesRun` keeps a structure-of-arrays register
 /// file (`W` lanes per register, bit-packed `u64` cells for scalars, and
-/// a compact pointer plane with rows for the pointer-typed registers
-/// only) and dispatches each op *once per SIMT group*, running its inner
-/// loop across all live lanes. Control divergence splits a group; lanes
-/// that trap or reach a barrier are masked out and their outcome
-/// recorded.
+/// compact tag and offset planes with rows for the pointer-typed
+/// registers only) and dispatches each op *once per SIMT group*, running
+/// its inner loop across all live lanes. Control divergence splits a
+/// group; lanes that trap or reach a barrier are masked out and their
+/// outcome recorded.
 ///
 /// Observational parity with the walker, which it mirrors, is
 /// maintained by construction:
@@ -854,12 +931,21 @@ fn lanes_i64_cmp(
 /// [`ExecError::BarrierDivergence`]: `a` is the position of the lowest
 /// live lane, `b` that of the lowest lane standing elsewhere.
 ///
-/// Per-lane state is only the register file (`cells`, `ptrs`), the
-/// `private` arenas and `lid`. There is no per-lane status, pc or fetch
-/// array: when a phase needs the serial settlement (a trap, a group at
-/// the fetch cap, or fetches that overrun the budget), it gathers each
-/// lane's fetch count from the trapped lanes, the stalled lane and the
-/// recorded groups, and replays them in work-item order.
+/// Per-lane state is only the register file (`cells`, pointer `tags`
+/// and pointer `offsets`) and the `private` arenas; a lane's local id
+/// is computed from the group shape when queried. There is no
+/// per-lane status, pc or fetch array: when a phase needs the serial
+/// settlement (a trap, a group at the fetch cap, or fetches that overrun
+/// the budget), it gathers each lane's fetch count from the trapped
+/// lanes, the stalled lane and the recorded groups, and replays them in
+/// work-item order.
+///
+/// A pointer register is split across two planes: a tag (space and
+/// buffer) and a byte offset per lane. A `Gep` copies the tag row and
+/// computes the offset row in one dense loop, and a dense `Load` or
+/// `Store` checks every lane's tag and bounds in one pass before a copy
+/// loop with no per-lane test. A `PtrValue` is built only on the
+/// per-lane slow paths and for error payloads.
 ///
 /// Pipe kernels are single-work-item tasks (checked in [`LanesRun::new`]),
 /// so a pipe stall suspends the whole group: its lane becomes `running`
@@ -877,12 +963,14 @@ pub struct LanesRun<'k> {
     w: usize,
     /// Scalar register cells, SoA: register `r` of lane `l` is at `r*w + l`.
     cells: Vec<u64>,
-    /// Pointer registers, SoA by pointer row: pointer register `r` of
-    /// lane `l` is at `kernel.ptr_row(r)*w + l`.
-    ptrs: Vec<PtrValue>,
+    /// Pointer registers, split into two planes with one SoA layout:
+    /// pointer register `r` of lane `l` has its tag (space and buffer)
+    /// at `tags[kernel.ptr_row(r)*w + l]` and its byte offset at the
+    /// same index of `offsets`.
+    tags: Vec<PtrTag>,
+    offsets: Vec<i64>,
     /// Per-lane private arenas, stride `private_bytes`.
     private: Vec<u8>,
-    lid: Vec<[usize; 3]>,
     /// The lanes the next phase runs, ascending (empty once every lane
     /// has retired), and the pc they all start it at.
     running: Vec<usize>,
@@ -922,18 +1010,20 @@ impl<'k> LanesRun<'k> {
         // 0.0); pointer registers start at the poison buffer id.
         let mut cells = vec![0u64; nregs * w];
         let ptr_regs = kernel.ptr_rows.iter().filter(|&&row| row != NO_PTR_ROW).count();
-        let mut ptrs = Vec::with_capacity(ptr_regs * w);
+        let mut tags = Vec::with_capacity(ptr_regs * w);
         for ty in &kernel.reg_types {
             if let Type::Ptr(space, _) = ty {
-                ptrs.extend(std::iter::repeat_n(PtrValue::new(*space, u32::MAX), w));
+                tags.extend(std::iter::repeat_n(PtrTag { space: *space, buffer: u32::MAX }, w));
             }
         }
+        let mut offsets = vec![0i64; ptr_regs * w];
         // Binding puts pointers only in pointer-typed parameters.
         for (r, v) in bound.iter().enumerate() {
             match *v {
                 Value::Ptr(p) => {
                     let row = kernel.ptr_row(r as u32) * w;
-                    ptrs[row..row + w].fill(p)
+                    tags[row..row + w].fill(PtrTag::of(p));
+                    offsets[row..row + w].fill(p.offset);
                 }
                 v => cells[r * w..(r + 1) * w].fill(encode_value(v)),
             }
@@ -946,9 +1036,9 @@ impl<'k> LanesRun<'k> {
             shape,
             w,
             cells,
-            ptrs,
+            tags,
+            offsets,
             private: vec![0; kernel.private_bytes * w],
-            lid: (0..w).map(|i| shape.local_id(i)).collect(),
             running: (0..w).collect(),
             start_pc: 0,
             stats,
@@ -1042,22 +1132,18 @@ impl<'k> LanesRun<'k> {
     }
 
     /// The region the lanes of a group access through pointers into
-    /// `p0`'s buffer, as `(base, len, stride)`: lane `l` reaches byte `o`
+    /// `t0`'s buffer, as `(base, len, stride)`: lane `l` reaches byte `o`
     /// at `base + l*stride + o`, valid when `o + size <= len`. A global,
     /// local or constant buffer is one region for every lane (stride 0);
     /// private memory is each lane's own arena. `None` when the memory
     /// exposes no raw view.
-    fn lane_region(
-        &mut self,
-        mem: &mut dyn Memory,
-        p0: PtrValue,
-    ) -> Option<(*mut u8, usize, usize)> {
-        match p0.space {
+    fn lane_region(&mut self, mem: &mut dyn Memory, t0: PtrTag) -> Option<(*mut u8, usize, usize)> {
+        match t0.space {
             AddressSpace::Private => {
                 let pb = self.kernel.private_bytes;
                 Some((self.private.as_mut_ptr(), pb, pb))
             }
-            space => mem.raw_region(space, p0.buffer).map(|(base, len)| (base, len, 0)),
+            space => mem.raw_region(space, t0.buffer).map(|(base, len)| (base, len, 0)),
         }
     }
 
@@ -1118,11 +1204,14 @@ impl<'k> LanesRun<'k> {
                         match kernel.consts[*ci as usize] {
                             Value::Ptr(p) => {
                                 let d = kernel.ptr_row(*dst) * w;
+                                let tag = PtrTag::of(p);
                                 if contig {
-                                    self.ptrs[d + lo..d + lo + n].fill(p);
+                                    self.tags[d + lo..d + lo + n].fill(tag);
+                                    self.offsets[d + lo..d + lo + n].fill(p.offset);
                                 } else {
                                     for &l in &g.lanes {
-                                        self.ptrs[d + l] = p;
+                                        self.tags[d + l] = tag;
+                                        self.offsets[d + l] = p.offset;
                                     }
                                 }
                             }
@@ -1147,7 +1236,8 @@ impl<'k> LanesRun<'k> {
                             lanes_copy(&mut self.cells, &g.lanes, d, s);
                         } else {
                             let (d, s) = (kernel.ptr_row(*dst) * w, kernel.ptr_row(*src) * w);
-                            lanes_copy(&mut self.ptrs, &g.lanes, d, s);
+                            lanes_copy(&mut self.tags, &g.lanes, d, s);
+                            lanes_copy(&mut self.offsets, &g.lanes, d, s);
                         }
                         self.stats.ops.mov += nl;
                     }
@@ -1199,25 +1289,46 @@ impl<'k> LanesRun<'k> {
                         let (ai, bi, ci, di) =
                             (*a as usize * w, *b as usize * w, *c as usize * w, *dst as usize * w);
                         let cf = *c_first;
-                        let fma = |cells: &mut [u64], i: usize| {
-                            let x = f64::from_bits(cells[ai + i]);
-                            let y = f64::from_bits(cells[bi + i]);
-                            let cv = f64::from_bits(cells[ci + i]);
+                        // Two roundings, product then sum, with the
+                        // operand order of the unfused source expression
+                        // so NaN payloads stay bit-identical to the
+                        // tree-walker.
+                        #[allow(clippy::if_same_then_else)]
+                        let fma = |x: f64, y: f64, cv: f64| {
                             let prod = x * y;
-                            // Operand order mirrors the unfused source expression so
-                            // NaN payloads stay bit-identical to the tree-walker.
-                            #[allow(clippy::if_same_then_else)]
-                            let out = if cf { cv + prod } else { prod + cv };
-                            cells[di + i] = out.to_bits();
+                            if cf {
+                                cv + prod
+                            } else {
+                                prod + cv
+                            }
                         };
+                        let cells = &mut self.cells;
                         if lanes_contiguous(&g.lanes) {
                             let (lo, n) = (g.lanes[0], g.lanes.len());
-                            for i in lo..lo + n {
-                                fma(&mut self.cells, i);
+                            let hi = lo + n;
+                            let len = cells.len();
+                            assert!(
+                                ai + hi <= len
+                                    && bi + hi <= len
+                                    && ci + hi <= len
+                                    && di + hi <= len
+                            );
+                            for i in lo..hi {
+                                // SAFETY: `ai/bi/ci/di + i < cells.len()`
+                                // per the assert above.
+                                unsafe {
+                                    let x = f64::from_bits(*cells.get_unchecked(ai + i));
+                                    let y = f64::from_bits(*cells.get_unchecked(bi + i));
+                                    let cv = f64::from_bits(*cells.get_unchecked(ci + i));
+                                    *cells.get_unchecked_mut(di + i) = fma(x, y, cv).to_bits();
+                                }
                             }
                         } else {
                             for &l in &g.lanes {
-                                fma(&mut self.cells, l);
+                                let x = f64::from_bits(cells[ai + l]);
+                                let y = f64::from_bits(cells[bi + l]);
+                                let cv = f64::from_bits(cells[ci + l]);
+                                cells[di + l] = fma(x, y, cv).to_bits();
                             }
                         }
                         self.stats.ops.mul64 += nl;
@@ -1405,9 +1516,9 @@ impl<'k> LanesRun<'k> {
                         for &l in &g.lanes {
                             let out = match query {
                                 WiQuery::GlobalId => {
-                                    shape.group_id[d] * shape.local_size[d] + self.lid[l][d]
+                                    shape.group_id[d] * shape.local_size[d] + shape.local_id(l)[d]
                                 }
-                                WiQuery::LocalId => self.lid[l][d],
+                                WiQuery::LocalId => shape.local_id(l)[d],
                                 WiQuery::GroupId => shape.group_id[d],
                                 WiQuery::GlobalSize => shape.global_size[d],
                                 WiQuery::LocalSize => shape.local_size[d],
@@ -1423,22 +1534,37 @@ impl<'k> LanesRun<'k> {
                             kernel.ptr_row(*base) * w,
                             *index as usize * w,
                         );
-                        // An `int` index cell holds its bits zero-extended;
-                        // the offset sign-extends them, as `Value::as_i64`.
+                        // The tag carries over unchanged; only the offsets
+                        // move. An `int` index cell holds its bits
+                        // zero-extended; the offset sign-extends them, as
+                        // `Value::as_i64`.
+                        lanes_copy(&mut self.tags, &g.lanes, d, b);
                         let int32 =
                             kernel.reg_types[*index as usize] == Type::Scalar(ScalarType::I32);
-                        let offset =
+                        let count =
                             |bits: u64| if int32 { bits as i32 as i64 } else { bits as i64 };
+                        let size = elem.size_bytes() as i64;
+                        let (offs, cells) = (&mut self.offsets, &self.cells);
                         if lanes_contiguous(&g.lanes) {
                             let (lo, n) = (g.lanes[0], g.lanes.len());
-                            for i in lo..lo + n {
-                                let off = offset(self.cells[x + i]);
-                                self.ptrs[d + i] = self.ptrs[b + i].offset_by(off, *elem);
+                            let hi = lo + n;
+                            assert!(
+                                d + hi <= offs.len()
+                                    && b + hi <= offs.len()
+                                    && x + hi <= cells.len()
+                            );
+                            for i in lo..hi {
+                                // SAFETY: `d/b + i < offs.len()` and
+                                // `x + i < cells.len()` per the assert above.
+                                unsafe {
+                                    let c = count(*cells.get_unchecked(x + i));
+                                    *offs.get_unchecked_mut(d + i) =
+                                        displaced(*offs.get_unchecked(b + i), c, size);
+                                }
                             }
                         } else {
                             for &l in &g.lanes {
-                                let off = offset(self.cells[x + l]);
-                                self.ptrs[d + l] = self.ptrs[b + l].offset_by(off, *elem);
+                                offs[d + l] = displaced(offs[b + l], count(cells[x + l]), size);
                             }
                         }
                         self.stats.ops.int_alu += nl;
@@ -1448,61 +1574,67 @@ impl<'k> LanesRun<'k> {
                         // Resolve the buffer once for the whole group: in
                         // race-free kernels a group's lanes nearly always
                         // address one buffer (a uniform base plus per-lane
-                        // offsets), or each its own private arena. Lanes
-                        // that miss the resolved region — different
-                        // buffer, out of bounds, bool loads (which
-                        // canonicalize through `Value`) — take the per-lane
-                        // slow path, which also produces the exact walker
-                        // error payloads. The pointer and destination rows
-                        // are looked up once and indexed by lane.
+                        // offsets), or each its own private arena. A dense
+                        // group whose lanes all pass one check pass loads
+                        // with no per-lane test; otherwise the lanes up to
+                        // the first that misses the resolved region —
+                        // different buffer, out of bounds, bool loads
+                        // (which canonicalize through `Value`) — load
+                        // fast and the rest take the per-lane slow path,
+                        // which also produces the exact walker error
+                        // payloads.
                         let prow = kernel.ptr_row(*ptr) * w;
-                        let p0 = self.ptrs[prow + g.lanes[0]];
+                        let t0 = self.tags[prow + g.lanes[0]];
                         let fast =
-                            if *ty == ScalarType::Bool { None } else { self.lane_region(mem, p0) };
-                        let ptrs = &self.ptrs[prow..prow + w];
+                            if *ty == ScalarType::Bool { None } else { self.lane_region(mem, t0) };
+                        let tags = &self.tags[prow..prow + w];
+                        let offs = &self.offsets[prow..prow + w];
                         let drow = *dst as usize * w;
                         let out = &mut self.cells[drow..drow + w];
                         let mut k = 0;
                         if let Some((base, rlen, stride)) = fast {
-                            let contig = lanes_contiguous(&g.lanes);
-                            let lo = g.lanes[0];
-                            while k < g.lanes.len() {
-                                let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = ptrs[l];
-                                if p.space != p0.space || p.buffer != p0.buffer {
-                                    break;
-                                }
-                                let Some(o) =
-                                    usize::try_from(p.offset).ok().filter(|o| o + len <= rlen)
-                                else {
-                                    break;
-                                };
-                                // SAFETY: `o + len <= rlen` was just checked
-                                // against the lane's region (see
-                                // `lane_region`); cross-group races are
-                                // excluded by the race-freedom contract of
-                                // `raw_region`.
-                                let bits = unsafe {
-                                    let at = base.add(l * stride + o);
-                                    if len == 8 {
-                                        u64::from_le(at.cast::<u64>().read_unaligned())
-                                    } else {
-                                        let mut raw = [0u8; 8];
-                                        std::ptr::copy_nonoverlapping(at, raw.as_mut_ptr(), len);
-                                        u64::from_le_bytes(raw)
+                            let (lo, n) = (g.lanes[0], g.lanes.len());
+                            if lanes_contiguous(&g.lanes)
+                                && lanes_in_region(tags, offs, lo..lo + n, t0, len, rlen)
+                            {
+                                for l in lo..lo + n {
+                                    // SAFETY: `lanes_in_region` sliced
+                                    // `lo..lo + n` out of the `w`-long rows
+                                    // and checked `offs[l] + len <= rlen`;
+                                    // cross-group races are excluded by the
+                                    // race-freedom contract of `raw_region`.
+                                    unsafe {
+                                        let o = *offs.get_unchecked(l) as usize;
+                                        *out.get_unchecked_mut(l) =
+                                            read_cell(base.add(l * stride + o), len);
                                     }
-                                };
-                                out[l] = bits;
-                                k += 1;
+                                }
+                                k = n;
+                            } else {
+                                while k < n {
+                                    let l = g.lanes[k];
+                                    if tags[l] != t0 {
+                                        break;
+                                    }
+                                    let Some(o) =
+                                        usize::try_from(offs[l]).ok().filter(|o| o + len <= rlen)
+                                    else {
+                                        break;
+                                    };
+                                    // SAFETY: `o + len <= rlen` was just
+                                    // checked against the lane's region.
+                                    out[l] = unsafe { read_cell(base.add(l * stride + o), len) };
+                                    k += 1;
+                                }
                             }
-                            self.stats.mem.count_loads(p0.space, len, k as u64);
+                            self.stats.mem.count_loads(t0.space, len, k as u64);
                         }
                         if k < g.lanes.len() {
                             let mut survivors = pool.pop().unwrap_or_default();
                             survivors.clear();
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
-                                let p = ptrs[l];
+                                let p = tags[l].at(offs[l]);
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_load(&self.private[l * pb..(l + 1) * pb], p, *ty)
                                 } else {
@@ -1529,60 +1661,69 @@ impl<'k> LanesRun<'k> {
                     }
                     Op::Store { ptr, val, ty } => {
                         let len = ty.size_bytes();
-                        // Same single-resolution fast path as `Load`. Stores
-                        // to `__constant` memory must keep erroring, so the
-                        // constant space never takes it. Cells hold the
+                        // Same single-resolution fast paths as `Load`,
+                        // storing in ascending lane order. Stores to
+                        // `__constant` memory must keep erroring, so the
+                        // constant space never takes them. Cells hold the
                         // exact little-endian bit patterns
                         // `Value::to_le_bytes` would produce (bool
                         // included: cells are canonical 0/1).
                         let prow = kernel.ptr_row(*ptr) * w;
-                        let p0 = self.ptrs[prow + g.lanes[0]];
-                        let fast = if p0.space == AddressSpace::Constant {
+                        let t0 = self.tags[prow + g.lanes[0]];
+                        let fast = if t0.space == AddressSpace::Constant {
                             None
                         } else {
-                            self.lane_region(mem, p0)
+                            self.lane_region(mem, t0)
                         };
-                        let ptrs = &self.ptrs[prow..prow + w];
+                        let tags = &self.tags[prow..prow + w];
+                        let offs = &self.offsets[prow..prow + w];
                         let vrow = *val as usize * w;
                         let vals = &self.cells[vrow..vrow + w];
                         let mut k = 0;
                         if let Some((base, rlen, stride)) = fast {
-                            let contig = lanes_contiguous(&g.lanes);
-                            let lo = g.lanes[0];
-                            while k < g.lanes.len() {
-                                let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = ptrs[l];
-                                if p.space != p0.space || p.buffer != p0.buffer {
-                                    break;
-                                }
-                                let Some(o) =
-                                    usize::try_from(p.offset).ok().filter(|o| o + len <= rlen)
-                                else {
-                                    break;
-                                };
-                                let bits = vals[l];
-                                // SAFETY: bounds checked above against the
-                                // lane's region; race-freedom per the
-                                // `raw_region` contract.
-                                unsafe {
-                                    let at = base.add(l * stride + o);
-                                    if len == 8 {
-                                        at.cast::<u64>().write_unaligned(bits.to_le());
-                                    } else {
-                                        let raw = bits.to_le_bytes();
-                                        std::ptr::copy_nonoverlapping(raw.as_ptr(), at, len);
+                            let (lo, n) = (g.lanes[0], g.lanes.len());
+                            if lanes_contiguous(&g.lanes)
+                                && lanes_in_region(tags, offs, lo..lo + n, t0, len, rlen)
+                            {
+                                for l in lo..lo + n {
+                                    // SAFETY: as for the dense load;
+                                    // `vals` is `w` long too.
+                                    unsafe {
+                                        let o = *offs.get_unchecked(l) as usize;
+                                        write_cell(
+                                            base.add(l * stride + o),
+                                            len,
+                                            *vals.get_unchecked(l),
+                                        );
                                     }
                                 }
-                                k += 1;
+                                k = n;
+                            } else {
+                                while k < n {
+                                    let l = g.lanes[k];
+                                    if tags[l] != t0 {
+                                        break;
+                                    }
+                                    let Some(o) =
+                                        usize::try_from(offs[l]).ok().filter(|o| o + len <= rlen)
+                                    else {
+                                        break;
+                                    };
+                                    // SAFETY: bounds checked above against
+                                    // the lane's region; race-freedom per
+                                    // the `raw_region` contract.
+                                    unsafe { write_cell(base.add(l * stride + o), len, vals[l]) };
+                                    k += 1;
+                                }
                             }
-                            self.stats.mem.count_stores(p0.space, len, k as u64);
+                            self.stats.mem.count_stores(t0.space, len, k as u64);
                         }
                         if k < g.lanes.len() {
                             let mut survivors = pool.pop().unwrap_or_default();
                             survivors.clear();
                             survivors.extend_from_slice(&g.lanes[..k]);
                             for &l in &g.lanes[k..] {
-                                let p = ptrs[l];
+                                let p = tags[l].at(offs[l]);
                                 let v = decode_value(*ty, vals[l]);
                                 let res = if p.space == AddressSpace::Private {
                                     bc_private_store(&mut self.private[l * pb..(l + 1) * pb], p, v)
@@ -1620,8 +1761,7 @@ impl<'k> LanesRun<'k> {
                         let mut survivors = pool.pop().unwrap_or_default();
                         survivors.clear();
                         for &l in &g.lanes {
-                            let p = self.ptrs[pidx(*pipe, l)];
-                            match pipes.try_read(p.buffer, *ty) {
+                            match pipes.try_read(self.tags[pidx(*pipe, l)].buffer, *ty) {
                                 Err(msg) => {
                                     any_bad = true;
                                     trapped.push((l, g.fetched, ExecError::Trap(msg)));
@@ -1649,9 +1789,9 @@ impl<'k> LanesRun<'k> {
                         let mut survivors = pool.pop().unwrap_or_default();
                         survivors.clear();
                         for &l in &g.lanes {
-                            let p = self.ptrs[pidx(*pipe, l)];
+                            let buffer = self.tags[pidx(*pipe, l)].buffer;
                             let bits = self.cells[idx(*val, l)];
-                            match pipes.try_write(p.buffer, *ty, bits) {
+                            match pipes.try_write(buffer, *ty, bits) {
                                 Err(msg) => {
                                     any_bad = true;
                                     trapped.push((l, g.fetched, ExecError::Trap(msg)));
@@ -1725,15 +1865,28 @@ impl<'k> LanesRun<'k> {
                             g.pc = target as usize;
                             continue;
                         }
+                        // A monotone split (lanes before `split` go one
+                        // way, every lane from it on the other — a loop
+                        // exit over ascending rows) is two ranges.
+                        let cells = &self.cells;
+                        let monotone =
+                            g.lanes[split..].iter().all(|&l| (cells[c + l] != 0) != first);
                         let mut then_l = pool.pop().unwrap_or_default();
                         then_l.clear();
                         let mut else_l = pool.pop().unwrap_or_default();
                         else_l.clear();
-                        for &l in &g.lanes {
-                            if self.cells[idx(*cond, l)] != 0 {
-                                then_l.push(l);
-                            } else {
-                                else_l.push(l);
+                        if monotone {
+                            let (head, tail) = g.lanes.split_at(split);
+                            let (t, e) = if first { (head, tail) } else { (tail, head) };
+                            then_l.extend_from_slice(t);
+                            else_l.extend_from_slice(e);
+                        } else {
+                            for &l in &g.lanes {
+                                if cells[c + l] != 0 {
+                                    then_l.push(l);
+                                } else {
+                                    else_l.push(l);
+                                }
                             }
                         }
                         self.stats.block_execs[*then_block as usize] += then_l.len() as u64;
@@ -2796,6 +2949,234 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `p = (lid % m) >= k ? b : a` through a pointer `Mov` after a
+    /// data-dependent branch, then a barrier, `p[lid] = 2 * p[lid] + 1` and
+    /// `out[gid] = p[lid]`: with `m` past the group size the lanes from
+    /// `k` on point into `b` (one split), with `m = 2, k = 1` they
+    /// alternate between the buffers.
+    fn mixed_buffer_kernel() -> Function {
+        use crate::ir::BinOp;
+        use AddressSpace::Global;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("mixed", true);
+        let out = b.param("out", Type::ptr(Global, F64));
+        let a_buf = b.param("a", Type::ptr(Global, F64));
+        let b_buf = b.param("b", Type::ptr(Global, F64));
+        let m = b.param("m", Type::Scalar(I64));
+        let k = b.param("k", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let rem = b.bin(BinOp::Rem, I64, lid, m);
+        let pick_b = b.cmp(CmpOp::Ge, I64, rem, k);
+        let p = b.fresh(Type::ptr(Global, F64));
+        let (then_bb, else_bb, join) = (b.create_block(), b.create_block(), b.create_block());
+        b.branch(pick_b, then_bb, else_bb);
+        b.switch_to(then_bb);
+        b.mov_into(p, b_buf);
+        b.jump(join);
+        b.switch_to(else_bb);
+        b.mov_into(p, a_buf);
+        b.jump(join);
+        b.switch_to(join);
+        // The arms run as two groups; the barrier merges them, so the
+        // accesses below run as one group over both buffers.
+        b.barrier();
+        let slot = b.gep(p, lid, F64);
+        let x = b.load(slot, F64);
+        let two = b.const_f64(2.0);
+        let one = b.const_f64(1.0);
+        let x2 = b.fmul(x, two, F64);
+        let y = b.fadd(x2, one, F64);
+        b.store(slot, y, F64);
+        let z = b.load(slot, F64);
+        let gid = b.global_id(0);
+        let oslot = b.gep(out, gid, F64);
+        b.store(oslot, z, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn lanes_pointing_into_different_buffers_match_walker() {
+        let func = mixed_buffer_kernel();
+        let local = 8;
+        // (m, k): uniform a, uniform b, b from the second, middle and
+        // last lane on, and alternating.
+        let cases = [(1 << 20, 1 << 20), (1 << 20, 0), (1 << 20, 1), (1 << 20, 4), (1 << 20, 7)];
+        for (m, k) in cases.into_iter().chain([(2, 1)]) {
+            let init = |mem: &mut VecMemory| {
+                let out = mem.alloc_global(2 * local * 8);
+                let (a, b) = (mem.alloc_global(local * 8), mem.alloc_global(local * 8));
+                for i in 0..local {
+                    mem.write_f64(a, i, 10.0 + i as f64);
+                    mem.write_f64(b, i, 100.0 + i as f64);
+                }
+                vec![
+                    KernelArgValue::GlobalBuffer(out),
+                    KernelArgValue::GlobalBuffer(a),
+                    KernelArgValue::GlobalBuffer(b),
+                    KernelArgValue::Scalar(Value::I64(m)),
+                    KernelArgValue::Scalar(Value::I64(k)),
+                ]
+            };
+            let ((wm, ws), (lm, ls)) = run_both(&func, 2 * local, local, init);
+            assert_eq!(ws, ls, "m={m} k={k}");
+            for buf in 0..3 {
+                assert_eq!(wm.global_bytes(buf), lm.global_bytes(buf), "m={m} k={k} buf={buf}");
+            }
+        }
+    }
+
+    /// A dense group loads `src[lid + d]` and stores `dst[lid + d]`,
+    /// with `d = delta` for work-item `bad` and 0 for the others;
+    /// `src` and `dst` are global (`local_space` false) or local. The
+    /// load result lands in `out[gid]`.
+    fn one_bad_lane_kernel(store: bool, local_space: bool) -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let space = if local_space { AddressSpace::Local } else { AddressSpace::Global };
+        let mut b = FunctionBuilder::new("one_bad_lane", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let buf = b.param("buf", Type::ptr(space, F64));
+        let bad = b.param("bad", Type::Scalar(I64));
+        let delta = b.param("delta", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let is_bad = b.cmp(CmpOp::Eq, I64, lid, bad);
+        let zero = b.const_i64(0);
+        let d = b.select(I64, is_bad, delta, zero);
+        let at = b.bin(BinOp::Add, I64, lid, d);
+        let slot = b.gep(buf, at, F64);
+        let gid = b.global_id(0);
+        let v = if store {
+            let lf = b.cast(lid, I64, F64);
+            b.store(slot, lf, F64);
+            lf
+        } else {
+            b.load(slot, F64)
+        };
+        let oslot = b.gep(out, gid, F64);
+        b.store(oslot, v, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn dense_loads_and_stores_with_one_bad_lane_match_walker() {
+        let local = 8usize;
+        for store in [false, true] {
+            for local_space in [false, true] {
+                let func = one_bad_lane_kernel(store, local_space);
+                for bad in [0, 3, local as i64 - 1] {
+                    for delta in [-(1 << 20), -(bad + 1), local as i64 - bad, 1 << 20] {
+                        let init = |mem: &mut VecMemory| {
+                            let out = mem.alloc_global(local * 8);
+                            let buf = if local_space {
+                                KernelArgValue::LocalBuffer(mem.alloc_local(local * 8))
+                            } else {
+                                KernelArgValue::GlobalBuffer(mem.alloc_global(local * 8))
+                            };
+                            vec![
+                                KernelArgValue::GlobalBuffer(out),
+                                buf,
+                                KernelArgValue::Scalar(Value::I64(bad)),
+                                KernelArgValue::Scalar(Value::I64(delta)),
+                            ]
+                        };
+                        let what = format!("store={store} local={local_space} bad={bad} d={delta}");
+                        let (walk, lanes) = run_both_limited(&func, local, local, 0, init);
+                        let (we, le) = (walk.expect_err(&what), lanes.expect_err(&what));
+                        assert_eq!(we, le, "{what}");
+                        assert!(we.contains("out of bounds"), "{what}: {we}");
+                        let errors = sweep_step_limits(&func, local, local, init);
+                        assert_eq!(errors.last(), Some(&we), "{what}");
+                        // In bounds, the same lane shape runs dense.
+                        let init_ok = |mem: &mut VecMemory| {
+                            let mut args = init(mem);
+                            args[3] = KernelArgValue::Scalar(Value::I64(0));
+                            args
+                        };
+                        let ((wm, ws), (lm, ls)) = run_both(&func, local, local, init_ok);
+                        assert_eq!(ws, ls, "{what}");
+                        assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "{what}");
+                        if !local_space {
+                            assert_eq!(wm.global_bytes(1), lm.global_bytes(1), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[gid] = f(lid)` where the lanes with `(lid % m) op k` take one
+    /// arm and the others the second, after the lanes with `lid == gone`
+    /// have retired (so a group can be non-contiguous); each arm loops a
+    /// lane-dependent number of times.
+    fn split_kernel(op: CmpOp) -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("split", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let m = b.param("m", Type::Scalar(I64));
+        let k = b.param("k", Type::Scalar(I64));
+        let gone = b.param("gone", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let retire = b.cmp(CmpOp::Eq, I64, lid, gone);
+        let (retired, start) = (b.create_block(), b.create_block());
+        b.branch(retire, retired, start);
+        b.switch_to(retired);
+        b.ret();
+        b.switch_to(start);
+        let rem = b.bin(BinOp::Rem, I64, lid, m);
+        let cond = b.cmp(op, I64, rem, k);
+        let acc = b.fresh(Type::Scalar(F64));
+        let lf = b.cast(lid, I64, F64);
+        b.mov_into(acc, lf);
+        let (then_bb, else_bb, join) = (b.create_block(), b.create_block(), b.create_block());
+        b.branch(cond, then_bb, else_bb);
+        b.switch_to(then_bb);
+        let half = b.const_f64(0.5);
+        let t = b.fmul(acc, half, F64);
+        b.mov_into(acc, t);
+        b.jump(join);
+        b.switch_to(else_bb);
+        let three = b.const_f64(3.0);
+        let e = b.fadd(acc, three, F64);
+        b.mov_into(acc, e);
+        b.jump(join);
+        b.switch_to(join);
+        let gid = b.global_id(0);
+        let slot = b.gep(out, gid, F64);
+        b.store(slot, acc, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn monotone_and_alternating_splits_match_walker() {
+        let local = 8;
+        let far = 1 << 20;
+        // Lanes below k take `then` under Lt (the first lane takes
+        // `then`) and `else` under Ge; m = 2 alternates.
+        for op in [CmpOp::Lt, CmpOp::Ge] {
+            let func = split_kernel(op);
+            for (m, k) in [(far, 1), (far, 4), (far, 7), (2, 1)] {
+                for gone in [-1, 0, 2, 5, 7] {
+                    let init = |mem: &mut VecMemory| {
+                        vec![
+                            KernelArgValue::GlobalBuffer(mem.alloc_global(2 * local * 8)),
+                            KernelArgValue::Scalar(Value::I64(m)),
+                            KernelArgValue::Scalar(Value::I64(k)),
+                            KernelArgValue::Scalar(Value::I64(gone)),
+                        ]
+                    };
+                    let what = format!("{op:?} m={m} k={k} gone={gone}");
+                    let ((wm, ws), (lm, ls)) = run_both(&func, 2 * local, local, init);
+                    assert_eq!(ws, ls, "{what}");
+                    assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "{what}");
                 }
             }
         }

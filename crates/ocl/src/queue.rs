@@ -28,7 +28,7 @@ use bop_obs::{Json, MetricsRegistry, SpanCategory, TraceLog, TraceSpan};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, OnceLock};
 
 /// Which kernel execution engine an NDRange launch uses. Both engines
 /// are bit-identical — same prices, statistics, counters, traces and
@@ -76,11 +76,9 @@ pub fn parse_engine(s: &str) -> Option<Engine> {
 }
 
 /// Engine used when none is configured: `BOP_SIM_ENGINE` if set to a name
-/// [`parse_engine`] accepts, else the lanes engine. A rejected name warns
-/// once per process on stderr.
+/// [`parse_engine`] accepts, else the lanes engine.
 fn default_engine() -> Engine {
-    static WARNED: Once = Once::new();
-    setting_from_env("BOP_SIM_ENGINE", &WARNED, parse_engine, ENGINE_SPELLINGS, Engine::default())
+    setting_from_env("BOP_SIM_ENGINE", parse_engine, ENGINE_SPELLINGS, Engine::default())
 }
 
 /// The spellings [`parse_engine`] accepts, for the warning on a rejected
@@ -96,19 +94,49 @@ pub fn parse_step_limit(s: &str) -> Option<u64> {
 
 /// Per-work-group instruction budget used when none is configured:
 /// `BOP_SIM_STEP_LIMIT` if set to an integer, else 0 (the interpreter
-/// default). A rejected value warns once per process on stderr.
+/// default).
 fn default_step_limit() -> u64 {
-    static WARNED: Once = Once::new();
     let accepted = "a non-negative integer (0 selects the interpreter default)";
-    setting_from_env("BOP_SIM_STEP_LIMIT", &WARNED, parse_step_limit, accepted, 0)
+    setting_from_env("BOP_SIM_STEP_LIMIT", parse_step_limit, accepted, 0)
+}
+
+/// Parse a worker count as accepted by `BOP_SIM_WORKERS`: a positive
+/// integer.
+fn parse_workers(s: &str) -> Option<usize> {
+    s.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+}
+
+/// Worker-thread count for parallel NDRange interpretation when none is
+/// configured: `BOP_SIM_WORKERS` if set to a positive integer, else the
+/// host's available parallelism.
+fn default_workers() -> usize {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    setting_from_env("BOP_SIM_WORKERS", parse_workers, "a positive integer", host)
+}
+
+/// The queue settings taken from the environment, resolved once per
+/// process: every [`CommandQueue::new`] starts from these, and a rejected
+/// value warns once on stderr.
+struct EnvDefaults {
+    workers: usize,
+    engine: Engine,
+    step_limit: u64,
+}
+
+fn env_defaults() -> &'static EnvDefaults {
+    static DEFAULTS: OnceLock<EnvDefaults> = OnceLock::new();
+    DEFAULTS.get_or_init(|| EnvDefaults {
+        workers: default_workers(),
+        engine: default_engine(),
+        step_limit: default_step_limit(),
+    })
 }
 
 /// The `var` setting, read from the environment through `parse`, or
 /// `default` when it is unset or rejected; a rejected value prints its
-/// warning once per process (`warned`).
+/// warning on stderr.
 fn setting_from_env<T: fmt::Display>(
     var: &str,
-    warned: &Once,
     parse: fn(&str) -> Option<T>,
     accepted: &str,
     default: T,
@@ -116,7 +144,7 @@ fn setting_from_env<T: fmt::Display>(
     let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
     let (setting, warning) = parse_setting(var, value.as_deref(), parse, accepted, default);
     if let Some(warning) = warning {
-        warned.call_once(|| eprintln!("{warning}"));
+        eprintln!("{warning}");
     }
     setting
 }
@@ -408,21 +436,11 @@ pub struct CommandQueue {
     faults: Mutex<Option<FaultState>>,
 }
 
-/// Worker-thread count for parallel NDRange interpretation when none is
-/// configured: `BOP_SIM_WORKERS` if set to a positive integer, else the
-/// host's available parallelism.
-fn default_workers() -> usize {
-    std::env::var("BOP_SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 impl CommandQueue {
     /// Create a queue on `ctx` (profiling always on; simulated clock starts
     /// at zero).
     pub fn new(ctx: &Arc<Context>) -> CommandQueue {
+        let env = env_defaults();
         CommandQueue {
             ctx: ctx.clone(),
             state: Mutex::new(QueueState {
@@ -439,9 +457,9 @@ impl CommandQueue {
             }),
             timing_model: Mutex::new(None),
             metrics: Mutex::new(None),
-            workers: Mutex::new(default_workers()),
-            engine: Mutex::new(default_engine()),
-            step_limit: Mutex::new(default_step_limit()),
+            workers: Mutex::new(env.workers),
+            engine: Mutex::new(env.engine),
+            step_limit: Mutex::new(env.step_limit),
             faults: Mutex::new(None),
         }
     }
@@ -1594,6 +1612,21 @@ mod tests {
         let warning = warning.expect("a rejected limit warns");
         for part in ["BOP_SIM_STEP_LIMIT", "\"-3\"", "an integer", "using 0"] {
             assert!(warning.contains(part), "{part:?} missing from {warning:?}");
+        }
+    }
+
+    #[test]
+    fn rejected_worker_counts_fall_back_with_a_warning() {
+        let workers = |v| parse_setting("BOP_SIM_WORKERS", v, parse_workers, "a positive int", 2);
+        assert_eq!(workers(Some(" 3 ")), (3, None));
+        for rejected in ["0", "two", "-1", ""] {
+            let (fallback, warning) = workers(Some(rejected));
+            assert_eq!(fallback, 2, "{rejected:?}");
+            let warning = warning.expect("a rejected worker count warns");
+            let value = format!("{rejected:?}");
+            for part in ["BOP_SIM_WORKERS", value.as_str(), "a positive int", "using 2"] {
+                assert!(warning.contains(part), "{part:?} missing from {warning:?}");
+            }
         }
     }
 
