@@ -186,7 +186,19 @@ done
 # serve breakdowns) and refuses a set that differs from the file, so a
 # layer that stops reporting fails here. The trace lands under the
 # git-ignored perfbench/out/.
-echo "== perfbench traced pass =="
+#
+# Each traced run's deterministic rows then face an exact gate: every
+# count and bytes row (instruction counts, bytecode lengths, commands
+# and transfer bytes per option, pipe stalls), every simulated-device
+# figure (fpga.sim_*) and the served options per simulated joule must
+# match the golden value for value. Every workload probes the same
+# rows, so one golden serves all four; serve-risk and serve-vanilla
+# batch by their own load loops, so their served options per joule is
+# left out of their comparison. An intended change to one of these rows
+# regenerates tests/golden/perfbench-paper-ivb.json from the paper-ivb
+# run in the same change.
+echo "== perfbench traced pass and deterministic rows =="
+golden=tests/golden/perfbench-paper-ivb.json
 for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
   output=$(./perfbench/target/release/perfbench --workload "${workload}" --seed 1 \
     --seconds 1 --trace 1) \
@@ -199,31 +211,14 @@ for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
       exit 1
       ;;
   esac
-  printf '%s\n' "${result}" > "/tmp/perfbench_traced_${workload}.json"
-done
-
-# Exact gate on perfbench's deterministic rows: every count and bytes
-# row (instruction counts, bytecode lengths, commands and transfer
-# bytes per option, pipe stalls), every simulated-device figure
-# (fpga.sim_*) and the served options per simulated joule of each
-# traced run must match the golden value for value. Every workload
-# probes the same rows, so one golden serves all four; serve-risk and
-# serve-vanilla batch by their own load loops, so their served options
-# per joule is left out of their comparison. An intended change to one
-# of these rows regenerates tests/golden/perfbench-paper-ivb.json from
-# the paper-ivb run in the same change.
-echo "== perfbench deterministic rows =="
-golden=tests/golden/perfbench-paper-ivb.json
-for workload in paper-ivb serve-risk serve-vanilla compile-sweep; do
   case "${workload}" in
     serve-*) skip='^"serve\.sim_options_per_j"' ;;
     *) skip='^$' ;;
   esac
-  grep -o '"[^"]*":{"unit":"[^"]*","value":[^}]*}' "/tmp/perfbench_traced_${workload}.json" \
+  rows=$(printf '%s\n' "${result}" | grep -o '"[^"]*":{"unit":"[^"]*","value":[^}]*}' \
     | grep '^"[^"]*":{"unit":"\(count\|bytes\)"\|^"fpga\.sim_\|^"serve\.sim_options_per_j"' \
-    | sed '$!s/$/,/' | { echo '{'; cat; echo '}'; } | grep -v "${skip}" \
-    > "/tmp/perfbench_rows_${workload}.json"
-  grep -v "${skip}" "${golden}" | cmp - "/tmp/perfbench_rows_${workload}.json" \
+    | sed '$!s/$/,/' | { echo '{'; cat; echo '}'; } | grep -v "${skip}")
+  [ "${rows}" = "$(grep -v "${skip}" "${golden}")" ] \
     || { echo "perfbench ${workload}: deterministic rows differ from ${golden}" >&2; exit 1; }
   echo "perfbench ${workload}: deterministic rows match ${golden}"
 done

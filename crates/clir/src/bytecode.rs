@@ -31,7 +31,7 @@ use crate::mathlib::MathLib;
 use crate::pipes::{decode_value, encode_value, PipeHub};
 use crate::stats::ExecStats;
 use crate::types::{AddressSpace, ScalarType, Type};
-use crate::value::{PtrValue, Value};
+use crate::value::{displaced, PtrValue, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -720,14 +720,6 @@ impl PtrTag {
     }
 }
 
-/// `offset` displaced by `count` elements of `size` bytes: the
-/// arithmetic of [`PtrValue::offset_by`], so an overflow traps in debug
-/// builds exactly where the walker's does.
-#[inline(always)]
-fn displaced(offset: i64, count: i64, size: i64) -> i64 {
-    offset + count * size
-}
-
 /// `true` if `lanes` is the dense range `lanes[0]..=lanes[n-1]`.
 #[inline]
 fn lanes_contiguous(lanes: &[usize]) -> bool {
@@ -750,23 +742,22 @@ fn lanes_copy<T: Copy>(plane: &mut [T], lanes: &[usize], d: usize, s: usize) {
     }
 }
 
-/// `true` if every lane of `range` (a dense group) points into `t0`'s
-/// buffer at an offset `o` with `0 <= o` and `o + len <= rlen`: one
-/// branch-free pass over the tag and offset rows of a pointer register.
+/// How many leading `lanes` point into `t0`'s buffer at an offset `o`
+/// with `0 <= o` and `o + len <= rlen`: the lanes a `Load`/`Store` may
+/// move with no further test. Every counted lane `l` was used to index
+/// `tags`, so `l < tags.len()`.
 #[inline(always)]
 fn lanes_in_region(
     tags: &[PtrTag],
     offs: &[i64],
-    range: std::ops::Range<usize>,
+    lanes: &[usize],
     t0: PtrTag,
     len: usize,
     rlen: usize,
-) -> bool {
+) -> usize {
     // A negative offset reads as a `u64` above any buffer length.
-    let Some(last) = rlen.checked_sub(len) else { return false };
-    let tags = &tags[range.clone()];
-    let offs = &offs[range];
-    tags.iter().zip(offs).fold(true, |ok, (&t, &o)| ok & (t == t0) & (o as u64 <= last as u64))
+    let Some(last) = rlen.checked_sub(len) else { return 0 };
+    lanes.iter().position(|&l| tags[l] != t0 || offs[l] as u64 > last as u64).unwrap_or(lanes.len())
 }
 
 /// Read `len` (at most 8) little-endian bytes at `at` as a cell.
@@ -942,10 +933,10 @@ fn lanes_i64_cmp(
 ///
 /// A pointer register is split across two planes: a tag (space and
 /// buffer) and a byte offset per lane. A `Gep` copies the tag row and
-/// computes the offset row in one dense loop, and a dense `Load` or
-/// `Store` checks every lane's tag and bounds in one pass before a copy
-/// loop with no per-lane test. A `PtrValue` is built only on the
-/// per-lane slow paths and for error payloads.
+/// computes the offset row in one dense loop, and a `Load` or `Store`
+/// checks its lanes' tags and bounds in one pass, then copies the lanes
+/// up to the first miss with no per-lane test. A `PtrValue` is built
+/// only on the per-lane slow paths and for error payloads.
 ///
 /// Pipe kernels are single-work-item tasks (checked in [`LanesRun::new`]),
 /// so a pipe stall suspends the whole group: its lane becomes `running`
@@ -1574,13 +1565,12 @@ impl<'k> LanesRun<'k> {
                         // Resolve the buffer once for the whole group: in
                         // race-free kernels a group's lanes nearly always
                         // address one buffer (a uniform base plus per-lane
-                        // offsets), or each its own private arena. A dense
-                        // group whose lanes all pass one check pass loads
-                        // with no per-lane test; otherwise the lanes up to
-                        // the first that misses the resolved region —
-                        // different buffer, out of bounds, bool loads
-                        // (which canonicalize through `Value`) — load
-                        // fast and the rest take the per-lane slow path,
+                        // offsets), or each its own private arena. One
+                        // check pass finds the lanes up to the first that
+                        // misses the resolved region — different buffer,
+                        // out of bounds, bool loads (which canonicalize
+                        // through `Value`); those load with no further
+                        // test and the rest take the per-lane slow path,
                         // which also produces the exact walker error
                         // payloads.
                         let prow = kernel.ptr_row(*ptr) * w;
@@ -1593,38 +1583,17 @@ impl<'k> LanesRun<'k> {
                         let out = &mut self.cells[drow..drow + w];
                         let mut k = 0;
                         if let Some((base, rlen, stride)) = fast {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            if lanes_contiguous(&g.lanes)
-                                && lanes_in_region(tags, offs, lo..lo + n, t0, len, rlen)
-                            {
-                                for l in lo..lo + n {
-                                    // SAFETY: `lanes_in_region` sliced
-                                    // `lo..lo + n` out of the `w`-long rows
-                                    // and checked `offs[l] + len <= rlen`;
-                                    // cross-group races are excluded by the
-                                    // race-freedom contract of `raw_region`.
-                                    unsafe {
-                                        let o = *offs.get_unchecked(l) as usize;
-                                        *out.get_unchecked_mut(l) =
-                                            read_cell(base.add(l * stride + o), len);
-                                    }
-                                }
-                                k = n;
-                            } else {
-                                while k < n {
-                                    let l = g.lanes[k];
-                                    if tags[l] != t0 {
-                                        break;
-                                    }
-                                    let Some(o) =
-                                        usize::try_from(offs[l]).ok().filter(|o| o + len <= rlen)
-                                    else {
-                                        break;
-                                    };
-                                    // SAFETY: `o + len <= rlen` was just
-                                    // checked against the lane's region.
-                                    out[l] = unsafe { read_cell(base.add(l * stride + o), len) };
-                                    k += 1;
+                            k = lanes_in_region(tags, offs, &g.lanes, t0, len, rlen);
+                            for &l in &g.lanes[..k] {
+                                // SAFETY: `lanes_in_region` checked
+                                // `l < w` (the length of `offs` and `out`)
+                                // and `offs[l] + len <= rlen`; cross-group
+                                // races are excluded by the race-freedom
+                                // contract of `raw_region`.
+                                unsafe {
+                                    let o = *offs.get_unchecked(l) as usize;
+                                    *out.get_unchecked_mut(l) =
+                                        read_cell(base.add(l * stride + o), len);
                                 }
                             }
                             self.stats.mem.count_loads(t0.space, len, k as u64);
@@ -1661,7 +1630,7 @@ impl<'k> LanesRun<'k> {
                     }
                     Op::Store { ptr, val, ty } => {
                         let len = ty.size_bytes();
-                        // Same single-resolution fast paths as `Load`,
+                        // Same single-resolution fast path as `Load`,
                         // storing in ascending lane order. Stores to
                         // `__constant` memory must keep erroring, so the
                         // constant space never takes them. Cells hold the
@@ -1681,39 +1650,17 @@ impl<'k> LanesRun<'k> {
                         let vals = &self.cells[vrow..vrow + w];
                         let mut k = 0;
                         if let Some((base, rlen, stride)) = fast {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            if lanes_contiguous(&g.lanes)
-                                && lanes_in_region(tags, offs, lo..lo + n, t0, len, rlen)
-                            {
-                                for l in lo..lo + n {
-                                    // SAFETY: as for the dense load;
-                                    // `vals` is `w` long too.
-                                    unsafe {
-                                        let o = *offs.get_unchecked(l) as usize;
-                                        write_cell(
-                                            base.add(l * stride + o),
-                                            len,
-                                            *vals.get_unchecked(l),
-                                        );
-                                    }
-                                }
-                                k = n;
-                            } else {
-                                while k < n {
-                                    let l = g.lanes[k];
-                                    if tags[l] != t0 {
-                                        break;
-                                    }
-                                    let Some(o) =
-                                        usize::try_from(offs[l]).ok().filter(|o| o + len <= rlen)
-                                    else {
-                                        break;
-                                    };
-                                    // SAFETY: bounds checked above against
-                                    // the lane's region; race-freedom per
-                                    // the `raw_region` contract.
-                                    unsafe { write_cell(base.add(l * stride + o), len, vals[l]) };
-                                    k += 1;
+                            k = lanes_in_region(tags, offs, &g.lanes, t0, len, rlen);
+                            for &l in &g.lanes[..k] {
+                                // SAFETY: as for `Load`; `vals` is `w`
+                                // long too.
+                                unsafe {
+                                    let o = *offs.get_unchecked(l) as usize;
+                                    write_cell(
+                                        base.add(l * stride + o),
+                                        len,
+                                        *vals.get_unchecked(l),
+                                    );
                                 }
                             }
                             self.stats.mem.count_stores(t0.space, len, k as u64);
@@ -1865,28 +1812,21 @@ impl<'k> LanesRun<'k> {
                             g.pc = target as usize;
                             continue;
                         }
-                        // A monotone split (lanes before `split` go one
-                        // way, every lane from it on the other — a loop
-                        // exit over ascending rows) is two ranges.
-                        let cells = &self.cells;
-                        let monotone =
-                            g.lanes[split..].iter().all(|&l| (cells[c + l] != 0) != first);
+                        // Every lane before `split` goes `first`'s way,
+                        // so that side starts as one range (all of a
+                        // loop exit over ascending rows but its last
+                        // lane); the rest are sorted one by one.
                         let mut then_l = pool.pop().unwrap_or_default();
                         then_l.clear();
                         let mut else_l = pool.pop().unwrap_or_default();
                         else_l.clear();
-                        if monotone {
-                            let (head, tail) = g.lanes.split_at(split);
-                            let (t, e) = if first { (head, tail) } else { (tail, head) };
-                            then_l.extend_from_slice(t);
-                            else_l.extend_from_slice(e);
-                        } else {
-                            for &l in &g.lanes {
-                                if cells[c + l] != 0 {
-                                    then_l.push(l);
-                                } else {
-                                    else_l.push(l);
-                                }
+                        (if first { &mut then_l } else { &mut else_l })
+                            .extend_from_slice(&g.lanes[..split]);
+                        for &l in &g.lanes[split..] {
+                            if self.cells[c + l] != 0 {
+                                then_l.push(l);
+                            } else {
+                                else_l.push(l);
                             }
                         }
                         self.stats.block_execs[*then_block as usize] += then_l.len() as u64;

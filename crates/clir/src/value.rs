@@ -32,8 +32,16 @@ impl PtrValue {
 
     /// This pointer displaced by `count` elements of `elem`.
     pub fn offset_by(self, count: i64, elem: ScalarType) -> PtrValue {
-        PtrValue { offset: self.offset + count * elem.size_bytes() as i64, ..self }
+        PtrValue { offset: displaced(self.offset, count, elem.size_bytes() as i64), ..self }
     }
+}
+
+/// Byte `offset` displaced by `count` elements of `size` bytes: the one
+/// pointer-offset rule, shared by [`PtrValue::offset_by`] and the lanes
+/// engine's offset plane so both trap on overflow (in debug builds) alike.
+#[inline(always)]
+pub(crate) fn displaced(offset: i64, count: i64, size: i64) -> i64 {
+    offset + count * size
 }
 
 impl fmt::Display for PtrValue {
