@@ -100,14 +100,6 @@ echo "== chaos suite under fixed seeds =="
 BOP_CHAOS_SEED=1 cargo test -q --release -p bop-serve --test chaos
 BOP_CHAOS_SEED=2 cargo test -q --release -p bop-serve --test chaos
 
-# The serving layer's shard workers pull batches from one shared queue
-# and wake each other when a batch ends. One interpreter worker per
-# launch prices more slowly, which changes how the shard threads
-# interleave; re-running the serve and chaos suites that way helps
-# expose a lost wake-up (a test then times out or hangs).
-echo "== serve and chaos suites with one interpreter worker =="
-BOP_SIM_WORKERS=1 cargo test -q --release -p bop-serve --test serve --test chaos
-
 # Degraded-pool smoke: inject a 10% deterministic fault plan into the
 # serving stack. The availability row proves the retry/redispatch path
 # served something; the stderr marker proves a replayed campaign is

@@ -2643,55 +2643,26 @@ mod tests {
         }
     }
 
-    /// Run an NDRange the way the runtime fans a launch out: contiguous
-    /// group ranges over `workers` threads sharing one global arena, a
-    /// local arena per worker, statistics merged in group order and the
-    /// lowest failing range's error reported. A single worker (or a
-    /// single group, such as a pipe task) runs on this thread against
-    /// `pipes`.
-    #[allow(clippy::too_many_arguments)]
+    /// Run an NDRange on this thread: one global arena, the local arena
+    /// cleared before each group, statistics merged in group order and
+    /// the first failing group's error reported.
     fn run_ndrange(
         func: &Function,
         compiled: &CompiledKernel,
         engine: Engine,
-        workers: usize,
         (global, local): (usize, usize),
         arena: &mut GlobalArena,
-        bind: &(dyn Fn(&mut WorkerMemory<'_, '_>) -> Vec<KernelArgValue> + Sync),
+        bind: &dyn Fn(&mut WorkerMemory<'_, '_>) -> Vec<KernelArgValue>,
         pipes: &mut PipeHub,
     ) -> Result<ExecStats, ExecError> {
-        let groups = global / local;
         let shared = arena.shared();
-        let run_range = |range: std::ops::Range<usize>, pipes: &mut PipeHub| {
-            let mut mem = WorkerMemory::new(&shared);
-            let mut total = ExecStats::with_blocks(func.blocks.len());
-            for group in range {
-                mem.clear_locals();
-                let args = bind(&mut mem);
-                let shape = GroupShape::linear(global, local, group);
-                total.merge(&run_group(func, compiled, engine, shape, &args, &mut mem, pipes)?);
-            }
-            Ok(total)
-        };
-        if workers.min(groups) <= 1 {
-            return run_range(0..groups, pipes);
-        }
-        let chunk = groups.div_ceil(workers);
-        let results: Vec<Result<ExecStats, ExecError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..groups)
-                .step_by(chunk)
-                .map(|lo| {
-                    let run_range = &run_range;
-                    scope.spawn(move || {
-                        run_range(lo..(lo + chunk).min(groups), &mut PipeHub::default())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
+        let mut mem = WorkerMemory::new(&shared);
         let mut total = ExecStats::with_blocks(func.blocks.len());
-        for r in results {
-            total.merge(&r?);
+        for group in 0..global / local {
+            mem.clear_locals();
+            let args = bind(&mut mem);
+            let shape = GroupShape::linear(global, local, group);
+            total.merge(&run_group(func, compiled, engine, shape, &args, &mut mem, pipes)?);
         }
         Ok(total)
     }
@@ -2831,44 +2802,41 @@ mod tests {
                 for (bad_local, bad_private) in bads {
                     let mut outcomes = Vec::new();
                     for engine in [Engine::Walk, Engine::Lanes] {
-                        for workers in [1, 4] {
-                            let mut arena = GlobalArena::new();
-                            let out = arena.alloc(global * 8);
-                            let table = arena.alloc((local + 1) * 8);
-                            for (i, x) in arena.bytes_mut(table).chunks_mut(8).enumerate() {
-                                x.copy_from_slice(&(0.5 + i as f64).to_le_bytes());
-                            }
-                            let mut hub = PipeHub::default();
-                            let pipe_id = hub.create(ScalarType::F64, 4);
-                            let bind = |mem: &mut WorkerMemory<'_, '_>| {
-                                let mut args = vec![
-                                    KernelArgValue::GlobalBuffer(out),
-                                    KernelArgValue::LocalBuffer(mem.alloc_local(local * 8)),
-                                    KernelArgValue::GlobalBuffer(table),
-                                ];
-                                if pipe {
-                                    args.push(KernelArgValue::Pipe(pipe_id));
-                                }
-                                args.push(KernelArgValue::Scalar(Value::I64(flip)));
-                                args.push(KernelArgValue::Scalar(Value::I64(bad_local)));
-                                args.push(KernelArgValue::Scalar(Value::I64(bad_private)));
-                                args
-                            };
-                            let run = run_ndrange(
-                                &func,
-                                &compiled,
-                                engine,
-                                workers,
-                                (global, local),
-                                &mut arena,
-                                &bind,
-                                &mut hub,
-                            );
-                            let outcome = run
-                                .map(|stats| (stats, arena.bytes(out).to_vec()))
-                                .map_err(|e| e.to_string());
-                            outcomes.push(((engine, workers), outcome));
+                        let mut arena = GlobalArena::new();
+                        let out = arena.alloc(global * 8);
+                        let table = arena.alloc((local + 1) * 8);
+                        for (i, x) in arena.bytes_mut(table).chunks_mut(8).enumerate() {
+                            x.copy_from_slice(&(0.5 + i as f64).to_le_bytes());
                         }
+                        let mut hub = PipeHub::default();
+                        let pipe_id = hub.create(ScalarType::F64, 4);
+                        let bind = |mem: &mut WorkerMemory<'_, '_>| {
+                            let mut args = vec![
+                                KernelArgValue::GlobalBuffer(out),
+                                KernelArgValue::LocalBuffer(mem.alloc_local(local * 8)),
+                                KernelArgValue::GlobalBuffer(table),
+                            ];
+                            if pipe {
+                                args.push(KernelArgValue::Pipe(pipe_id));
+                            }
+                            args.push(KernelArgValue::Scalar(Value::I64(flip)));
+                            args.push(KernelArgValue::Scalar(Value::I64(bad_local)));
+                            args.push(KernelArgValue::Scalar(Value::I64(bad_private)));
+                            args
+                        };
+                        let run = run_ndrange(
+                            &func,
+                            &compiled,
+                            engine,
+                            (global, local),
+                            &mut arena,
+                            &bind,
+                            &mut hub,
+                        );
+                        let outcome = run
+                            .map(|stats| (stats, arena.bytes(out).to_vec()))
+                            .map_err(|e| e.to_string());
+                        outcomes.push((engine, outcome));
                     }
                     let what = format!("pipe={pipe} flip={flip} bad=({bad_local}, {bad_private})");
                     let reference = &outcomes[0].1;

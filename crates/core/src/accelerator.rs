@@ -39,12 +39,9 @@ pub struct AcceleratorConfig {
     pub build: Option<BuildOptions>,
     /// Metrics registry every session publishes into, if any.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// NDRange interpreter thread count override (wall-clock knob only;
-    /// results are identical for every count).
-    pub workers: Option<usize>,
     /// Kernel execution engine override (`None` = the queue default:
-    /// `BOP_SIM_ENGINE`, else lanes). A wall-clock knob only — all
-    /// engines (walk, bytecode, lanes) are bit-identical.
+    /// `BOP_SIM_ENGINE`, else lanes). A wall-clock knob only — both
+    /// engines (walk and lanes) are bit-identical.
     pub engine: Option<Engine>,
     /// Per-work-group instruction budget override (`None` = the queue
     /// default: `BOP_SIM_STEP_LIMIT`, else the interpreter default).
@@ -72,7 +69,6 @@ impl AcceleratorConfig {
             n_steps: 64,
             build: None,
             metrics: None,
-            workers: None,
             engine: None,
             step_limit: None,
             reduced_reads: false,
@@ -93,13 +89,19 @@ impl AcceleratorConfig {
     /// clones sharing its compiled program. This is how the serving layer
     /// builds identical shards without paying per-shard compilation.
     ///
+    /// The `n` members run side by side, so each interprets the
+    /// work-groups of a launch on `max(1, p / n)` threads, where `p` is the
+    /// queue default (the host's available parallelism); a pool of one
+    /// keeps the full `p`, like a lone accelerator.
+    ///
     /// # Errors
     /// Same as [`Accelerator::from_config`]; rejects `n == 0`.
     pub fn build_pool(self, n: usize) -> Result<Vec<Accelerator>, Error> {
         if n == 0 {
             return Err(Error::Invalid("a pool needs at least one shard".into()));
         }
-        let first = Accelerator::from_config(self)?;
+        let mut first = Accelerator::from_config(self)?;
+        first.pool_size = n;
         let mut pool = Vec::with_capacity(n);
         for _ in 1..n {
             pool.push(first.clone());
@@ -151,15 +153,7 @@ impl AcceleratorBuilder {
         self
     }
 
-    /// Interpret NDRange work-groups on `workers` threads (≥ 1 enforced).
-    /// A wall-clock knob only — prices, statistics and the simulated
-    /// clock are identical for every count.
-    pub fn workers(mut self, workers: usize) -> AcceleratorBuilder {
-        self.config.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Select the kernel execution engine (walk, bytecode, or the
+    /// Select the kernel execution engine (the walk oracle or the
     /// lane-vectorized `lanes`) for every session this
     /// accelerator opens (default: the queue's `BOP_SIM_ENGINE`, else
     /// lanes). A wall-clock knob only — prices, statistics
@@ -322,8 +316,11 @@ impl Projection {
 /// across the clones.
 pub struct Accelerator {
     /// The configuration it was built from, resolved: `build` is always
-    /// set, `faults` holds only an active plan, `workers` is at least 1.
+    /// set, `faults` holds only an active plan.
     config: AcceleratorConfig,
+    /// Members of the [`AcceleratorConfig::build_pool`] this accelerator
+    /// belongs to (1 when built alone); divides the session fan-out.
+    pool_size: usize,
     program: Program,
     report: BuildReport,
     fit_cache: std::sync::OnceLock<StatsFit>,
@@ -341,6 +338,7 @@ impl Clone for Accelerator {
     fn clone(&self) -> Accelerator {
         Accelerator {
             config: self.config.clone(),
+            pool_size: self.pool_size,
             program: self.program.clone(),
             report: self.report.clone(),
             fit_cache: self.fit_cache.clone(),
@@ -389,7 +387,6 @@ impl Accelerator {
         };
         config.faults = faults.filter(FaultPlan::is_active);
         let build = config.build.take().unwrap_or_else(|| config.arch.paper_build_options());
-        config.workers = config.workers.map(|w| w.max(1));
         let ctx = Context::new(config.device.clone());
         // Size lattice-sized sources (the streaming kernel's private
         // rows) for this accelerator's lattice — and no smaller than the
@@ -409,6 +406,7 @@ impl Accelerator {
         }
         Ok(Accelerator {
             config,
+            pool_size: 1,
             program,
             report,
             fit_cache: std::sync::OnceLock::new(),
@@ -476,8 +474,8 @@ impl Accelerator {
     fn fresh_session(&self, inject_faults: bool) -> (Arc<Context>, CommandQueue) {
         let ctx = Context::new(self.config.device.clone());
         let queue = CommandQueue::new(&ctx);
-        if let Some(workers) = self.config.workers {
-            queue.set_workers(workers);
+        if self.pool_size > 1 {
+            queue.set_workers(queue.workers() / self.pool_size);
         }
         if let Some(engine) = self.config.engine {
             queue.set_engine(engine);
@@ -1155,7 +1153,7 @@ mod builder_tests {
         assert_eq!(c.arch, KernelArch::Optimized);
         assert_eq!(c.precision, Precision::Double);
         assert_eq!(c.n_steps, 64);
-        assert!(c.build.is_none() && c.metrics.is_none() && c.workers.is_none());
+        assert!(c.build.is_none() && c.metrics.is_none());
         assert!(!c.reduced_reads);
         assert!(b.build().is_ok());
     }
@@ -1170,6 +1168,26 @@ mod builder_tests {
         let run_a = a.price(&options).expect("prices");
         let run_b = b.price(&options).expect("prices");
         assert_eq!(run_a.prices, run_b.prices, "clones are bit-identical");
+    }
+
+    #[test]
+    fn pool_members_split_the_queue_default_fan_out() {
+        let mut config = AcceleratorConfig::new(crate::devices::fpga());
+        config.n_steps = 32;
+        let default = CommandQueue::new(&Context::new(config.device.clone())).workers();
+        let session_workers = |acc: &Accelerator| acc.fresh_session(false).1.workers();
+        let lone = config.clone().build().expect("builds");
+        assert_eq!(session_workers(&lone), default, "a lone accelerator keeps the queue default");
+        let options = [OptionParams::example(); 6];
+        let reference = lone.price(&options).expect("prices");
+        for n in [1, 2, 3] {
+            for member in config.clone().build_pool(n).expect("builds") {
+                assert_eq!(session_workers(&member), (default / n).max(1), "pool of {n}");
+                let run = member.price(&options).expect("prices");
+                assert_eq!(run.prices, reference.prices, "pool of {n} prices like a lone one");
+                assert_eq!(run.elapsed_s, reference.elapsed_s, "pool of {n} simulated time");
+            }
+        }
     }
 }
 

@@ -100,36 +100,25 @@ fn default_step_limit() -> u64 {
     setting_from_env("BOP_SIM_STEP_LIMIT", parse_step_limit, accepted, 0)
 }
 
-/// Parse a worker count as accepted by `BOP_SIM_WORKERS`: a positive
-/// integer.
-fn parse_workers(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
 /// Worker-thread count for parallel NDRange interpretation when none is
-/// configured: `BOP_SIM_WORKERS` if set to a positive integer, else the
-/// host's available parallelism.
-fn default_workers() -> usize {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    setting_from_env("BOP_SIM_WORKERS", parse_workers, "a positive integer", host)
+/// set: the host's available parallelism, looked up once per process.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The queue settings taken from the environment, resolved once per
 /// process: every [`CommandQueue::new`] starts from these, and a rejected
 /// value warns once on stderr.
 struct EnvDefaults {
-    workers: usize,
     engine: Engine,
     step_limit: u64,
 }
 
 fn env_defaults() -> &'static EnvDefaults {
     static DEFAULTS: OnceLock<EnvDefaults> = OnceLock::new();
-    DEFAULTS.get_or_init(|| EnvDefaults {
-        workers: default_workers(),
-        engine: default_engine(),
-        step_limit: default_step_limit(),
-    })
+    DEFAULTS
+        .get_or_init(|| EnvDefaults { engine: default_engine(), step_limit: default_step_limit() })
 }
 
 /// The `var` setting, read from the environment through `parse`, or
@@ -457,7 +446,7 @@ impl CommandQueue {
             }),
             timing_model: Mutex::new(None),
             metrics: Mutex::new(None),
-            workers: Mutex::new(env.workers),
+            workers: Mutex::new(host_parallelism()),
             engine: Mutex::new(env.engine),
             step_limit: Mutex::new(env.step_limit),
             faults: Mutex::new(None),
@@ -510,9 +499,10 @@ impl CommandQueue {
     }
 
     /// Set the number of worker threads used to interpret the work-groups
-    /// of an NDRange launch (clamped to at least 1). Purely a wall-clock
-    /// knob: results, statistics, counters, traces and the simulated
-    /// device time are identical for every worker count.
+    /// of an NDRange launch (clamped to at least 1; default: the host's
+    /// available parallelism). Purely a wall-clock knob: results,
+    /// statistics, counters, traces and the simulated device time are
+    /// identical for every worker count.
     pub fn set_workers(&self, workers: usize) {
         *self.workers.lock().unwrap() = workers.max(1);
     }
@@ -1612,21 +1602,6 @@ mod tests {
         let warning = warning.expect("a rejected limit warns");
         for part in ["BOP_SIM_STEP_LIMIT", "\"-3\"", "an integer", "using 0"] {
             assert!(warning.contains(part), "{part:?} missing from {warning:?}");
-        }
-    }
-
-    #[test]
-    fn rejected_worker_counts_fall_back_with_a_warning() {
-        let workers = |v| parse_setting("BOP_SIM_WORKERS", v, parse_workers, "a positive int", 2);
-        assert_eq!(workers(Some(" 3 ")), (3, None));
-        for rejected in ["0", "two", "-1", ""] {
-            let (fallback, warning) = workers(Some(rejected));
-            assert_eq!(fallback, 2, "{rejected:?}");
-            let warning = warning.expect("a rejected worker count warns");
-            let value = format!("{rejected:?}");
-            for part in ["BOP_SIM_WORKERS", value.as_str(), "a positive int", "using 2"] {
-                assert!(warning.contains(part), "{part:?} missing from {warning:?}");
-            }
         }
     }
 

@@ -6,8 +6,8 @@
 //! half pins down the differential guarantee — both of the paper's host
 //! programs on all three device models must produce bit-identical
 //! prices, merged `ExecStats`, `QueueCounters` and exported traces on
-//! every engine at any worker count, and so must runs with no engine
-//! configured. The second half covers the knobs and failure modes
+//! every engine, and so must runs with no engine configured (fan-out
+//! invariance is pinned in `tests/parallel_exec.rs`). The second half covers the knobs and failure modes
 //! around the pipeline: engine/step-limit selection (builder and env
 //! syntax), the structured errors for pass-corrupted and phi-form IR,
 //! compile metrics, program sharing across pooled shards, and the pinned
@@ -41,15 +41,9 @@ struct Outcome {
 
 /// Run `arch`'s host program on a fresh queue; `engine: None` leaves the
 /// queue on its default engine.
-fn run_host(
-    device: Arc<dyn Device>,
-    arch: KernelArch,
-    engine: Option<Engine>,
-    workers: usize,
-) -> Outcome {
+fn run_host(device: Arc<dyn Device>, arch: KernelArch, engine: Option<Engine>) -> Outcome {
     let ctx = Context::new(device);
     let queue = CommandQueue::new(&ctx);
-    queue.set_workers(workers);
     if let Some(engine) = engine {
         queue.set_engine(engine);
     }
@@ -92,21 +86,16 @@ fn lanes_engine_is_bit_identical_to_the_tree_walker() {
     let device_of = [devices::fpga, devices::gpu, devices::cpu];
     for arch in archs {
         for make in device_of {
-            let reference = run_host(make(), arch, Some(Engine::Walk), 1);
+            let reference = run_host(make(), arch, Some(Engine::Walk));
             // `None`: the engine a queue runs on when none is configured.
-            for engine in [Some(Engine::Walk), Some(Engine::Lanes), None] {
-                for workers in [1, 3] {
-                    let got = run_host(make(), arch, engine, workers);
-                    let what = format!(
-                        "{arch:?} on {:?}, engine {engine:?}, {workers} worker(s)",
-                        make().info().kind
-                    );
-                    assert_eq!(got.prices, reference.prices, "prices differ: {what}");
-                    assert_eq!(got.stats, reference.stats, "kernel stats differ: {what}");
-                    assert_eq!(got.counters, reference.counters, "counters differ: {what}");
-                    assert_eq!(got.chrome, reference.chrome, "chrome export differs: {what}");
-                    assert_eq!(got.sim_s, reference.sim_s, "simulated clock differs: {what}");
-                }
+            for engine in [Some(Engine::Lanes), None] {
+                let got = run_host(make(), arch, engine);
+                let what = format!("{arch:?} on {:?}, engine {engine:?}", make().info().kind);
+                assert_eq!(got.prices, reference.prices, "prices differ: {what}");
+                assert_eq!(got.stats, reference.stats, "kernel stats differ: {what}");
+                assert_eq!(got.counters, reference.counters, "counters differ: {what}");
+                assert_eq!(got.chrome, reference.chrome, "chrome export differs: {what}");
+                assert_eq!(got.sim_s, reference.sim_s, "simulated clock differs: {what}");
             }
             assert!(reference.stats.is_some(), "launches must record kernel stats");
         }
@@ -198,15 +187,9 @@ impl BranchyCase {
 type BranchyOutcome =
     (Result<Vec<u64>, String>, Option<bop_clir::stats::ExecStats>, QueueCounters, f64);
 
-fn run_branchy(
-    case: &BranchyCase,
-    engine: Engine,
-    workers: usize,
-    plan: Option<FaultPlan>,
-) -> BranchyOutcome {
+fn run_branchy(case: &BranchyCase, engine: Engine, plan: Option<FaultPlan>) -> BranchyOutcome {
     let ctx = Context::new(devices::gpu());
     let queue = CommandQueue::new(&ctx);
-    queue.set_workers(workers);
     queue.set_engine(engine);
     if let Some(plan) = plan {
         queue.set_fault_plan(plan);
@@ -235,8 +218,8 @@ fn run_branchy(
     (result, queue.kernel_stats("k"), queue.counters(), queue.elapsed_s())
 }
 
-/// Walk and lanes agree bit for bit on branchy kernels at
-/// several worker counts — prices, stats, counters, simulated time — and
+/// Walk and lanes agree bit for bit on branchy kernels — prices,
+/// stats, counters, simulated time — and
 /// report the identical trap when the kernel divides by zero. Cases 0
 /// and 1 are the hand-picked anchor with a trapping and a clean divisor;
 /// 24 seeded random cases follow.
@@ -247,7 +230,7 @@ fn engines_agree_on_branchy_divergent_kernel_and_trap() {
         .into_iter()
         .chain((0..24).map(|_| BranchyCase::draw(&mut rng)));
     for (i, case) in cases.enumerate() {
-        let reference = run_branchy(&case, Engine::Walk, 1, None);
+        let reference = run_branchy(&case, Engine::Walk, None);
         match &reference.0 {
             Err(trap) => assert!(
                 case.traps() && trap.contains("integer division by zero"),
@@ -255,15 +238,8 @@ fn engines_agree_on_branchy_divergent_kernel_and_trap() {
             ),
             Ok(_) => assert!(!case.traps(), "case {i}: a zero divisor must trap: {case:?}"),
         }
-        for engine in [Engine::Walk, Engine::Lanes] {
-            for workers in [1, 3] {
-                let got = run_branchy(&case, engine, workers, None);
-                assert_eq!(
-                    got, reference,
-                    "case {i}: {engine} engine, {workers} worker(s), {case:?}"
-                );
-            }
-        }
+        let got = run_branchy(&case, Engine::Lanes, None);
+        assert_eq!(got, reference, "case {i}: lanes vs walk, {case:?}");
     }
 }
 
@@ -276,14 +252,9 @@ fn engines_agree_on_branchy_kernels_under_seeded_faults() {
     for i in 0..24 {
         let case = BranchyCase::draw(&mut rng);
         let plan = FaultPlan::new(rng.uniform(0.0, 0.6), rng.next_u64());
-        let reference = run_branchy(&case, Engine::Walk, 1, Some(plan));
-        for engine in [Engine::Walk, Engine::Lanes] {
-            for workers in [1, 3] {
-                let got = run_branchy(&case, engine, workers, Some(plan));
-                let what = format!("{engine} engine, {workers} worker(s), {plan:?}, {case:?}");
-                assert_eq!(got, reference, "case {i}: {what}");
-            }
-        }
+        let reference = run_branchy(&case, Engine::Walk, Some(plan));
+        let got = run_branchy(&case, Engine::Lanes, Some(plan));
+        assert_eq!(got, reference, "case {i}: lanes vs walk, {plan:?}, {case:?}");
     }
 }
 

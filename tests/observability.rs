@@ -460,20 +460,22 @@ fn serve_spans_add_up_to_each_request() {
 
 /// Energy counters come from the *simulated* clock, so they must be
 /// bit-identical no matter how many host worker threads executed the
-/// kernels — same guarantee the prices already have.
+/// kernels — same guarantee the prices already have. A pool of `n`
+/// splits the host's fan-out `n` ways, so a lone accelerator and pool
+/// members run their launches at different worker counts.
 #[test]
 fn energy_gauges_are_bit_identical_across_worker_counts() {
     let options = vec![OptionParams::example(); 5];
-    let run = |workers: usize| -> (f64, f64) {
+    let run = |pool_size: usize| -> (f64, f64) {
         let registry = Arc::new(MetricsRegistry::new());
         let acc = Accelerator::builder(bop_core::devices::fpga())
             .arch(KernelArch::Optimized)
             .precision(Precision::Double)
             .n_steps(64)
-            .workers(workers)
             .metrics(registry.clone())
-            .build()
-            .expect("builds");
+            .build_pool(pool_size)
+            .expect("builds")
+            .swap_remove(0);
         acc.price(&options).expect("prices");
         let joules =
             registry.gauge_value("energy.joules", &[("device", "FPGA")]).expect("joules gauge");
@@ -483,10 +485,11 @@ fn energy_gauges_are_bit_identical_across_worker_counts() {
     };
     let (joules_1, busy_1) = run(1);
     assert!(joules_1 > 0.0 && busy_1 > 0.0, "a priced batch consumes energy");
-    for workers in [2, 4, 7] {
-        let (joules_n, busy_n) = run(workers);
-        assert_eq!(joules_1.to_bits(), joules_n.to_bits(), "joules drift at {workers} workers");
-        assert_eq!(busy_1.to_bits(), busy_n.to_bits(), "busy time drift at {workers} workers");
+    for pool_size in [2, 4, 7] {
+        let (joules_n, busy_n) = run(pool_size);
+        let what = format!("a member of a pool of {pool_size}");
+        assert_eq!(joules_1.to_bits(), joules_n.to_bits(), "joules drift in {what}");
+        assert_eq!(busy_1.to_bits(), busy_n.to_bits(), "busy time drift in {what}");
     }
 }
 

@@ -225,24 +225,3 @@ fn copy_and_fill_bounds() {
     // Regression: `count * 8` must not wrap in release builds.
     assert_invalid(q.enqueue_fill_f64(&a, 1.0, usize::MAX / 4), "fill with huge count");
 }
-
-#[test]
-fn accelerator_worker_knob_is_wall_clock_only() {
-    let price = |workers: Option<usize>| {
-        let mut builder = bop_core::Accelerator::builder(devices::fpga())
-            .arch(KernelArch::Optimized)
-            .precision(Precision::Double)
-            .n_steps(32);
-        if let Some(w) = workers {
-            builder = builder.workers(w);
-        }
-        let acc = builder.build().expect("builds");
-        acc.price(&[OptionParams::example(); 6]).expect("prices")
-    };
-    let seq = price(Some(1));
-    let par = price(Some(4));
-    assert_eq!(seq.prices, par.prices, "prices independent of worker count");
-    assert_eq!(seq.elapsed_s, par.elapsed_s, "simulated time independent of worker count");
-    let auto = price(None);
-    assert_eq!(auto.prices, seq.prices, "default worker count gives the same prices");
-}

@@ -6,7 +6,7 @@
 //! behaviour when the FIFO fills, a deterministic deadlock trap when a
 //! read can never be satisfied, and bit-identity of prices, statistics
 //! (stall counters included) and queue counters across the walker and
-//! lanes engines at several worker counts.
+//! lanes engines.
 
 use bop_clir::stats::ExecStats;
 use bop_clir::types::ScalarType;
@@ -141,12 +141,11 @@ struct Outcome {
 }
 
 /// A queue for one run; `engine: None` leaves it on its default engine.
-fn queue_on(ctx: &Arc<Context>, engine: Option<Engine>, workers: usize) -> CommandQueue {
+fn queue_on(ctx: &Arc<Context>, engine: Option<Engine>) -> CommandQueue {
     let queue = CommandQueue::new(ctx);
     if let Some(engine) = engine {
         queue.set_engine(engine);
     }
-    queue.set_workers(workers);
     queue
 }
 
@@ -166,10 +165,10 @@ fn outcome(
 }
 
 /// One IV.C pricing session.
-fn run_streaming(engine: Option<Engine>, workers: usize) -> Outcome {
+fn run_streaming(engine: Option<Engine>) -> Outcome {
     let n_steps = 32;
     let ctx = Context::new(devices::fpga());
-    let queue = queue_on(&ctx, engine, workers);
+    let queue = queue_on(&ctx, engine);
     let program = Program::from_source(
         &ctx,
         "streaming.cl",
@@ -248,14 +247,9 @@ impl PairCase {
 }
 
 /// Run `case` as one launch graph.
-fn run_random_pair(
-    case: &PairCase,
-    engine: Option<Engine>,
-    workers: usize,
-    plan: Option<FaultPlan>,
-) -> Outcome {
+fn run_random_pair(case: &PairCase, engine: Option<Engine>, plan: Option<FaultPlan>) -> Outcome {
     let ctx = Context::new(devices::fpga());
-    let queue = queue_on(&ctx, engine, workers);
+    let queue = queue_on(&ctx, engine);
     if let Some(limit) = case.step_limit {
         queue.set_step_limit(limit);
     }
@@ -286,37 +280,32 @@ fn run_random_pair(
     outcome(&queue, result.map_err(|e| e.to_string()), "produce", "consume")
 }
 
-/// The engine and worker-count matrix every pair must match the
-/// walker on one worker under; `None` is the engine a queue runs on
-/// when none is configured.
-const MATRIX: [(Option<Engine>, usize); 5] = [
-    (Some(Engine::Walk), 4),
-    (Some(Engine::Lanes), 1),
-    (Some(Engine::Lanes), 4),
-    (None, 1),
-    (None, 4),
-];
+/// The engines every pair must match the walker under; `None` is the
+/// engine a queue runs on when none is configured. Pipe kernels are
+/// single-work-item tasks that run serially against the pipe hub, so the
+/// worker count has no effect on them.
+const ENGINES: [Option<Engine>; 2] = [Some(Engine::Lanes), None];
 
 /// Case 0 is kernel IV.C's producer/consumer pair through its host
 /// program; 24 seeded random pairs follow, with mismatched read and
 /// write counts, bursty writes against small FIFOs and tiny step
 /// budgets. Whatever happens — values, stalls, counters, the simulated
 /// clock, a deadlock trap or a budget trip — is bit-identical on every
-/// engine at every worker count, and no case hangs.
+/// engine, and no case hangs.
 #[test]
-fn producer_consumer_pair_is_bit_identical_across_engines_and_workers() {
-    let reference = run_streaming(Some(Engine::Walk), 1);
+fn producer_consumer_pair_is_bit_identical_across_engines() {
+    let reference = run_streaming(Some(Engine::Walk));
     let consumer = reference.consumer_stats.as_ref().expect("consumer ran");
     assert!(consumer.pipe_read_stalls > 0, "the consumer must outpace the producer at least once");
-    for (engine, workers) in MATRIX {
-        let outcome = run_streaming(engine, workers);
-        assert_eq!(reference, outcome, "case 0 (IV.C): {engine:?} with {workers} workers diverged");
+    for engine in ENGINES {
+        let outcome = run_streaming(engine);
+        assert_eq!(reference, outcome, "case 0 (IV.C): {engine:?} diverged");
     }
 
     let mut rng = SplitMix64::seed_from_u64(0x919e);
     for i in 1..=24 {
         let case = PairCase::draw(&mut rng);
-        let reference = run_random_pair(&case, Some(Engine::Walk), 1, None);
+        let reference = run_random_pair(&case, Some(Engine::Walk), None);
         match &reference.result {
             Err(msg) => assert!(
                 msg.contains("pipe deadlock")
@@ -326,9 +315,9 @@ fn producer_consumer_pair_is_bit_identical_across_engines_and_workers() {
             ),
             Ok(_) => assert!(!case.deadlocks(), "case {i}: unsatisfiable reads must deadlock"),
         }
-        for (engine, workers) in MATRIX {
-            let outcome = run_random_pair(&case, engine, workers, None);
-            assert_eq!(reference, outcome, "case {i}: {engine:?} with {workers} workers, {case:?}");
+        for engine in ENGINES {
+            let outcome = run_random_pair(&case, engine, None);
+            assert_eq!(reference, outcome, "case {i}: {engine:?}, {case:?}");
         }
     }
 }
@@ -342,11 +331,10 @@ fn pipe_pairs_are_bit_identical_under_seeded_faults() {
     for i in 0..24 {
         let case = PairCase::draw(&mut rng);
         let plan = FaultPlan::new(rng.uniform(0.0, 0.6), rng.next_u64());
-        let reference = run_random_pair(&case, Some(Engine::Walk), 1, Some(plan));
-        for (engine, workers) in MATRIX {
-            let outcome = run_random_pair(&case, engine, workers, Some(plan));
-            let what = format!("{engine:?} with {workers} workers, {plan:?}, {case:?}");
-            assert_eq!(reference, outcome, "case {i}: {what}");
+        let reference = run_random_pair(&case, Some(Engine::Walk), Some(plan));
+        for engine in ENGINES {
+            let outcome = run_random_pair(&case, engine, Some(plan));
+            assert_eq!(reference, outcome, "case {i}: {engine:?}, {plan:?}, {case:?}");
         }
     }
 }
