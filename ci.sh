@@ -32,11 +32,20 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc (rustdoc warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# Outputs must not depend on the environment. These variables once set
+# the engine, step budget and fault plan of every queue in the process;
+# nothing reads them now. The quickstart and the golden reproduction
+# below run under hostile values of them, and must still succeed and
+# match the goldens byte for byte.
+stray_env="BOP_SIM_ENGINE=bogus BOP_SIM_STEP_LIMIT=1 BOP_SIM_FAULTS=rate=1"
+
 # The README's first traced call: the quickstart example prices one
 # option on the FPGA model and writes the session's Chrome trace, which
 # must carry trace events.
-echo "== quickstart example =="
-cargo run --release -p bop-core --example quickstart -- --trace-out /tmp/quickstart_trace.json
+echo "== quickstart example (stray environment) =="
+# shellcheck disable=SC2086 # the assignments split into words on purpose
+env ${stray_env} cargo run --release -p bop-core --example quickstart -- \
+  --trace-out /tmp/quickstart_trace.json
 grep -q '"traceEvents"' /tmp/quickstart_trace.json
 
 # Smoke-run the serving layer end to end: a bounded, seeded open-loop
@@ -128,12 +137,12 @@ grep -q '"droppedSpans"' /tmp/serve_trace.json
 # wall-clock `wall_s`). An intended change to the model regenerates the
 # golden in the same change. `figures figure3 --json` is left out: it
 # emits `"rows":[]`, so its golden would pin nothing.
-echo "== golden reproduction output =="
+echo "== golden reproduction output (stray environment) =="
 for golden in "table1:table1 --json" "table2:table2 --fast --json" \
   "figure4:figures figure4 --json" "ablation:ablation --json"; do
   name=${golden%%:*}
   # shellcheck disable=SC2086 # the command line splits into words on purpose
-  ./target/release/${golden#*:} | sed 's/,"wall_s":[-0-9.eE+]*}$/}/' \
+  env ${stray_env} ./target/release/${golden#*:} | sed 's/,"wall_s":[-0-9.eE+]*}$/}/' \
     | cmp - "tests/golden/${name}.json" \
     || { echo "${golden#*:}: output differs from tests/golden/${name}.json" >&2; exit 1; }
 done

@@ -123,6 +123,16 @@ fn sweep(
     results
 }
 
+/// Parse an `--engine` value naming one engine: `walk` (or `tree`) and
+/// `lanes` (or `simd`), case-insensitive.
+fn parse_engine(s: &str) -> Option<Engine> {
+    match s.trim().to_ascii_lowercase().as_str() {
+        "walk" | "tree" => Some(Engine::Walk),
+        "lanes" | "simd" => Some(Engine::Lanes),
+        _ => None,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = ReportOpts::from_env();
@@ -150,7 +160,7 @@ fn main() {
         .unwrap_or("all")
     {
         "all" => vec![Engine::Walk, Engine::Lanes],
-        other => match bop_ocl::queue::parse_engine(other) {
+        other => match parse_engine(other) {
             Some(e) => vec![e],
             None => {
                 eprintln!("--engine expects walk|lanes|all, got `{other}`");
@@ -293,4 +303,25 @@ fn main() {
     }
     report.wall_s = timer.elapsed_s();
     opts.emit(report).expect("emit report");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engine_flag_accepts_each_engine_name() {
+        for (s, want) in [
+            ("walk", Some(Engine::Walk)),
+            ("tree", Some(Engine::Walk)),
+            ("Bytecode", None),
+            (" bc ", None),
+            ("lanes", Some(Engine::Lanes)),
+            (" SIMD ", Some(Engine::Lanes)),
+            ("llvm", None),
+            ("", None),
+        ] {
+            assert_eq!(parse_engine(s), want, "parse_engine({s:?})");
+        }
+    }
 }

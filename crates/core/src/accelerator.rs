@@ -39,20 +39,21 @@ pub struct AcceleratorConfig {
     pub build: Option<BuildOptions>,
     /// Metrics registry every session publishes into, if any.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Kernel execution engine override (`None` = the queue default:
-    /// `BOP_SIM_ENGINE`, else lanes). A wall-clock knob only — both
-    /// engines (walk and lanes) are bit-identical.
+    /// Kernel execution engine override (`None` = the queue default,
+    /// lanes). A wall-clock knob only — both engines (walk and lanes)
+    /// are bit-identical.
     pub engine: Option<Engine>,
     /// Per-work-group instruction budget override (`None` = the queue
-    /// default: `BOP_SIM_STEP_LIMIT`, else the interpreter default).
+    /// default, the interpreter's).
     pub step_limit: Option<u64>,
     /// Use the paper's "reduced number of read operations" variant of
     /// the straightforward host program (root-only reads).
     pub reduced_reads: bool,
     /// Deterministic fault-injection plan for pricing sessions (`None` =
-    /// the `BOP_SIM_FAULTS` environment default, which itself defaults
-    /// to no injection). Applies to [`Accelerator::price`] paths only;
-    /// calibration and projection always run fault-free.
+    /// no injection). Applies to [`Accelerator::price`] paths only;
+    /// calibration and projection always run fault-free. Validated when
+    /// a pricing session arms it: an out-of-range plan fails that
+    /// session with [`Error::Invalid`].
     pub faults: Option<FaultPlan>,
 }
 
@@ -154,19 +155,17 @@ impl AcceleratorBuilder {
     }
 
     /// Select the kernel execution engine (the walk oracle or the
-    /// lane-vectorized `lanes`) for every session this
-    /// accelerator opens (default: the queue's `BOP_SIM_ENGINE`, else
-    /// lanes). A wall-clock knob only — prices, statistics
-    /// and the simulated clock are identical on every engine.
+    /// lane-vectorized `lanes`) for every session this accelerator opens
+    /// (default: lanes). A wall-clock knob only — prices, statistics and
+    /// the simulated clock are identical on every engine.
     pub fn engine(mut self, engine: Engine) -> AcceleratorBuilder {
         self.config.engine = Some(engine);
         self
     }
 
-    /// Bound the instructions any single work-group may execute (0 = the
-    /// interpreter default; sessions default to the queue's
-    /// `BOP_SIM_STEP_LIMIT` heuristic). Exceeding the budget fails the
-    /// pricing run instead of hanging on a runaway kernel.
+    /// Bound the instructions any single work-group may execute (0, the
+    /// default, selects the interpreter's budget). Exceeding the budget
+    /// fails the pricing run instead of hanging on a runaway kernel.
     pub fn step_limit(mut self, step_limit: u64) -> AcceleratorBuilder {
         self.config.step_limit = Some(step_limit);
         self
@@ -181,8 +180,7 @@ impl AcceleratorBuilder {
     }
 
     /// Inject deterministic faults into every pricing session according
-    /// to `plan` (default: the `BOP_SIM_FAULTS` environment knob, which
-    /// itself defaults to no injection). Each session re-seeds the
+    /// to `plan` (default: no injection). Each session re-seeds the
     /// plan's decision stream from a per-accelerator session counter, so
     /// retried batches see fresh — but reproducible — faults.
     /// Calibration and projection sessions always run fault-free.
@@ -373,19 +371,6 @@ impl Accelerator {
         if config.n_steps < 2 {
             return Err(Error::Invalid("need at least 2 lattice steps".into()));
         }
-        // Resolve the fault plan strictly: an explicit plan must be
-        // valid, and a set-but-malformed BOP_SIM_FAULTS is a structured
-        // configuration error, never a silently ignored knob.
-        let faults = match config.faults {
-            Some(plan) => {
-                plan.validate()
-                    .map_err(|cause| Error::Config { var: "fault_plan".into(), cause })?;
-                Some(plan)
-            }
-            None => FaultPlan::from_env()
-                .map_err(|cause| Error::Config { var: "BOP_SIM_FAULTS".into(), cause })?,
-        };
-        config.faults = faults.filter(FaultPlan::is_active);
         let build = config.build.take().unwrap_or_else(|| config.arch.paper_build_options());
         let ctx = Context::new(config.device.clone());
         // Size lattice-sized sources (the streaming kernel's private
@@ -454,24 +439,27 @@ impl Accelerator {
     /// serving layer derives one plan per shard from a base seed so
     /// shards fail independently but reproducibly). Resets the session
     /// counter, so the new plan's fault sequence starts from scratch.
-    /// An inert plan ([`FaultPlan::none`]) disables injection.
+    /// An inert plan ([`FaultPlan::none`]) disables injection; an
+    /// out-of-range one fails every pricing session with
+    /// [`Error::Invalid`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Accelerator {
-        self.config.faults = Some(plan).filter(FaultPlan::is_active);
+        self.config.faults = Some(plan);
         self.fault_sessions = AtomicU64::new(0);
         self
     }
 
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.config.faults
+        self.config.faults.filter(FaultPlan::is_active)
     }
 
     /// Open a fresh context + queue on the shared program.
     /// `inject_faults` arms the accelerator's fault plan on the session
     /// queue (re-seeded per session); pricing paths pass `true`, while
     /// calibration/projection pass `false` — operator tooling must stay
-    /// deterministic and fault-free even on a faulty fleet.
-    fn fresh_session(&self, inject_faults: bool) -> (Arc<Context>, CommandQueue) {
+    /// deterministic and fault-free even on a faulty fleet. Fails with
+    /// [`Error::Invalid`] when the queue rejects the fault plan.
+    fn fresh_session(&self, inject_faults: bool) -> Result<(Arc<Context>, CommandQueue), Error> {
         let ctx = Context::new(self.config.device.clone());
         let queue = CommandQueue::new(&ctx);
         if self.pool_size > 1 {
@@ -489,10 +477,10 @@ impl Accelerator {
         if inject_faults {
             if let Some(plan) = self.config.faults {
                 let session = self.fault_sessions.fetch_add(1, Ordering::Relaxed);
-                queue.set_fault_plan(plan.for_session(session));
+                queue.set_fault_plan(plan.for_session(session)).map_err(Error::config)?;
             }
         }
-        (ctx, queue)
+        Ok((ctx, queue))
     }
 
     /// Run this architecture's host program on a session. The vanilla
@@ -643,7 +631,7 @@ impl Accelerator {
                 )));
             }
         }
-        let (ctx, queue) = self.fresh_session(true);
+        let (ctx, queue) = self.fresh_session(true)?;
         if traced {
             queue.enable_trace();
         }
@@ -730,7 +718,7 @@ impl Accelerator {
     /// # Errors
     /// Propagates build and runtime failures.
     pub fn measure_per_option(&self, n: usize) -> Result<bop_clir::stats::ExecStats, Error> {
-        let (ctx, queue) = self.fresh_session(false);
+        let (ctx, queue) = self.fresh_session(false)?;
         let options = [OptionParams::example()];
         self.run_host(&ctx, &queue, &options, None, n)?;
         let stats = queue
@@ -762,7 +750,7 @@ impl Accelerator {
         let n_steps = self.n_steps();
         let per_unit = fit.per_option(n_steps);
 
-        let (ctx, queue) = self.fresh_session(false);
+        let (ctx, queue) = self.fresh_session(false)?;
         let arch = self.arch();
         queue.set_timing_only(Box::new(move |kernel, dispatch| match arch {
             // Per-batch statistics, independent of the dispatch.
@@ -1029,13 +1017,51 @@ mod tests {
         let mut config = AcceleratorConfig::new(crate::devices::gpu());
         config.n_steps = 16;
         config.faults = Some(FaultPlan { rate: 7.5, ..FaultPlan::none() });
-        match config.build() {
-            Err(Error::Config { var, cause }) => {
-                assert_eq!(var, "fault_plan");
-                assert!(cause.message.contains("[0, 1]"), "{cause}");
-            }
-            other => panic!("expected Error::Config, got {:?}", other.map(|_| "ok")),
+        let acc = config.build().expect("the plan is checked when a session arms it");
+        match acc.price(&[OptionParams::example()]) {
+            Err(Error::Invalid(msg)) => assert!(msg.contains("rate") && msg.contains("[0, 1]")),
+            other => panic!("expected Error::Invalid, got {:?}", other.map(|_| "ok")),
         }
+    }
+
+    #[test]
+    fn invalid_fault_plans_fail_typed_through_every_entry_point() {
+        use crate::suite::{PayoffSuite, RiskRequest};
+        let base = FaultPlan::new(0.5, 1);
+        let bad = [
+            (FaultPlan { mean_stall_s: -1.0, ..base }, "mean_stall_s"),
+            (FaultPlan { mean_stall_s: f64::INFINITY, ..base }, "mean_stall_s"),
+            (FaultPlan { rate: f64::NAN, ..base }, "rate"),
+            (FaultPlan { rate: 1.5, ..base }, "rate"),
+            (FaultPlan { rate: -0.1, ..base }, "rate"),
+        ];
+        let expect_invalid = |what: &str, result: Result<(), Error>, needle: &str| match result {
+            Err(Error::Invalid(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+            other => panic!("{what}: expected Error::Invalid, got {other:?}"),
+        };
+        let device = crate::devices::gpu();
+        let acc = Accelerator::builder(device.clone()).n_steps(16).build().expect("builds");
+        let suite = PayoffSuite::build(device.clone(), 16).expect("builds");
+        let option = OptionParams::example();
+        for (plan, needle) in bad {
+            let built = Accelerator::builder(device.clone()).n_steps(16).fault_plan(plan).build();
+            let priced = built.expect("builds").price(&[option]).map(drop);
+            expect_invalid("builder", priced, needle);
+            let priced = acc.clone().with_fault_plan(plan).price(&[option]).map(drop);
+            expect_invalid("Accelerator::with_fault_plan", priced, needle);
+            let risk = [RiskRequest::price_only(option, Payoff::American)];
+            let priced = suite.clone().with_fault_plan(plan).price_risk(&risk).map(drop);
+            expect_invalid("PayoffSuite::with_fault_plan", priced, needle);
+
+            let queue = CommandQueue::new(&Context::new(device.clone()));
+            match queue.set_fault_plan(plan) {
+                Err(RuntimeError::Invalid(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("CommandQueue::set_fault_plan: expected Invalid, got {other:?}"),
+            }
+            assert_eq!(queue.fault_plan(), None, "a rejected plan is never armed");
+        }
+        // The same accelerator prices again once given a valid plan.
+        acc.with_fault_plan(FaultPlan::none()).price(&[option]).expect("prices");
     }
 
     #[test]
@@ -1175,7 +1201,8 @@ mod builder_tests {
         let mut config = AcceleratorConfig::new(crate::devices::fpga());
         config.n_steps = 32;
         let default = CommandQueue::new(&Context::new(config.device.clone())).workers();
-        let session_workers = |acc: &Accelerator| acc.fresh_session(false).1.workers();
+        let session_workers =
+            |acc: &Accelerator| acc.fresh_session(false).expect("session").1.workers();
         let lone = config.clone().build().expect("builds");
         assert_eq!(session_workers(&lone), default, "a lone accelerator keeps the queue default");
         let options = [OptionParams::example(); 6];

@@ -11,7 +11,7 @@
 //! and capacity straight off the rejection.
 
 use bop_ocl::queue::RuntimeError;
-use bop_ocl::{BuildError, FaultParseError, InjectedFault};
+use bop_ocl::{BuildError, InjectedFault};
 use std::fmt;
 
 /// Error from building or running an accelerator, or from the serving
@@ -23,7 +23,7 @@ pub enum Error {
     /// A command failed at run time.
     Runtime(RuntimeError),
     /// Invalid request (empty batch, bad option parameters, mismatched
-    /// shard pool).
+    /// shard pool, out-of-range fault plan).
     Invalid(String),
     /// The service declined the request because its bounded submission
     /// queue was full (or it was shutting down).
@@ -42,15 +42,6 @@ pub enum Error {
         /// The injected fault; its `source()` chains to the engine-level
         /// trap for spurious-trap sites.
         fault: InjectedFault,
-    },
-    /// A configuration knob (builder argument or environment variable
-    /// such as `BOP_SIM_FAULTS`) was malformed.
-    #[non_exhaustive]
-    Config {
-        /// The knob that failed to parse (e.g. `"BOP_SIM_FAULTS"`).
-        var: String,
-        /// Why it was rejected.
-        cause: FaultParseError,
     },
 }
 
@@ -86,7 +77,6 @@ impl fmt::Display for Error {
                 write!(f, "deadline exceeded by {missed_by_s:.6} s")
             }
             Error::Fault { fault } => write!(f, "{fault}"),
-            Error::Config { var, cause } => write!(f, "invalid {var}: {cause}"),
         }
     }
 }
@@ -97,7 +87,6 @@ impl std::error::Error for Error {
             Error::Build(e) => Some(e),
             Error::Runtime(e) => Some(e),
             Error::Fault { fault } => Some(fault),
-            Error::Config { cause, .. } => Some(cause),
             Error::Invalid(_) | Error::Rejected(_) | Error::DeadlineExceeded { .. } => None,
         }
     }
@@ -121,6 +110,16 @@ impl From<RuntimeError> for Error {
 }
 
 impl Error {
+    /// A configuration value the session queue rejected (today: a fault
+    /// plan that fails [`bop_ocl::FaultPlan::validate`]): the caller's
+    /// input was wrong, so it is [`Error::Invalid`], not a runtime error.
+    pub(crate) fn config(e: RuntimeError) -> Error {
+        match e {
+            RuntimeError::Invalid(msg) => Error::Invalid(msg),
+            other => other.into(),
+        }
+    }
+
     /// True for errors that are transient by construction (today:
     /// injected faults) and therefore worth retrying. Genuine runtime
     /// errors — real traps, invalid commands — are deterministic and are
@@ -169,13 +168,12 @@ mod tests {
         let src = e.source().expect("fault cause");
         assert!(src.downcast_ref::<InjectedFault>().is_some());
 
-        // Config errors carry the knob name and the parse cause.
-        let cause = bop_ocl::FaultPlan::parse("rate=lots").expect_err("malformed");
-        let e = Error::Config { var: "BOP_SIM_FAULTS".into(), cause };
+        // A rejected configuration value is an invalid request naming
+        // the field, not retryable.
+        let plan = bop_ocl::FaultPlan { rate: 7.5, ..bop_ocl::FaultPlan::none() };
+        let e = Error::config(plan.validate().expect_err("out of range"));
         assert!(!e.is_retryable());
-        assert!(e.to_string().contains("BOP_SIM_FAULTS"), "{e}");
-        let src = e.source().expect("config cause");
-        assert!(src.downcast_ref::<FaultParseError>().is_some());
+        assert!(matches!(&e, Error::Invalid(msg) if msg.contains("rate")), "{e}");
 
         // Non-fault runtime errors stay on the Runtime variant.
         let e = Error::from(RuntimeError::Invalid("bad".into()));

@@ -28,6 +28,7 @@
 //! [`FaultPlan::none`]) is inert: the queue takes the exact pre-fault
 //! code paths and produces bit-identical prices, counters and traces.
 
+use crate::queue::RuntimeError;
 use bop_clir::interp::ExecError;
 use std::fmt;
 
@@ -67,8 +68,7 @@ impl fmt::Display for FaultSite {
 }
 
 /// Which classes of fault a plan may inject. The default enables every
-/// site; `BOP_SIM_FAULTS` narrows it with `sites=transfer+trap`-style
-/// filters.
+/// site; [`FaultPlan::with_sites`] narrows it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSites {
     /// Transfer corruption (both directions).
@@ -108,10 +108,9 @@ impl FaultSites {
 /// PRNG seed, site filter, and the mean simulated stall.
 ///
 /// Configure it per accelerator
-/// (`Accelerator::builder(..).fault_plan(..)` in `bop-core`), per queue
-/// ([`CommandQueue::set_fault_plan`](crate::queue::CommandQueue)), or
-/// process-wide via the `BOP_SIM_FAULTS` environment variable parsed by
-/// [`FaultPlan::parse`].
+/// (`Accelerator::builder(..).fault_plan(..)` in `bop-core`) or per queue
+/// ([`CommandQueue::set_fault_plan`](crate::queue::CommandQueue)), which
+/// validates it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that any eligible site fires on a given
@@ -145,8 +144,8 @@ impl FaultPlan {
     /// seeded by `seed`.
     ///
     /// # Panics
-    /// Panics if `rate` is not a probability (use [`FaultPlan::parse`]
-    /// for fallible construction from untrusted input).
+    /// Panics if `rate` is not a probability (build the struct directly
+    /// and [`FaultPlan::validate`] it for untrusted input).
     pub fn new(rate: f64, seed: u64) -> FaultPlan {
         assert!(rate.is_finite() && (0.0..=1.0).contains(&rate), "fault rate {rate} not in [0, 1]");
         FaultPlan { rate, seed, sites: FaultSites::all(), mean_stall_s: DEFAULT_MEAN_STALL_S }
@@ -176,133 +175,23 @@ impl FaultPlan {
     /// Validate the numeric fields.
     ///
     /// # Errors
-    /// [`FaultParseError`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FaultParseError> {
+    /// [`RuntimeError::Invalid`] naming the offending field.
+    pub fn validate(&self) -> Result<(), RuntimeError> {
         if !self.rate.is_finite() || !(0.0..=1.0).contains(&self.rate) {
-            return Err(FaultParseError::new(format!(
-                "rate must be a probability in [0, 1], got {}",
+            return Err(RuntimeError::Invalid(format!(
+                "fault plan rate must be a probability in [0, 1], got {}",
                 self.rate
             )));
         }
         if !self.mean_stall_s.is_finite() || self.mean_stall_s < 0.0 {
-            return Err(FaultParseError::new(format!(
-                "stall_s must be a non-negative finite duration, got {}",
+            return Err(RuntimeError::Invalid(format!(
+                "fault plan mean_stall_s must be a non-negative finite duration, got {}",
                 self.mean_stall_s
             )));
         }
         Ok(())
     }
-
-    /// Parse the `BOP_SIM_FAULTS` value syntax: comma-separated
-    /// `key=value` pairs with keys `rate` (required, probability),
-    /// `seed` (u64, default 0), `sites` (`+`-separated subset of
-    /// `transfer`, `enqueue`, `stall`, `trap`; default all), and
-    /// `stall_s` (mean simulated stall, seconds). Examples:
-    ///
-    /// ```text
-    /// BOP_SIM_FAULTS=rate=0.01
-    /// BOP_SIM_FAULTS=rate=0.05,seed=42,sites=transfer+trap,stall_s=2e-4
-    /// ```
-    ///
-    /// # Errors
-    /// [`FaultParseError`] on unknown keys, unknown sites, malformed
-    /// numbers, or an out-of-range rate.
-    pub fn parse(s: &str) -> Result<FaultPlan, FaultParseError> {
-        let mut plan = FaultPlan::none();
-        let mut saw_rate = false;
-        for pair in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| FaultParseError::new(format!("expected key=value, got `{pair}`")))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "rate" => {
-                    plan.rate = value.parse::<f64>().map_err(|_| {
-                        FaultParseError::new(format!("rate `{value}` is not a number"))
-                    })?;
-                    saw_rate = true;
-                }
-                "seed" => {
-                    plan.seed = value.parse::<u64>().map_err(|_| {
-                        FaultParseError::new(format!("seed `{value}` is not a u64"))
-                    })?;
-                }
-                "stall_s" => {
-                    plan.mean_stall_s = value.parse::<f64>().map_err(|_| {
-                        FaultParseError::new(format!("stall_s `{value}` is not a number"))
-                    })?;
-                }
-                "sites" => {
-                    let mut sites = FaultSites::none();
-                    for site in value.split('+').map(str::trim).filter(|p| !p.is_empty()) {
-                        match site {
-                            "transfer" => sites.transfer = true,
-                            "enqueue" => sites.enqueue = true,
-                            "stall" => sites.stall = true,
-                            "trap" => sites.trap = true,
-                            other => {
-                                return Err(FaultParseError::new(format!(
-                                    "unknown site `{other}` (expected transfer, enqueue, stall or trap)"
-                                )))
-                            }
-                        }
-                    }
-                    plan.sites = sites;
-                }
-                other => {
-                    return Err(FaultParseError::new(format!(
-                        "unknown key `{other}` (expected rate, seed, sites or stall_s)"
-                    )))
-                }
-            }
-        }
-        if !saw_rate {
-            return Err(FaultParseError::new("missing required key `rate`".to_string()));
-        }
-        plan.validate()?;
-        if plan.sites == FaultSites::none() {
-            // An explicit empty filter is almost certainly a mistake.
-            return Err(FaultParseError::new("sites filter selects nothing".to_string()));
-        }
-        Ok(plan)
-    }
-
-    /// Read and parse `BOP_SIM_FAULTS` from the environment. Returns
-    /// `Ok(None)` when the variable is unset or empty.
-    ///
-    /// # Errors
-    /// [`FaultParseError`] when the variable is set but malformed —
-    /// callers are expected to surface this as a structured
-    /// configuration error rather than silently ignoring the knob.
-    pub fn from_env() -> Result<Option<FaultPlan>, FaultParseError> {
-        match std::env::var("BOP_SIM_FAULTS") {
-            Ok(v) if !v.trim().is_empty() => FaultPlan::parse(&v).map(Some),
-            _ => Ok(None),
-        }
-    }
 }
-
-/// A malformed [`FaultPlan`] description (typically the `BOP_SIM_FAULTS`
-/// environment value).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultParseError {
-    /// What was wrong with the input.
-    pub message: String,
-}
-
-impl FaultParseError {
-    fn new(message: String) -> FaultParseError {
-        FaultParseError { message }
-    }
-}
-
-impl fmt::Display for FaultParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fault plan: {}", self.message)
-    }
-}
-
-impl std::error::Error for FaultParseError {}
 
 /// A fault the simulator injected, as carried by
 /// [`RuntimeError::Fault`](crate::queue::RuntimeError). For trap-site
@@ -466,43 +355,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_accepts_the_documented_syntax() {
-        let p = FaultPlan::parse("rate=0.05").expect("parses");
-        assert_eq!(p.rate, 0.05);
-        assert_eq!(p.seed, 0);
-        assert_eq!(p.sites, FaultSites::all());
-
-        let p =
-            FaultPlan::parse(" rate = 0.5 , seed = 9 , sites = transfer+trap , stall_s = 2e-4 ")
-                .expect("parses");
-        assert_eq!(p.seed, 9);
-        assert!(p.sites.transfer && p.sites.trap);
-        assert!(!p.sites.enqueue && !p.sites.stall);
-        assert_eq!(p.mean_stall_s, 2e-4);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_plans_with_named_causes() {
-        for (input, needle) in [
-            ("", "missing required key `rate`"),
-            ("seed=3", "missing required key `rate`"),
-            ("rate=lots", "not a number"),
-            ("rate=1.5", "in [0, 1]"),
-            ("rate=-0.1", "in [0, 1]"),
-            ("rate=nan", "in [0, 1]"),
-            ("rate=0.1,seed=-2", "not a u64"),
-            ("rate=0.1,sites=gamma", "unknown site `gamma`"),
-            ("rate=0.1,sites=", "selects nothing"),
-            ("rate=0.1,color=red", "unknown key `color`"),
-            ("rate", "expected key=value"),
-            ("rate=0.1,stall_s=-1", "non-negative"),
-        ] {
-            let err = FaultPlan::parse(input).expect_err(input);
-            assert!(err.to_string().contains(needle), "{input}: {err}");
-        }
-    }
-
-    #[test]
     fn decision_streams_are_deterministic_per_seed() {
         let drain = |seed: u64| {
             let mut st = FaultState::new(FaultPlan::new(0.3, seed));
@@ -577,12 +429,5 @@ mod tests {
             }
             other => panic!("expected a trap, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn from_env_is_none_when_unset() {
-        // The test harness never sets BOP_SIM_FAULTS; the strict parse
-        // path is covered by `parse` tests above.
-        assert_eq!(FaultPlan::from_env().expect("clean env"), None);
     }
 }

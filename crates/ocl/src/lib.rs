@@ -16,9 +16,9 @@
 //!
 //! Programs are optimised by the runtime pass pipeline and flattened to
 //! register bytecode at build time; launches execute it on the
-//! lane-vectorized engine by default ([`queue::Engine`],
-//! `BOP_SIM_ENGINE=walk|lanes`). The tree-walking interpreter is the
-//! one other engine, kept as the bit-identical reference oracle.
+//! lane-vectorized engine by default; [`queue::CommandQueue::set_engine`]
+//! selects the tree-walking interpreter instead, the one other
+//! [`queue::Engine`], kept as the bit-identical reference oracle.
 //!
 //! For paper-scale workloads (10^9 tree nodes) functional interpretation is
 //! replaced by a caller-supplied statistics model
@@ -71,7 +71,7 @@ pub use device::{
     BuildError, BuildOptions, BuildReport, Device, DeviceKind, DeviceProgram, Dispatch, LinkModel,
     ResourceUsage,
 };
-pub use faults::{FaultParseError, FaultPlan, FaultSite, FaultSites, InjectedFault};
+pub use faults::{FaultPlan, FaultSite, FaultSites, InjectedFault};
 pub use platform::Platform;
 pub use program::{Kernel, KernelArg, Program};
 pub use queue::{CommandQueue, Engine, Event, ProfilingInfo};

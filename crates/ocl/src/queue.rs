@@ -65,99 +65,11 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Parse an engine name as accepted by `BOP_SIM_ENGINE`: `walk` (or
-/// `tree`) and `lanes` (or `simd`), case-insensitive.
-pub fn parse_engine(s: &str) -> Option<Engine> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "walk" | "tree" => Some(Engine::Walk),
-        "lanes" | "simd" => Some(Engine::Lanes),
-        _ => None,
-    }
-}
-
-/// Engine used when none is configured: `BOP_SIM_ENGINE` if set to a name
-/// [`parse_engine`] accepts, else the lanes engine.
-fn default_engine() -> Engine {
-    setting_from_env("BOP_SIM_ENGINE", parse_engine, ENGINE_SPELLINGS, Engine::default())
-}
-
-/// The spellings [`parse_engine`] accepts, for the warning on a rejected
-/// `BOP_SIM_ENGINE`.
-const ENGINE_SPELLINGS: &str = "walk, tree, lanes or simd (any case)";
-
-/// Parse a step-limit value as accepted by `BOP_SIM_STEP_LIMIT`: a
-/// non-negative integer, where 0 selects the interpreter default
-/// ([`bop_clir::interp::DEFAULT_STEP_LIMIT`]).
-pub fn parse_step_limit(s: &str) -> Option<u64> {
-    s.trim().parse::<u64>().ok()
-}
-
-/// Per-work-group instruction budget used when none is configured:
-/// `BOP_SIM_STEP_LIMIT` if set to an integer, else 0 (the interpreter
-/// default).
-fn default_step_limit() -> u64 {
-    let accepted = "a non-negative integer (0 selects the interpreter default)";
-    setting_from_env("BOP_SIM_STEP_LIMIT", parse_step_limit, accepted, 0)
-}
-
 /// Worker-thread count for parallel NDRange interpretation when none is
 /// set: the host's available parallelism, looked up once per process.
 fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// The queue settings taken from the environment, resolved once per
-/// process: every [`CommandQueue::new`] starts from these, and a rejected
-/// value warns once on stderr.
-struct EnvDefaults {
-    engine: Engine,
-    step_limit: u64,
-}
-
-fn env_defaults() -> &'static EnvDefaults {
-    static DEFAULTS: OnceLock<EnvDefaults> = OnceLock::new();
-    DEFAULTS
-        .get_or_init(|| EnvDefaults { engine: default_engine(), step_limit: default_step_limit() })
-}
-
-/// The `var` setting, read from the environment through `parse`, or
-/// `default` when it is unset or rejected; a rejected value prints its
-/// warning on stderr.
-fn setting_from_env<T: fmt::Display>(
-    var: &str,
-    parse: fn(&str) -> Option<T>,
-    accepted: &str,
-    default: T,
-) -> T {
-    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    let (setting, warning) = parse_setting(var, value.as_deref(), parse, accepted, default);
-    if let Some(warning) = warning {
-        eprintln!("{warning}");
-    }
-    setting
-}
-
-/// Resolve the `var` setting from its environment `value`: the value
-/// `parse` accepts, else `default`. A value `parse` rejects comes back
-/// with the warning to print, naming the variable, the rejected value
-/// and the `accepted` spellings.
-fn parse_setting<T: fmt::Display>(
-    var: &str,
-    value: Option<&str>,
-    parse: fn(&str) -> Option<T>,
-    accepted: &str,
-    default: T,
-) -> (T, Option<String>) {
-    match value.map(|v| (v, parse(v))) {
-        None => (default, None),
-        Some((_, Some(setting))) => (setting, None),
-        Some((v, None)) => {
-            let warning =
-                format!("warning: ignoring {var}={v:?}: expected {accepted}; using {default}");
-            (default, Some(warning))
-        }
-    }
 }
 
 /// Runtime error from an enqueued command.
@@ -429,7 +341,6 @@ impl CommandQueue {
     /// Create a queue on `ctx` (profiling always on; simulated clock starts
     /// at zero).
     pub fn new(ctx: &Arc<Context>) -> CommandQueue {
-        let env = env_defaults();
         CommandQueue {
             ctx: ctx.clone(),
             state: Mutex::new(QueueState {
@@ -447,8 +358,8 @@ impl CommandQueue {
             timing_model: Mutex::new(None),
             metrics: Mutex::new(None),
             workers: Mutex::new(host_parallelism()),
-            engine: Mutex::new(env.engine),
-            step_limit: Mutex::new(env.step_limit),
+            engine: Mutex::new(Engine::default()),
+            step_limit: Mutex::new(0),
             faults: Mutex::new(None),
         }
     }
@@ -460,9 +371,14 @@ impl CommandQueue {
     /// identically. Every injected event is counted in
     /// [`QueueCounters::faults`], published as `fault.*` metrics, and
     /// marked in the trace.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.faults.lock().unwrap() =
-            if plan.is_active() { Some(FaultState::new(plan)) } else { None };
+    ///
+    /// # Errors
+    /// [`RuntimeError::Invalid`] naming the field when `plan` fails
+    /// [`FaultPlan::validate`]; the queue's armed plan is then unchanged.
+    pub fn set_fault_plan(&self, plan: FaultPlan) -> Result<(), RuntimeError> {
+        plan.validate()?;
+        *self.faults.lock().unwrap() = plan.is_active().then(|| FaultState::new(plan));
+        Ok(())
     }
 
     /// The armed fault plan, if any.
@@ -471,9 +387,8 @@ impl CommandQueue {
     }
 
     /// Select the kernel execution engine for NDRange launches (default:
-    /// `BOP_SIM_ENGINE`, else the lanes engine). Purely a wall-clock
-    /// knob: both engines produce bit-identical results, statistics,
-    /// counters, traces and errors.
+    /// the lanes engine). Purely a wall-clock knob: both engines produce
+    /// bit-identical results, statistics, counters, traces and errors.
     pub fn set_engine(&self, engine: Engine) {
         *self.engine.lock().unwrap() = engine;
     }
@@ -484,9 +399,9 @@ impl CommandQueue {
     }
 
     /// Set the per-work-group instruction budget for NDRange launches;
-    /// 0 (the default, overridable via `BOP_SIM_STEP_LIMIT`) selects the
-    /// interpreter's [`bop_clir::interp::DEFAULT_STEP_LIMIT`]. Exceeding
-    /// the budget fails the launch with
+    /// 0 (the default) selects the interpreter's
+    /// [`bop_clir::interp::DEFAULT_STEP_LIMIT`]. Exceeding the budget
+    /// fails the launch with
     /// [`ExecError::StepLimitExceeded`](bop_clir::interp::ExecError).
     pub fn set_step_limit(&self, step_limit: u64) {
         *self.step_limit.lock().unwrap() = step_limit;
@@ -1582,30 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_env_settings_fall_back_with_a_warning() {
-        let engine =
-            |v| parse_setting("BOP_SIM_ENGINE", v, parse_engine, ENGINE_SPELLINGS, Engine::Lanes);
-        assert_eq!(engine(None), (Engine::Lanes, None));
-        assert_eq!(engine(Some(" WALK ")), (Engine::Walk, None));
-        // The removed scalar engine's name is a typo like any other.
-        let (fallback, warning) = engine(Some("bytecode"));
-        assert_eq!(fallback, Engine::Lanes);
-        let warning = warning.expect("a rejected engine warns");
-        for part in ["BOP_SIM_ENGINE", "\"bytecode\"", ENGINE_SPELLINGS, "using lanes"] {
-            assert!(warning.contains(part), "{part:?} missing from {warning:?}");
-        }
-
-        let limit = |v| parse_setting("BOP_SIM_STEP_LIMIT", v, parse_step_limit, "an integer", 0);
-        assert_eq!(limit(Some("1000")), (1000, None));
-        let (fallback, warning) = limit(Some("-3"));
-        assert_eq!(fallback, 0);
-        let warning = warning.expect("a rejected limit warns");
-        for part in ["BOP_SIM_STEP_LIMIT", "\"-3\"", "an integer", "using 0"] {
-            assert!(warning.contains(part), "{part:?} missing from {warning:?}");
-        }
-    }
-
-    #[test]
     fn write_kernel_read_round_trip() {
         let (ctx, q, p) = setup(
             "__kernel void twice(__global double* io) {
@@ -1930,7 +1821,8 @@ mod tests {
             enqueue: false,
             stall: false,
             trap: false,
-        }));
+        }))
+        .expect("valid plan");
         let buf = ctx.create_buffer(4 * 8);
         let before = q.elapsed_s();
         let err = q.enqueue_write_f64(&buf, &[1.0; 4]).expect_err("transfer fault");
@@ -1978,7 +1870,8 @@ mod tests {
             enqueue: false,
             stall: true,
             trap: false,
-        }));
+        }))
+        .expect("valid plan");
         q.enable_trace();
         let stalled = q.enqueue_nd_range(&k, Dispatch::new(4, 2)).expect("stalled launch");
         assert!(
@@ -1986,7 +1879,7 @@ mod tests {
             "stall adds simulated device time"
         );
         let mut out = [0.0; 4];
-        q.set_fault_plan(FaultPlan::none());
+        q.set_fault_plan(FaultPlan::none()).expect("valid plan");
         q.enqueue_read_f64(&buf, &mut out).expect("read");
         assert_eq!(out, [4.0, 8.0, 12.0, 16.0], "stalled launches still compute correctly");
         let entry = &q.trace()[0];
@@ -2005,7 +1898,8 @@ mod tests {
                 enqueue: false,
                 stall: false,
                 trap: true,
-            }));
+            }))
+            .expect("valid plan");
             let buf = ctx.create_buffer(8);
             let k = p.kernel("k").expect("kernel");
             k.set_arg_buffer(0, &buf);
@@ -2033,7 +1927,7 @@ mod tests {
                 }",
             );
             if let Some(plan) = plan {
-                q.set_fault_plan(plan);
+                q.set_fault_plan(plan).expect("valid plan");
             }
             q.enable_trace();
             let buf = ctx.create_buffer(4 * 8);
@@ -2159,7 +2053,7 @@ mod tests {
             let reg = Arc::new(MetricsRegistry::new());
             q.attach_metrics(reg.clone());
             q.enable_trace();
-            q.set_fault_plan(plan);
+            q.set_fault_plan(plan).expect("valid plan");
             // A second, fault-free queue resets the device bytes before
             // every command without drawing from the plan.
             let reset = CommandQueue::new(&ctx);

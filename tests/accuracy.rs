@@ -175,8 +175,8 @@ fn streaming_prices_that_survive_chaos_are_bit_identical_to_fault_free() {
     // The chaos contract extends to the pipe pair: under a seeded fault
     // plan a session either fails with a typed error or prices exactly —
     // a fault must never skew a surviving IV.C price.
-    let seed = match std::env::var("BOP_SIM_FAULTS") {
-        Ok(s) => s.parse().unwrap_or(7),
+    let seed = match std::env::var("BOP_CHAOS_SEED") {
+        Ok(s) => s.parse().unwrap_or_else(|_| panic!("BOP_CHAOS_SEED must be a u64, got {s:?}")),
         Err(_) => 7,
     };
     let n_steps = 32;

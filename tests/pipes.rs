@@ -254,7 +254,7 @@ fn run_random_pair(case: &PairCase, engine: Option<Engine>, plan: Option<FaultPl
         queue.set_step_limit(limit);
     }
     if let Some(plan) = plan {
-        queue.set_fault_plan(plan);
+        queue.set_fault_plan(plan).expect("valid plan");
     }
     let program = Program::from_source(&ctx, "pair.cl", &case.source(), &BuildOptions::default())
         .expect("generated pair builds");
