@@ -120,6 +120,20 @@ echo "== serve_load fault-injection smoke =="
   | grep -q '"serve.availability"'
 grep -q 'fault determinism check: PASS' /tmp/serve_load_faults.err
 
+# A bad flag value is a usage error: a message on stderr and exit
+# status 2, never a panic (101) and never a silent default.
+echo "== serve_load rejects bad flag values =="
+for bad in "--faults 2" "--requests two"; do
+  status=0
+  # shellcheck disable=SC2086 # each case is a flag and its value
+  ./target/release/serve_load $bad >/dev/null 2>/tmp/serve_load_bad_flag.err || status=$?
+  if [ "$status" -ne 2 ] || ! [ -s /tmp/serve_load_bad_flag.err ]; then
+    echo "serve_load $bad: exit $status, want 2 with a message"
+    cat /tmp/serve_load_bad_flag.err
+    exit 1
+  fi
+done
+
 # Telemetry smoke: the serve report carries tail percentiles and
 # energy efficiency, and a traced run produces a Chrome document whose
 # spans carry request ids (the per-request linkage itself is asserted

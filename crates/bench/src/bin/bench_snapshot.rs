@@ -26,19 +26,12 @@
 //!     multiplied by the factor — a synthetic regression for testing
 //!     that the comparator actually fails.
 //! ```
+use bop_bench::{exit_usage, flag};
 use bop_obs::{ExperimentReport, Json};
 use std::process::Command;
 
 /// Units the comparator treats as "bigger is better" performance.
 const PERF_UNITS: [&str; 2] = ["options/s", "options/J"];
-
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,7 +103,8 @@ fn experiments(fast: bool) -> Vec<(&'static str, Vec<String>)> {
 
 fn run(args: &[String]) -> i32 {
     let fast = args.iter().any(|a| a == "--fast");
-    let label = flag(args, "--label", String::new());
+    let label =
+        flag(args, "--label", String::new()).unwrap_or_else(|e| exit_usage("bench_snapshot", &e));
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -214,7 +208,8 @@ fn compare(args: &[String]) -> i32 {
         eprintln!("usage: bench_snapshot compare OLD NEW [--threshold 0.10] [--warn-only]");
         return 2;
     };
-    let threshold: f64 = flag(args, "--threshold", 0.10);
+    let threshold: f64 =
+        flag(args, "--threshold", 0.10).unwrap_or_else(|e| exit_usage("bench_snapshot", &e));
     let warn_only = args.iter().any(|a| a == "--warn-only");
     let (old, new) = match (load_snapshot(old_path), load_snapshot(new_path)) {
         (Ok(o), Ok(n)) => (o, n),
@@ -282,7 +277,8 @@ fn degrade(args: &[String]) -> i32 {
         eprintln!("usage: bench_snapshot degrade IN OUT [--factor 0.5]");
         return 2;
     };
-    let factor: f64 = flag(args, "--factor", 0.5);
+    let factor: f64 =
+        flag(args, "--factor", 0.5).unwrap_or_else(|e| exit_usage("bench_snapshot", &e));
     let mut reports = match load_snapshot(in_path) {
         Ok(r) => r,
         Err(e) => {

@@ -48,6 +48,7 @@
 //! all tagged with request ids) and writes it as a Chrome trace-event
 //! JSON file loadable in Perfetto.
 use bop_bench::reporting::{ReportOpts, Stopwatch};
+use bop_bench::{exit_usage, flag, flag_opt};
 use bop_core::{Error, FaultPlan, PayoffSuite};
 use bop_finance::payoff::{BarrierKind, Payoff};
 use bop_finance::workload;
@@ -79,47 +80,43 @@ struct LoadOpts {
     trace_out: Option<String>,
 }
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl LoadOpts {
-    fn from_args(args: &[String]) -> LoadOpts {
-        LoadOpts {
-            requests: flag(args, "--requests", 200),
-            rate: flag(args, "--rate", 2000.0),
-            request_options: flag(args, "--request-options", 4),
-            shards: flag(args, "--shards", 2),
-            device: flag(args, "--device", "gpu".to_string()),
-            steps: flag(args, "--steps", 64),
-            outputs: args
-                .iter()
-                .position(|a| a == "--outputs")
-                .and_then(|i| args.get(i + 1))
-                .map(|v| OutputSet::parse(v).expect("--outputs"))
-                .unwrap_or_default(),
-            payoffs: flag(args, "--payoffs", "style".to_string()),
-            max_batch: flag(args, "--max-batch", 32),
-            linger_us: flag(args, "--linger-us", 500),
-            capacity: flag(args, "--capacity", 64),
-            deadline_ms: args
-                .iter()
-                .position(|a| a == "--deadline-ms")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok()),
-            seed: flag(args, "--seed", 42),
-            fault_rate: flag(args, "--faults", 0.0),
-            fault_seed: flag(args, "--fault-seed", 1234),
-            trace_out: args
-                .iter()
-                .position(|a| a == "--trace-out")
-                .and_then(|i| args.get(i + 1))
-                .cloned(),
-        }
+    /// Parse the command line.
+    ///
+    /// # Errors
+    /// A message naming the first flag whose value is missing, does not
+    /// parse or makes an invalid fault plan.
+    fn from_args(args: &[String]) -> Result<LoadOpts, String> {
+        let outputs = match flag_opt::<String>(args, "--outputs")? {
+            Some(v) => OutputSet::parse(&v).map_err(|e| format!("--outputs: {e}"))?,
+            None => OutputSet::default(),
+        };
+        let load = LoadOpts {
+            requests: flag(args, "--requests", 200)?,
+            rate: flag(args, "--rate", 2000.0)?,
+            request_options: flag(args, "--request-options", 4)?,
+            shards: flag(args, "--shards", 2)?,
+            device: flag(args, "--device", "gpu".to_string())?,
+            steps: flag(args, "--steps", 64)?,
+            outputs,
+            payoffs: flag(args, "--payoffs", "style".to_string())?,
+            max_batch: flag(args, "--max-batch", 32)?,
+            linger_us: flag(args, "--linger-us", 500)?,
+            capacity: flag(args, "--capacity", 64)?,
+            deadline_ms: flag_opt(args, "--deadline-ms")?,
+            seed: flag(args, "--seed", 42)?,
+            fault_rate: flag(args, "--faults", 0.0)?,
+            fault_seed: flag(args, "--fault-seed", 1234)?,
+            trace_out: flag_opt(args, "--trace-out")?,
+        };
+        load.fault_plan(0).validate().map_err(|e| format!("--faults: {e}"))?;
+        Ok(load)
+    }
+
+    /// The fault plan of shard `shard`: the `--faults` rate, seeded
+    /// `--fault-seed + shard`.
+    fn fault_plan(&self, shard: u64) -> FaultPlan {
+        FaultPlan { rate: self.fault_rate, ..FaultPlan::new(0.0, self.fault_seed + shard) }
     }
 
     /// The deterministic typed request stream: request `i`'s options,
@@ -183,7 +180,7 @@ fn shard_pool(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let report_opts = ReportOpts::from_args(&args);
-    let load = LoadOpts::from_args(&args);
+    let load = LoadOpts::from_args(&args).unwrap_or_else(|e| exit_usage("serve_load", &e));
     let timer = Stopwatch::start();
 
     eprintln!(
@@ -210,9 +207,7 @@ fn main() {
         pool = pool
             .into_iter()
             .enumerate()
-            .map(|(i, a)| {
-                a.with_fault_plan(FaultPlan::new(load.fault_rate, load.fault_seed + i as u64))
-            })
+            .map(|(i, a)| a.with_fault_plan(load.fault_plan(i as u64)))
             .collect();
     }
     let service = PricingService::start_with_metrics(
@@ -481,7 +476,7 @@ fn fault_campaign(load: &LoadOpts) -> Vec<String> {
     let shard = shard_pool(&load.device, load.steps, 1, &Arc::new(MetricsRegistry::new()))
         .pop()
         .expect("one shard")
-        .with_fault_plan(FaultPlan::new(load.fault_rate, load.fault_seed));
+        .with_fault_plan(load.fault_plan(0));
     let service = PricingService::start(
         vec![shard],
         ServeConfig {

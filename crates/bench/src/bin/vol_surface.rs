@@ -19,20 +19,13 @@
 //! accuracy row.
 
 use bop_bench::reporting::{ReportOpts, Stopwatch};
+use bop_bench::{exit_usage, flag};
 use bop_finance::{bs_implied_volatility, bs_price, ExerciseStyle, OptionParams};
 
 struct SurfaceOpts {
     strikes: usize,
     expiries: usize,
     repeats: usize,
-}
-
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The synthetic market: an equity-style smile (quadratic in log
@@ -55,10 +48,13 @@ fn node(spot: f64, moneyness: f64, expiry: f64) -> OptionParams {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let report_opts = ReportOpts::from_args(&args);
+    let count = |name: &str, default: usize| {
+        flag(&args, name, default).unwrap_or_else(|e| exit_usage("vol_surface", &e))
+    };
     let opts = SurfaceOpts {
-        strikes: flag(&args, "--strikes", 15),
-        expiries: flag(&args, "--expiries", 8),
-        repeats: flag(&args, "--repeats", 25),
+        strikes: count("--strikes", 15),
+        expiries: count("--expiries", 8),
+        repeats: count("--repeats", 25),
     };
     let spot = 100.0;
     let grid: Vec<(f64, f64)> = (0..opts.expiries)

@@ -7,26 +7,30 @@
 //! verified [`Function`] once into a [`CompiledKernel`]: a linear stream
 //! of register-machine ops with pre-resolved jump offsets, an interned
 //! constant pool and specialized opcodes for the hot double-precision
-//! arithmetic of the pricing kernels. [`LanesRun`] then executes it the
-//! way kernel IV.B runs on the device: one op dispatch per SIMT group of
-//! work-items in lockstep between barriers.
+//! arithmetic of the pricing kernels. The lowering fuses multiply-adds,
+//! threads jumps and moves loop-invariant integer, address and constant
+//! ops out of loops. [`LanesRun`] then executes it the way kernel IV.B
+//! runs on the device: one op dispatch per SIMT group of work-items in
+//! lockstep between barriers.
 //!
 //! The engine is observationally identical to the tree-walker, which
 //! stays as the independent oracle: same argument-binding errors, same
-//! [`ExecStats`] counting (down to the order of count-vs-trap), same
-//! step-budget accounting (one step per fetched position, terminators
-//! included), and the same barrier-suspension protocol — divergence
-//! errors report original `(block, instruction)` positions via a side
-//! table. The differential suites in `tests/compile_pipeline.rs` (host
-//! programs and seeded random branchy kernels) and `tests/pipes.rs` pin
-//! this contract down.
+//! [`ExecStats`], same step-budget accounting (one step per IR position
+//! fetched, terminators included), and the same barrier-suspension
+//! protocol. Statistics and steps do not depend on the bytecode: they are
+//! charged per IR block from profiles built at compile time, and a lane
+//! that stops inside a block pays the IR prefix up to where it stopped,
+//! found through the original `(block, instruction)` position of every
+//! op, which divergence errors report too. The differential suites in
+//! this module, `tests/compile_pipeline.rs` (host programs and seeded
+//! random branchy kernels) and `tests/pipes.rs` pin this contract down.
 
 use crate::eval::{eval_bin, eval_cast, eval_cmp, eval_un};
 use crate::interp::{
     check_pipe_shape, pipe_deadlock_trap, private_oob, ExecError, GroupShape, KernelArgValue,
     Memory, RunOutcome, DEFAULT_STEP_LIMIT,
 };
-use crate::ir::{BinOp, Builtin, CmpOp, Function, Inst, Param, Terminator, UnOp, WiQuery};
+use crate::ir::{BinOp, Builtin, CmpOp, Function, Inst, Param, RegId, Terminator, UnOp, WiQuery};
 use crate::mathlib::MathLib;
 use crate::pipes::{decode_value, encode_value, PipeHub};
 use crate::stats::ExecStats;
@@ -157,10 +161,8 @@ enum Op {
         ty: ScalarType,
     },
     /// Peephole-fused `dst = a*b + c` (or `c + a*b` when `c_first`).
-    /// Both roundings of the unfused pair are kept — this is a dispatch
-    /// fusion, not a mathematical FMA — and it charges *two* steps plus
-    /// one `mul64` and one `add64`, exactly what the tree-walker pays
-    /// for the two source instructions.
+    /// Both roundings of the unfused pair are kept: this is a dispatch
+    /// fusion, not a mathematical FMA.
     MulAddF64 {
         dst: u32,
         a: u32,
@@ -170,13 +172,9 @@ enum Op {
         /// preserved so NaN-payload propagation stays bit-identical.
         c_first: bool,
     },
-    /// A self-move elided by the peephole: charges the step and the
-    /// `mov` count the tree-walker pays, moves no data.
-    ChargeMov,
     /// Peephole-threaded jump through a jump-only block: lands directly
-    /// on `block` (pc `target`) but charges the skipped block's
-    /// execution and step, so dynamic counts match the tree-walker
-    /// hopping through `mid_block`.
+    /// on `block` (pc `target`) but counts the execution of the skipped
+    /// `mid_block`, as the tree-walker hopping through it does.
     JumpThread {
         target: u32,
         mid_block: u32,
@@ -253,18 +251,90 @@ pub struct CompiledKernel {
     code: Vec<Op>,
     consts: Vec<Value>,
     block_starts: Vec<u32>,
-    /// `(block, instruction)` source position of every pc, for error
-    /// reports that must match the tree-walker.
+    /// `(block, instruction)` IR position of every pc, for error reports
+    /// that must match the tree-walker and for the step and statistics
+    /// charges of a lane that stops inside a block. An op moved out of a
+    /// loop keeps the position it had in the IR.
     pos_of_pc: Vec<(u32, u32)>,
     private_bytes: usize,
     /// Row of each register in the lanes engine's pointer plane
     /// ([`NO_PTR_ROW`] for scalar registers): only pointer-typed
     /// registers get a row of [`PtrValue`]s.
     ptr_rows: Vec<u32>,
+    /// Walker steps of one execution of each IR block: its instructions
+    /// plus the terminator.
+    block_steps: Vec<u64>,
+    /// The op and memory counts one execution of each IR block adds to
+    /// [`ExecStats`], as the walker counts them (no block counts).
+    profiles: Vec<ExecStats>,
+    /// The charge of every IR instruction, block after block.
+    charges: Vec<Charge>,
 }
 
 /// [`CompiledKernel::ptr_rows`] entry of a scalar register.
 const NO_PTR_ROW: u32 = u32::MAX;
+
+/// What one IR instruction adds to [`ExecStats`] when it completes, as the
+/// walker counts it. Every pointer register has a static address space
+/// (the verifier checks it), so a load's or store's counter is fixed at
+/// compile time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Charge {
+    Free,
+    Mov,
+    Bin(BinOp, ScalarType),
+    IntAlu,
+    Cmp,
+    Select,
+    Cast,
+    Call(Builtin, ScalarType),
+    WiQuery,
+    Load(AddressSpace, usize),
+    Store(AddressSpace, usize),
+}
+
+impl Charge {
+    fn of(inst: &Inst, reg_types: &[Type]) -> Charge {
+        let space = |r: RegId| match reg_types[r.index()] {
+            Type::Ptr(space, _) => space,
+            Type::Scalar(_) => unreachable!("verified IR addresses memory through pointers"),
+        };
+        match inst {
+            Inst::Const { .. }
+            | Inst::Barrier
+            | Inst::PipeRead { .. }
+            | Inst::PipeWrite { .. }
+            | Inst::Phi { .. } => Charge::Free,
+            Inst::Mov { .. } => Charge::Mov,
+            Inst::Bin { op, ty, .. } => Charge::Bin(*op, *ty),
+            Inst::Un { .. } | Inst::Gep { .. } => Charge::IntAlu,
+            Inst::Cmp { .. } => Charge::Cmp,
+            Inst::Select { .. } => Charge::Select,
+            Inst::Cast { .. } => Charge::Cast,
+            Inst::Call { func, ty, .. } => Charge::Call(*func, *ty),
+            Inst::WorkItem { .. } => Charge::WiQuery,
+            Inst::Load { ptr, ty, .. } => Charge::Load(space(*ptr), ty.size_bytes()),
+            Inst::Store { ptr, ty, .. } => Charge::Store(space(*ptr), ty.size_bytes()),
+        }
+    }
+
+    fn add_to(self, stats: &mut ExecStats) {
+        let ops = &mut stats.ops;
+        match self {
+            Charge::Free => {}
+            Charge::Mov => ops.mov += 1,
+            Charge::Bin(op, ty) => ops.count_bin(op, ty),
+            Charge::IntAlu => ops.int_alu += 1,
+            Charge::Cmp => ops.cmp += 1,
+            Charge::Select => ops.select += 1,
+            Charge::Cast => ops.cast += 1,
+            Charge::Call(func, ty) => ops.count_builtin(func, ty),
+            Charge::WiQuery => ops.wi_query += 1,
+            Charge::Load(space, len) => stats.mem.count_load(space, len),
+            Charge::Store(space, len) => stats.mem.count_store(space, len),
+        }
+    }
+}
 
 impl CompiledKernel {
     /// Flatten `func` into bytecode. The function must be verified
@@ -276,6 +346,9 @@ impl CompiledKernel {
         let mut consts: Vec<Value> = Vec::new();
         let mut intern: HashMap<ConstKey, u32> = HashMap::new();
         let mut block_starts: Vec<u32> = Vec::with_capacity(func.blocks.len());
+        let mut block_steps = Vec::with_capacity(func.blocks.len());
+        let mut profiles = Vec::with_capacity(func.blocks.len());
+        let mut charges = Vec::with_capacity(func.inst_count());
 
         let mut intern_const = |val: Value| -> u32 {
             *intern.entry(ConstKey::of(val)).or_insert_with(|| {
@@ -286,9 +359,14 @@ impl CompiledKernel {
 
         for (bi, block) in func.blocks.iter().enumerate() {
             block_starts.push(code.len() as u32);
+            block_steps.push(block.insts.len() as u64 + 1);
+            let mut profile = ExecStats::default();
             for (ii, inst) in block.insts.iter().enumerate() {
+                let charge = Charge::of(inst, &func.reg_types);
+                charge.add_to(&mut profile);
+                charges.push(charge);
                 pos_of_pc.push((bi as u32, ii as u32));
-                let r = |r: crate::ir::RegId| r.0;
+                let r = |r: RegId| r.0;
                 code.push(match inst {
                     Inst::Const { dst, val } => Op::Const { dst: r(*dst), idx: intern_const(*val) },
                     Inst::Mov { dst, src } => Op::Mov { dst: r(*dst), src: r(*src) },
@@ -345,6 +423,7 @@ impl CompiledKernel {
                     }
                 });
             }
+            profiles.push(profile);
             pos_of_pc.push((bi as u32, block.insts.len() as u32));
             code.push(match &block.term {
                 Terminator::Jump(t) => Op::Jump { target: 0, block: t.0 },
@@ -359,9 +438,11 @@ impl CompiledKernel {
             });
         }
 
-        // Peephole over the flattened stream while jump targets are
-        // still block ids, then resolve block ids to program counters.
-        peephole(&mut code, &mut pos_of_pc, &mut block_starts);
+        // Rewrite the stream while jump operands are still block ids, then
+        // resolve block ids to program counters.
+        let mut stream = Stream { code, pos_of_pc, block_starts };
+        stream.lower(func);
+        let Stream { mut code, pos_of_pc, block_starts } = stream;
         for op in &mut code {
             match op {
                 Op::Jump { target, block } => *target = block_starts[*block as usize],
@@ -397,6 +478,9 @@ impl CompiledKernel {
             pos_of_pc,
             private_bytes: func.private_bytes,
             ptr_rows,
+            block_steps,
+            profiles,
+            charges,
         }
     }
 
@@ -425,6 +509,25 @@ impl CompiledKernel {
         (b as usize, i as usize)
     }
 
+    /// Walker steps from the IR position of `pc` to the end of its block,
+    /// terminator included, not counting `pc`'s own: what a lane that
+    /// stops at `pc` has not fetched of the block it was charged in full.
+    fn tail_steps(&self, pc: usize) -> u64 {
+        let (b, i) = self.pos(pc);
+        self.block_steps[b] - 1 - i as u64
+    }
+
+    /// The charges of the IR instructions before position `i` of block
+    /// `b`, added `n` times to `stats`.
+    fn charge_prefix(&self, stats: &mut ExecStats, (b, i): (usize, usize), n: u64) {
+        let first: u64 = self.block_steps[..b].iter().map(|s| s - 1).sum();
+        let mut prefix = ExecStats::default();
+        for c in &self.charges[first as usize..first as usize + i] {
+            c.add_to(&mut prefix);
+        }
+        stats.add_scaled(&prefix, n);
+    }
+
     /// Pointer-plane row of pointer-typed register `r`.
     #[inline]
     fn ptr_row(&self, r: u32) -> usize {
@@ -438,7 +541,6 @@ impl CompiledKernel {
 fn op_sources(op: &Op, mut f: impl FnMut(u32)) {
     match op {
         Op::Const { .. }
-        | Op::ChargeMov
         | Op::WorkItem { .. }
         | Op::Barrier
         | Op::Jump { .. }
@@ -487,91 +589,288 @@ fn op_sources(op: &Op, mut f: impl FnMut(u32)) {
     }
 }
 
-/// Peephole optimisation over the flattened op stream, run before jump
-/// targets are resolved (jump operands are still block ids).
-///
-/// Three rewrites, each *exactly* compensated so dynamic step counts,
-/// [`ExecStats`] and trap behaviour stay bit-identical to the
-/// tree-walker executing the unoptimised IR:
-///
-/// 1. **Fused multiply-add**: `t = a*b; d = t + c` (with `t` read
-///    nowhere else) becomes [`Op::MulAddF64`] — one dispatch, both
-///    roundings, two steps charged.
-/// 2. **Redundant-move elimination**: a self-move `r = r` becomes
-///    [`Op::ChargeMov`], which touches no registers.
-/// 3. **Jump threading**: a jump whose destination block consists of a
-///    single unconditional jump becomes [`Op::JumpThread`] straight to
-///    the final block, charging the skipped hop.
-fn peephole(code: &mut Vec<Op>, pos_of_pc: &mut Vec<(u32, u32)>, block_starts: &mut Vec<u32>) {
-    // Whole-stream source-use counts gate the multiply-add fusion: the
-    // mul's destination must die at the add.
-    let mut uses: HashMap<u32, u32> = HashMap::new();
-    for op in code.iter() {
-        op_sources(op, |r| *uses.entry(r).or_insert(0) += 1);
+/// The op stream between flattening and jump resolution, while jump
+/// operands are still block ids. Lanes charges steps and statistics per
+/// IR block ([`CompiledKernel::block_steps`], [`CompiledKernel::profiles`]),
+/// never per op, so no rewrite here needs a compensating charge.
+struct Stream {
+    code: Vec<Op>,
+    pos_of_pc: Vec<(u32, u32)>,
+    block_starts: Vec<u32>,
+}
+
+/// What the lowering knows of one register: its reads, its definitions
+/// (and the pc of the last), and whether a read may come before its one
+/// definition.
+#[derive(Debug, Clone, Copy, Default)]
+struct RegUse {
+    uses: u32,
+    defs: u32,
+    def_pc: u32,
+    pinned: bool,
+}
+
+impl Stream {
+    /// The pcs of block `b`, its terminator last.
+    fn block(&self, b: usize) -> std::ops::Range<usize> {
+        let end = self.block_starts.get(b + 1).map_or(self.code.len(), |&e| e as usize);
+        self.block_starts[b] as usize..end
     }
 
-    let nblocks = block_starts.len();
-    let mut new_code: Vec<Op> = Vec::with_capacity(code.len());
-    let mut new_pos: Vec<(u32, u32)> = Vec::with_capacity(pos_of_pc.len());
-    let mut new_starts: Vec<u32> = Vec::with_capacity(nblocks);
-    for bi in 0..nblocks {
-        let start = block_starts[bi] as usize;
-        let end = if bi + 1 < nblocks { block_starts[bi + 1] as usize } else { code.len() };
-        new_starts.push(new_code.len() as u32);
-        let mut i = start;
-        while i < end {
-            let fused = if i + 1 < end {
-                match (&code[i], &code[i + 1]) {
-                    (&Op::MulF64 { dst: t, a, b }, &Op::AddF64 { dst, a: x, b: y })
-                        if (x == t) != (y == t) && uses.get(&t) == Some(&1) =>
-                    {
+    /// The register the op at `pc` writes, read off its IR instruction:
+    /// until the rebuild in [`Stream::lower`], each op but a terminator
+    /// is one IR instruction.
+    fn dst(&self, func: &Function, pc: usize) -> Option<usize> {
+        let (b, i) = self.pos_of_pc[pc];
+        func.blocks[b as usize].insts.get(i as usize)?.dst().map(RegId::index)
+    }
+
+    /// Rewrite the stream in one rebuild:
+    ///
+    /// 1. **Loop-invariant code motion**: the ops [`Stream::hoist_plan`]
+    ///    picks move to the end of their loop's preheader, so they run
+    ///    once per entry to the loop, not once per iteration.
+    /// 2. **Fused multiply-add**: `t = a*b; d = t + c` (with `t` read
+    ///    nowhere else) becomes [`Op::MulAddF64`]: one dispatch, both
+    ///    roundings.
+    /// 3. **Self-moves**: `r = r` is dropped.
+    /// 4. **Jump threading**, last, since a moved op can fill a block that
+    ///    held nothing but its jump: a jump to a block that holds nothing
+    ///    but an unconditional jump becomes [`Op::JumpThread`] straight to
+    ///    the final block, which still counts the skipped block's
+    ///    execution.
+    fn lower(&mut self, func: &Function) {
+        let mut regs = vec![RegUse::default(); func.reg_types.len()];
+        for (pc, op) in self.code.iter().enumerate() {
+            op_sources(op, |r| regs[r as usize].uses += 1);
+            if let Some(d) = self.dst(func, pc) {
+                regs[d].defs += 1;
+                regs[d].def_pc = pc as u32;
+            }
+        }
+        let (home, moved) = self.hoist_plan(func, &mut regs);
+        let stays = |pc: usize, b: usize| home.get(pc).is_none_or(|&h| h as usize == b);
+
+        let mut code = Vec::with_capacity(self.code.len());
+        let mut pos = Vec::with_capacity(self.code.len());
+        let mut starts = Vec::with_capacity(self.block_starts.len());
+        for bi in 0..self.block_starts.len() {
+            starts.push(code.len() as u32);
+            let range = self.block(bi);
+            let mut i = range.start;
+            while i < range.end - 1 {
+                // Fusion looks at neighbours of the IR, and neither op of
+                // the pair ever moves.
+                if let (&Op::MulF64 { dst: t, a, b }, &Op::AddF64 { dst, a: x, b: y }) =
+                    (&self.code[i], &self.code[i + 1])
+                {
+                    if (x == t) != (y == t) && regs[t as usize].uses == 1 {
                         let (c, c_first) = if x == t { (y, false) } else { (x, true) };
-                        Some(Op::MulAddF64 { dst, a, b, c, c_first })
+                        code.push(Op::MulAddF64 { dst, a, b, c, c_first });
+                        pos.push(self.pos_of_pc[i]);
+                        i += 2;
+                        continue;
                     }
+                }
+                if stays(i, bi) && !matches!(self.code[i], Op::Mov { dst, src } if dst == src) {
+                    code.push(self.code[i].clone());
+                    pos.push(self.pos_of_pc[i]);
+                }
+                i += 1;
+            }
+            for pc in moved.iter().copied().filter(|&pc| home[pc] as usize == bi) {
+                code.push(self.code[pc].clone());
+                pos.push(self.pos_of_pc[pc]);
+            }
+            code.push(self.code[range.end - 1].clone());
+            pos.push(self.pos_of_pc[range.end - 1]);
+        }
+        self.code = code;
+        self.pos_of_pc = pos;
+        self.block_starts = starts;
+
+        let lone_jump: Vec<Option<u32>> = (0..self.block_starts.len())
+            .map(|bi| {
+                let range = self.block(bi);
+                match (range.len() == 1).then(|| &self.code[range.start]) {
+                    Some(&Op::Jump { block, .. }) if block as usize != bi => Some(block),
                     _ => None,
                 }
-            } else {
-                None
-            };
-            if let Some(op) = fused {
-                new_code.push(op);
-                new_pos.push(pos_of_pc[i]);
-                i += 2;
-                continue;
-            }
-            let op = match &code[i] {
-                Op::Mov { dst, src } if dst == src => Op::ChargeMov,
-                other => other.clone(),
-            };
-            new_code.push(op);
-            new_pos.push(pos_of_pc[i]);
-            i += 1;
-        }
-    }
-
-    // Jump threading on the rebuilt stream: a block is "jump-only" when
-    // it holds nothing but its unconditional terminator.
-    let lone_jump: Vec<Option<u32>> = (0..nblocks)
-        .map(|bi| {
-            let start = new_starts[bi] as usize;
-            let end = if bi + 1 < nblocks { new_starts[bi + 1] as usize } else { new_code.len() };
-            match (end - start == 1).then(|| &new_code[start]) {
-                Some(&Op::Jump { block, .. }) if block as usize != bi => Some(block),
-                _ => None,
-            }
-        })
-        .collect();
-    for op in &mut new_code {
-        if let Op::Jump { block, .. } = *op {
-            if let Some(dest) = lone_jump[block as usize] {
-                *op = Op::JumpThread { target: 0, mid_block: block, block: dest };
+            })
+            .collect();
+        for op in &mut self.code {
+            if let Op::Jump { block, .. } = *op {
+                if let Some(dest) = lone_jump[block as usize] {
+                    *op = Op::JumpThread { target: 0, mid_block: block, block: dest };
+                }
             }
         }
     }
 
-    *code = new_code;
-    *pos_of_pc = new_pos;
-    *block_starts = new_starts;
+    /// The loop invariants to move: the block each op ends up in (empty
+    /// when nothing moves) and the moved ops in moving order.
+    ///
+    /// Loops come from dominators: `b -> h` is a back edge when `h`
+    /// dominates `b`, and the loop is `h` plus every block that reaches
+    /// `b` without passing `h`. The preheader is `h`'s one predecessor
+    /// outside the loop, and it must end in `jump h`. An op moves at most
+    /// once, so in nested loops it ends up in the preheader of whichever
+    /// loop took it first; either is correct. An op moves when
+    /// - it is a constant, a wrapping integer add, sub or mul, a gep or a
+    ///   work-item query: no trap, no memory access, no float rounding;
+    /// - its destination has one definition, which dominates every use,
+    ///   so that no use could read the register before the definition;
+    /// - each operand has no definition in the loop, or one that moved.
+    ///
+    /// Loads, stores, barriers, divisions and float ops stay in place and
+    /// in order. A moved op keeps its IR position in `pos_of_pc`; it
+    /// never stops a lane.
+    ///
+    /// Kernels are a few dozen blocks at most, so the analysis works on
+    /// one bit per block; a kernel of more than 64 blocks moves nothing.
+    fn hoist_plan(&self, func: &Function, regs: &mut [RegUse]) -> (Vec<u32>, Vec<usize>) {
+        let n = func.blocks.len();
+        // A cycle needs an edge back to the same or an earlier block.
+        let back = |b: usize, t: crate::ir::BlockId| t.index() <= b;
+        let any_cycle = func.blocks.iter().enumerate().any(|(b, block)| match block.term {
+            Terminator::Jump(t) => back(b, t),
+            Terminator::Branch { then_bb, else_bb, .. } => back(b, then_bb) || back(b, else_bb),
+            Terminator::Return => false,
+        });
+        if !any_cycle || n > 64 {
+            return (Vec::new(), Vec::new());
+        }
+        let bit = |b: usize| 1u64 << b;
+        let bits = |mut set: u64| {
+            std::iter::from_fn(move || {
+                (set != 0).then(|| {
+                    let b = set.trailing_zeros() as usize;
+                    set &= set - 1;
+                    b
+                })
+            })
+        };
+        let (mut succs, mut preds) = (vec![0u64; n], vec![0u64; n]);
+        for (b, block) in func.blocks.iter().enumerate() {
+            let targets = match block.term {
+                Terminator::Jump(t) => [Some(t), None],
+                Terminator::Branch { then_bb, else_bb, .. } => [Some(then_bb), Some(else_bb)],
+                Terminator::Return => [None, None],
+            };
+            for t in targets.into_iter().flatten() {
+                succs[b] |= bit(t.index());
+                preds[t.index()] |= bit(b);
+            }
+        }
+        let mut reach = bit(0);
+        loop {
+            let next = bits(reach).fold(reach, |m, b| m | succs[b]);
+            if next == reach {
+                break;
+            }
+            reach = next;
+        }
+        // Dominator sets, to a fixed point.
+        let mut dom: Vec<u64> = (0..n).map(|b| if b == 0 { bit(0) } else { reach }).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in bits(reach & !bit(0)) {
+                let d = bits(preds[b] & reach).fold(reach, |m, p| m & dom[p]) | bit(b);
+                changed |= d != dom[b];
+                dom[b] = d;
+            }
+        }
+        let dominates = |(db, di): (u32, u32), (ub, ui): (u32, u32)| {
+            reach & bit(ub as usize) != 0
+                && if db == ub { di < ui } else { dom[ub as usize] & bit(db as usize) != 0 }
+        };
+
+        // Each loop as its header and its body.
+        let mut loops: Vec<(usize, u64)> = Vec::new();
+        for b in bits(reach) {
+            for h in bits(succs[b] & dom[b]) {
+                let mut body = bit(h) | bit(b);
+                let mut todo = bit(b) & !bit(h);
+                while todo != 0 {
+                    let x = todo.trailing_zeros() as usize;
+                    todo &= todo - 1;
+                    let new = preds[x] & reach & !body;
+                    body |= new;
+                    todo |= new;
+                }
+                match loops.iter_mut().find(|(x, _)| *x == h) {
+                    Some((_, all)) => *all |= body,
+                    None => loops.push((h, body)),
+                }
+            }
+        }
+        loops.retain(|&(h, body)| {
+            let outside = preds[h] & !body;
+            outside.count_ones() == 1
+                && matches!(
+                    func.blocks[outside.trailing_zeros() as usize].term,
+                    Terminator::Jump(t) if t.index() == h
+                )
+        });
+        if loops.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+
+        // A register whose one definition does not dominate all its uses
+        // may be read before it is written: it stays in place.
+        for (pc, op) in self.code.iter().enumerate() {
+            op_sources(op, |r| {
+                let r = &mut regs[r as usize];
+                if r.defs == 1 && !dominates(self.pos_of_pc[r.def_pc as usize], self.pos_of_pc[pc])
+                {
+                    r.pinned = true;
+                }
+            });
+        }
+
+        let mut home: Vec<u32> = self.pos_of_pc.iter().map(|&(b, _)| b).collect();
+        let mut moved = Vec::new();
+        for &(h, body) in &loops {
+            let pre = (preds[h] & !body).trailing_zeros();
+            // The loop's blocks by the number of their dominators, so that
+            // an operand's move is decided before its readers'.
+            let depth = |b: usize| dom[b].count_ones();
+            let deepest = bits(body).map(depth).max().unwrap_or(0);
+            for b in (1..=deepest).flat_map(|d| bits(body).filter(move |&b| depth(b) == d)) {
+                let range = self.block(b);
+                for pc in range.start..range.end - 1 {
+                    let op = &self.code[pc];
+                    let pure = match op {
+                        Op::Const { .. }
+                        | Op::AddI64 { .. }
+                        | Op::Gep { .. }
+                        | Op::WorkItem { .. } => true,
+                        Op::Bin { op, ty, .. } => {
+                            matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
+                                && matches!(ty, ScalarType::I32 | ScalarType::I64)
+                        }
+                        _ => false,
+                    };
+                    if home[pc] as usize != b || !pure {
+                        continue;
+                    }
+                    let d = regs[self.dst(func, pc).expect("a pure op writes a register")];
+                    let mut invariant = d.defs == 1 && !d.pinned;
+                    op_sources(op, |r| {
+                        let r = regs[r as usize];
+                        invariant &= r.defs == 0
+                            || (r.defs == 1 && body & bit(home[r.def_pc as usize] as usize) == 0);
+                    });
+                    if invariant {
+                        home[pc] = pre;
+                        moved.push(pc);
+                    }
+                }
+            }
+        }
+        (home, moved)
+    }
 }
 
 fn reg_list(f: &mut fmt::Formatter<'_>, regs: &[u32]) -> fmt::Result {
@@ -662,7 +961,6 @@ impl fmt::Display for CompiledKernel {
                         write!(f, "r{dst} = muladd.double r{a}*r{b} + r{c}")?
                     }
                 }
-                Op::ChargeMov => write!(f, "mov (self, elided)")?,
                 Op::JumpThread { target, mid_block, block } => {
                     write!(f, "jump @{target:04} (b{mid_block} -> b{block})")?
                 }
@@ -901,11 +1199,25 @@ fn lanes_i64_cmp(
 /// Observational parity with the walker, which it mirrors, is
 /// maintained by construction:
 ///
-/// - per-op statistics are charged once per executing lane, and the
-///   shared step budget is settled at each phase end by replaying the
-///   per-lane fetch counts in work-item order — so `StepLimitExceeded`
+/// - no op charges [`ExecStats`]. Whenever a run hands back control, the
+///   op and memory counters are set from the block counts: each IR
+///   block's profile, built with the [`CompiledKernel`], times the times it
+///   was entered. A lane that stopped inside a block (a trap or a pipe
+///   stall, or a barrier at which the launch fails) pays only the IR
+///   prefix before the instruction it stopped at, found through
+///   `pos_of_pc`. So the counters are the walker's for the IR, whatever
+///   the bytecode moved or fused;
+/// - steps are charged the same way: a group that enters a block is
+///   charged the block's walker steps (instructions plus terminator) at
+///   once, and a lane that stops inside it gets back the steps past its
+///   stopping instruction. The count of every lane at every stop is thus
+///   the walker's, and the shared budget is settled at each phase end by
+///   replaying those counts in work-item order, so `StepLimitExceeded`
 ///   vs. a real trap resolves exactly as in the walker's
-///   one-item-at-a-time execution;
+///   one-item-at-a-time execution. The budget is checked once per block
+///   entry: a group past the fetch cap stops at the jump, and a block
+///   that crosses the cap runs to its end, since a lane past the budget
+///   fails settlement wherever it stops;
 /// - argument binding, trap payloads, barrier divergence positions and
 ///   the barrier-release protocol mirror the walker's.
 ///
@@ -949,9 +1261,8 @@ fn lanes_i64_cmp(
 /// *failed* launch are not part of the contract on either engine.
 pub struct LanesRun<'k> {
     kernel: &'k CompiledKernel,
+    /// The group; its work-item count is the lane count `w`.
     shape: GroupShape,
-    /// Lane count = work-items per group.
-    w: usize,
     /// Scalar register cells, SoA: register `r` of lane `l` is at `r*w + l`.
     cells: Vec<u64>,
     /// Pointer registers, split into two planes with one SoA layout:
@@ -963,14 +1274,19 @@ pub struct LanesRun<'k> {
     /// Per-lane private arenas, stride `private_bytes`.
     private: Vec<u8>,
     /// The lanes the next phase runs, ascending (empty once every lane
-    /// has retired), and the pc they all start it at.
+    /// has retired), the pc they all start it at, and the steps from
+    /// there to the end of its block, which they are charged on entry.
     running: Vec<usize>,
     start_pc: usize,
+    start_steps: u64,
     stats: ExecStats,
     /// Fetches left in the group's step budget.
     steps_left: u64,
-    /// Groups of the current phase that reached a barrier, and groups
-    /// that retired or ran into the fetch cap (`fetched == u64::MAX`).
+    /// Groups of the last phase that reached a barrier, and groups that
+    /// retired or ran into the fetch cap (`fetched == u64::MAX`); once
+    /// the phase is settled, `ended` also holds each lane that stopped at
+    /// a trap or a pipe stall as a group of its own, so that
+    /// [`Self::charge_blocks`] sees where every lane stopped.
     arrived: Vec<LaneGroup>,
     ended: Vec<LaneGroup>,
     /// Reusable group worklist and lane-vector pool: the steady state
@@ -1025,13 +1341,13 @@ impl<'k> LanesRun<'k> {
         Ok(LanesRun {
             kernel,
             shape,
-            w,
             cells,
             tags,
             offsets,
             private: vec![0; kernel.private_bytes * w],
             running: (0..w).collect(),
             start_pc: 0,
+            start_steps: kernel.block_steps[0],
             stats,
             steps_left: if step_limit == 0 { DEFAULT_STEP_LIMIT } else { step_limit },
             arrived: Vec::new(),
@@ -1083,6 +1399,46 @@ impl<'k> LanesRun<'k> {
         math: &dyn MathLib,
         pipes: &mut PipeHub,
     ) -> Result<RunOutcome, ExecError> {
+        let outcome = self.run_phases(mem, math, pipes);
+        self.charge_blocks();
+        outcome
+    }
+
+    /// Set the op and memory counters from the block counts: every block
+    /// entered is charged its whole profile, except that the lanes that
+    /// stopped inside one (at a trap, a pipe stall, or a barrier at which
+    /// the launch fails) pay only the prefix before their stopping
+    /// instruction.
+    fn charge_blocks(&mut self) {
+        let kernel = self.kernel;
+        let open: Vec<(usize, u64)> = self
+            .arrived
+            .iter()
+            .chain(&self.ended)
+            .map(|g| (g.pc, g.lanes.len() as u64))
+            .filter(|&(pc, _)| kernel.tail_steps(pc) > 0)
+            .collect();
+        let stats = &mut self.stats;
+        stats.ops = Default::default();
+        stats.mem = Default::default();
+        for (b, profile) in kernel.profiles.iter().enumerate() {
+            let stopped: u64 =
+                open.iter().filter(|&&(pc, _)| kernel.pos(pc).0 == b).map(|&(_, n)| n).sum();
+            let whole = stats.block_execs[b] - stopped;
+            stats.add_scaled(profile, whole);
+        }
+        for &(pc, n) in &open {
+            kernel.charge_prefix(stats, kernel.pos(pc), n);
+        }
+    }
+
+    /// [`Self::run_resumable`] without the final charge.
+    fn run_phases(
+        &mut self,
+        mem: &mut dyn Memory,
+        math: &dyn MathLib,
+        pipes: &mut PipeHub,
+    ) -> Result<RunOutcome, ExecError> {
         loop {
             if self.running.is_empty() {
                 return Ok(RunOutcome::Complete);
@@ -1091,8 +1447,10 @@ impl<'k> LanesRun<'k> {
             let lanes = std::mem::take(&mut self.running);
             if let Some(pc) = self.run_phase(self.start_pc, lanes, mem, math, pipes)? {
                 // A stalled pipe op cannot be released locally; hand
-                // control back to the co-scheduler.
+                // control back to the co-scheduler. A resume fetches the
+                // pipe op again.
                 self.start_pc = pc;
+                self.start_steps = self.kernel.tail_steps(pc) + 1;
                 return Ok(RunOutcome::Stalled);
             }
             let Some(lowest) = self.arrived.iter().min_by_key(|g| g.lanes[0]) else {
@@ -1119,6 +1477,7 @@ impl<'k> LanesRun<'k> {
             }
             self.running = merged;
             self.start_pc = pc + 1;
+            self.start_steps = self.kernel.tail_steps(pc);
         }
     }
 
@@ -1157,7 +1516,7 @@ impl<'k> LanesRun<'k> {
         pipes: &mut PipeHub,
     ) -> Result<Option<usize>, ExecError> {
         let kernel = self.kernel;
-        let w = self.w;
+        let w = self.shape.items_per_group();
         let pb = kernel.private_bytes;
         let idx = |r: u32, l: usize| r as usize * w + l;
         let pidx = |r: u32, l: usize| kernel.ptr_row(r) * w + l;
@@ -1167,26 +1526,22 @@ impl<'k> LanesRun<'k> {
         let cap = budget.saturating_add(1);
         let mut groups = std::mem::take(&mut self.group_stack);
         let mut pool = std::mem::take(&mut self.lane_pool);
-        groups.push(LaneGroup { pc: start_pc, lanes, fetched: 0 });
+        groups.push(LaneGroup { pc: start_pc, lanes, fetched: self.start_steps });
+        pool.extend(self.ended.drain(..).map(|g| g.lanes));
         // Σ fetches of lanes that reached a barrier, retired or stalled;
-        // traps and the fetch cap flip `any_bad` so settlement takes the
-        // serial replay instead.
+        // a trap or a group at the fetch cap (`capped`) sends settlement
+        // to the serial replay instead.
         let mut sum_fetches: u64 = 0;
-        let mut any_bad = false;
-        // Trapped lanes with their fetch counts, and the pc and fetch
-        // count of a pipe stall.
-        let mut trapped: Vec<(usize, u64, ExecError)> = Vec::new();
+        let mut capped = false;
+        // Trapped lanes with their pcs and fetch counts, and the pc and
+        // fetch count of a pipe stall.
+        let mut trapped: Vec<(usize, usize, u64, ExecError)> = Vec::new();
         let mut stalled_at = None;
 
+        // A group's `fetched` includes the rest of the block it is in, so
+        // a lane that stops inside the block hands back its tail first.
         'groups: while let Some(mut g) = groups.pop() {
             loop {
-                g.fetched += 1;
-                if g.fetched > cap {
-                    any_bad = true;
-                    g.fetched = u64::MAX;
-                    self.ended.push(g);
-                    continue 'groups;
-                }
                 let nl = g.lanes.len() as u64;
                 match &kernel.code[g.pc] {
                     Op::Const { dst, idx: ci } => {
@@ -1230,31 +1585,24 @@ impl<'k> LanesRun<'k> {
                             lanes_copy(&mut self.tags, &g.lanes, d, s);
                             lanes_copy(&mut self.offsets, &g.lanes, d, s);
                         }
-                        self.stats.ops.mov += nl;
                     }
                     Op::AddF64 { dst, a, b } => {
                         lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x + y);
-                        self.stats.ops.add64 += nl;
                     }
                     Op::SubF64 { dst, a, b } => {
                         lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x - y);
-                        self.stats.ops.add64 += nl;
                     }
                     Op::MulF64 { dst, a, b } => {
                         lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x * y);
-                        self.stats.ops.mul64 += nl;
                     }
                     Op::DivF64 { dst, a, b } => {
                         lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x / y);
-                        self.stats.ops.div64 += nl;
                     }
                     Op::MinF64 { dst, a, b } => {
                         lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, f64::min);
-                        self.stats.ops.minmax64 += nl;
                     }
                     Op::MaxF64 { dst, a, b } => {
                         lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, f64::max);
-                        self.stats.ops.minmax64 += nl;
                     }
                     Op::AddI64 { dst, a, b } => {
                         lanes_i64_bin(
@@ -1266,17 +1614,8 @@ impl<'k> LanesRun<'k> {
                             *b,
                             i64::wrapping_add,
                         );
-                        self.stats.ops.int_alu += nl;
                     }
                     Op::MulAddF64 { dst, a, b, c, c_first } => {
-                        // Second step for the fused add.
-                        g.fetched += 1;
-                        if g.fetched > cap {
-                            any_bad = true;
-                            g.fetched = u64::MAX;
-                            self.ended.push(g);
-                            continue 'groups;
-                        }
                         let (ai, bi, ci, di) =
                             (*a as usize * w, *b as usize * w, *c as usize * w, *dst as usize * w);
                         let cf = *c_first;
@@ -1322,11 +1661,6 @@ impl<'k> LanesRun<'k> {
                                 cells[di + l] = fma(x, y, cv).to_bits();
                             }
                         }
-                        self.stats.ops.mul64 += nl;
-                        self.stats.ops.add64 += nl;
-                    }
-                    Op::ChargeMov => {
-                        self.stats.ops.mov += nl;
                     }
                     Op::Bin { op, ty, dst, a, b } => {
                         // Wrapping i64 arithmetic inline (index/counter
@@ -1345,7 +1679,6 @@ impl<'k> LanesRun<'k> {
                                 BinOp::Sub => lanes_i64_bin(c, w, ls, d, a, b, i64::wrapping_sub),
                                 _ => lanes_i64_bin(c, w, ls, d, a, b, i64::wrapping_mul),
                             }
-                            self.stats.ops.int_alu += nl;
                         } else {
                             let trap_free = if ty.is_float() {
                                 matches!(
@@ -1370,7 +1703,6 @@ impl<'k> LanesRun<'k> {
                                     let out = eval_bin(*op, *ty, va, vb).expect("trap-free bin op");
                                     self.cells[idx(*dst, l)] = encode_value(out);
                                 }
-                                self.stats.ops.count_bins(*op, *ty, nl);
                             } else {
                                 let mut survivors = pool.pop().unwrap_or_default();
                                 survivors.clear();
@@ -1379,13 +1711,12 @@ impl<'k> LanesRun<'k> {
                                     let vb = decode_value(*ty, self.cells[idx(*b, l)]);
                                     match eval_bin(*op, *ty, va, vb) {
                                         Ok(out) => {
-                                            self.stats.ops.count_bin(*op, *ty);
                                             self.cells[idx(*dst, l)] = encode_value(out);
                                             survivors.push(l);
                                         }
                                         Err(msg) => {
-                                            any_bad = true;
-                                            trapped.push((l, g.fetched, ExecError::Trap(msg)));
+                                            let at = g.fetched - kernel.tail_steps(g.pc);
+                                            trapped.push((l, g.pc, at, ExecError::Trap(msg)));
                                         }
                                     }
                                 }
@@ -1402,7 +1733,6 @@ impl<'k> LanesRun<'k> {
                             let out = eval_un(*op, *ty, decode_value(*ty, self.cells[idx(*a, l)]));
                             self.cells[idx(*dst, l)] = encode_value(out);
                         }
-                        self.stats.ops.int_alu += nl;
                     }
                     Op::Cmp { op, ty, dst, a, b } => {
                         if *ty == ScalarType::I64 {
@@ -1423,7 +1753,6 @@ impl<'k> LanesRun<'k> {
                                 self.cells[idx(*dst, l)] = eval_cmp(*op, *ty, va, vb) as u64;
                             }
                         }
-                        self.stats.ops.cmp += nl;
                     }
                     Op::Select { ty: _, dst, cond, a, b } => {
                         let (d, c, ar, br) = (
@@ -1447,7 +1776,6 @@ impl<'k> LanesRun<'k> {
                                 self.cells[d + l] = self.cells[src + l];
                             }
                         }
-                        self.stats.ops.select += nl;
                     }
                     Op::Cast { dst, a, from, to } => {
                         if (*from, *to) == (ScalarType::I64, ScalarType::F64) {
@@ -1461,7 +1789,6 @@ impl<'k> LanesRun<'k> {
                                 self.cells[idx(*dst, l)] = encode_value(eval_cast(v, *from, *to));
                             }
                         }
-                        self.stats.ops.cast += nl;
                     }
                     Op::Call1 { func, ty, dst, a } => {
                         for &l in &g.lanes {
@@ -1484,7 +1811,6 @@ impl<'k> LanesRun<'k> {
                                 })
                                 .to_bits()
                             };
-                            self.stats.ops.count_builtin(*func, *ty);
                             self.cells[idx(*dst, l)] = out;
                         }
                     }
@@ -1497,7 +1823,6 @@ impl<'k> LanesRun<'k> {
                             } else {
                                 math.pow64(x, y).to_bits()
                             };
-                            self.stats.ops.count_builtin(Builtin::Pow, *ty);
                             self.cells[idx(*dst, l)] = out;
                         }
                     }
@@ -1517,7 +1842,6 @@ impl<'k> LanesRun<'k> {
                             };
                             self.cells[idx(*dst, l)] = out as i64 as u64;
                         }
-                        self.stats.ops.wi_query += nl;
                     }
                     Op::Gep { dst, base, index, elem } => {
                         let (d, b, x) = (
@@ -1558,7 +1882,6 @@ impl<'k> LanesRun<'k> {
                                 offs[d + l] = displaced(offs[b + l], count(cells[x + l]), size);
                             }
                         }
-                        self.stats.ops.int_alu += nl;
                     }
                     Op::Load { dst, ptr, ty } => {
                         let len = ty.size_bytes();
@@ -1596,7 +1919,6 @@ impl<'k> LanesRun<'k> {
                                         read_cell(base.add(l * stride + o), len);
                                 }
                             }
-                            self.stats.mem.count_loads(t0.space, len, k as u64);
                         }
                         if k < g.lanes.len() {
                             let mut survivors = pool.pop().unwrap_or_default();
@@ -1611,13 +1933,12 @@ impl<'k> LanesRun<'k> {
                                 };
                                 match res {
                                     Ok(v) => {
-                                        self.stats.mem.count_load(p.space, len);
                                         out[l] = encode_value(v);
                                         survivors.push(l);
                                     }
                                     Err(err) => {
-                                        any_bad = true;
-                                        trapped.push((l, g.fetched, err));
+                                        let at = g.fetched - kernel.tail_steps(g.pc);
+                                        trapped.push((l, g.pc, at, err));
                                     }
                                 }
                             }
@@ -1663,7 +1984,6 @@ impl<'k> LanesRun<'k> {
                                     );
                                 }
                             }
-                            self.stats.mem.count_stores(t0.space, len, k as u64);
                         }
                         if k < g.lanes.len() {
                             let mut survivors = pool.pop().unwrap_or_default();
@@ -1678,13 +1998,10 @@ impl<'k> LanesRun<'k> {
                                     mem.store(p, v).map_err(ExecError::from)
                                 };
                                 match res {
-                                    Ok(()) => {
-                                        self.stats.mem.count_store(p.space, len);
-                                        survivors.push(l);
-                                    }
+                                    Ok(()) => survivors.push(l),
                                     Err(err) => {
-                                        any_bad = true;
-                                        trapped.push((l, g.fetched, err));
+                                        let at = g.fetched - kernel.tail_steps(g.pc);
+                                        trapped.push((l, g.pc, at, err));
                                     }
                                 }
                             }
@@ -1696,6 +2013,7 @@ impl<'k> LanesRun<'k> {
                         }
                     }
                     Op::Barrier => {
+                        g.fetched -= kernel.tail_steps(g.pc);
                         sum_fetches = sum_fetches.saturating_add(g.fetched.saturating_mul(nl));
                         self.arrived.push(g);
                         continue 'groups;
@@ -1710,14 +2028,15 @@ impl<'k> LanesRun<'k> {
                         for &l in &g.lanes {
                             match pipes.try_read(self.tags[pidx(*pipe, l)].buffer, *ty) {
                                 Err(msg) => {
-                                    any_bad = true;
-                                    trapped.push((l, g.fetched, ExecError::Trap(msg)));
+                                    let at = g.fetched - kernel.tail_steps(g.pc);
+                                    trapped.push((l, g.pc, at, ExecError::Trap(msg)));
                                 }
                                 Ok(None) => {
                                     self.stats.pipe_read_stalls += 1;
                                     self.running.push(l);
-                                    stalled_at = Some((g.pc, g.fetched));
-                                    sum_fetches = sum_fetches.saturating_add(g.fetched);
+                                    let at = g.fetched - kernel.tail_steps(g.pc);
+                                    stalled_at = Some((g.pc, at));
+                                    sum_fetches = sum_fetches.saturating_add(at);
                                 }
                                 Ok(Some(bits)) => {
                                     self.stats.pipe_reads += 1;
@@ -1740,14 +2059,15 @@ impl<'k> LanesRun<'k> {
                             let bits = self.cells[idx(*val, l)];
                             match pipes.try_write(buffer, *ty, bits) {
                                 Err(msg) => {
-                                    any_bad = true;
-                                    trapped.push((l, g.fetched, ExecError::Trap(msg)));
+                                    let at = g.fetched - kernel.tail_steps(g.pc);
+                                    trapped.push((l, g.pc, at, ExecError::Trap(msg)));
                                 }
                                 Ok(false) => {
                                     self.stats.pipe_write_stalls += 1;
                                     self.running.push(l);
-                                    stalled_at = Some((g.pc, g.fetched));
-                                    sum_fetches = sum_fetches.saturating_add(g.fetched);
+                                    let at = g.fetched - kernel.tail_steps(g.pc);
+                                    stalled_at = Some((g.pc, at));
+                                    sum_fetches = sum_fetches.saturating_add(at);
                                 }
                                 Ok(true) => {
                                     self.stats.pipe_writes += 1;
@@ -1762,25 +2082,29 @@ impl<'k> LanesRun<'k> {
                         }
                     }
                     Op::Jump { target, block } => {
+                        if g.fetched > cap {
+                            break;
+                        }
                         self.stats.block_execs[*block as usize] += nl;
+                        g.fetched += kernel.block_steps[*block as usize];
                         g.pc = *target as usize;
                         continue;
                     }
                     Op::JumpThread { target, mid_block, block } => {
-                        // Second step for the threaded-through jump.
-                        g.fetched += 1;
                         if g.fetched > cap {
-                            any_bad = true;
-                            g.fetched = u64::MAX;
-                            self.ended.push(g);
-                            continue 'groups;
+                            break;
                         }
-                        self.stats.block_execs[*mid_block as usize] += nl;
-                        self.stats.block_execs[*block as usize] += nl;
+                        let (mid, block) = (*mid_block as usize, *block as usize);
+                        self.stats.block_execs[mid] += nl;
+                        self.stats.block_execs[block] += nl;
+                        g.fetched += kernel.block_steps[mid] + kernel.block_steps[block];
                         g.pc = *target as usize;
                         continue;
                     }
                     Op::Branch { cond, then_target, then_block, else_target, else_block } => {
+                        if g.fetched > cap {
+                            break;
+                        }
                         // Uniform branches (the common case) redirect the
                         // whole group without copying lanes.
                         let c = *cond as usize * w;
@@ -1809,6 +2133,7 @@ impl<'k> LanesRun<'k> {
                                 (*else_block, *else_target)
                             };
                             self.stats.block_execs[block as usize] += nl;
+                            g.fetched += kernel.block_steps[block as usize];
                             g.pc = target as usize;
                             continue;
                         }
@@ -1834,9 +2159,10 @@ impl<'k> LanesRun<'k> {
                         groups.push(LaneGroup {
                             pc: *else_target as usize,
                             lanes: else_l,
-                            fetched: g.fetched,
+                            fetched: g.fetched + kernel.block_steps[*else_block as usize],
                         });
                         pool.push(std::mem::replace(&mut g.lanes, then_l));
+                        g.fetched += kernel.block_steps[*then_block as usize];
                         g.pc = *then_target as usize;
                         continue;
                     }
@@ -1848,16 +2174,32 @@ impl<'k> LanesRun<'k> {
                 }
                 g.pc += 1;
             }
+            // Only a group past the fetch cap at a jump or a branch leaves
+            // the loop here; `u64::MAX` marks it for settlement.
+            capped = true;
+            g.fetched = u64::MAX;
+            self.ended.push(g);
         }
 
         self.group_stack = groups;
-        let settled = if !any_bad && sum_fetches <= budget {
+        let stops: Vec<(usize, usize)> = trapped
+            .iter()
+            .map(|&(l, pc, ..)| (l, pc))
+            .chain(
+                stalled_at.iter().flat_map(|&(pc, _)| self.running.iter().map(move |&l| (l, pc))),
+            )
+            .collect();
+        let settled = if !capped && trapped.is_empty() && sum_fetches <= budget {
             self.steps_left -= sum_fetches;
             Ok(())
         } else {
             self.settle(budget, trapped, stalled_at.map(|(_, fetched)| fetched))
         };
-        pool.extend(self.ended.drain(..).map(|g| g.lanes));
+        self.ended.extend(stops.into_iter().map(|(l, pc)| LaneGroup {
+            pc,
+            lanes: vec![l],
+            fetched: 0,
+        }));
         self.lane_pool = pool;
         settled.map(|()| stalled_at.map(|(pc, _)| pc))
     }
@@ -1871,11 +2213,11 @@ impl<'k> LanesRun<'k> {
     fn settle(
         &mut self,
         budget: u64,
-        trapped: Vec<(usize, u64, ExecError)>,
+        trapped: Vec<(usize, usize, u64, ExecError)>,
         stall_fetches: Option<u64>,
     ) -> Result<(), ExecError> {
         let mut ran: Vec<(usize, u64, Option<ExecError>)> =
-            trapped.into_iter().map(|(l, fetches, err)| (l, fetches, Some(err))).collect();
+            trapped.into_iter().map(|(l, _, fetches, err)| (l, fetches, Some(err))).collect();
         if let Some(fetches) = stall_fetches {
             ran.extend(self.running.iter().map(|&l| (l, fetches, None)));
         }
@@ -2362,7 +2704,7 @@ mod tests {
         let x = b.fresh(Type::Scalar(ScalarType::F64));
         let one = b.const_f64(1.0);
         b.mov_into(x, one);
-        b.mov_into(x, x); // self-move: elided but still charged
+        b.mov_into(x, x); // self-move: dropped, but still charged
         let hop = b.create_block(); // jump-only: threaded through
         let tail = b.create_block();
         b.jump(hop);
@@ -2376,7 +2718,9 @@ mod tests {
         let func = b.finish().expect("valid");
         let compiled = CompiledKernel::compile(&func);
         let dump = compiled.to_string();
-        assert!(dump.contains("mov (self, elided)"), "self-move becomes a charge op");
+        let self_move = format!("r{0} = r{0}\n", x.0);
+        assert!(!dump.contains(&self_move), "self-move dropped: {dump}");
+        assert_eq!(compiled.code_len(), func.inst_count() + func.blocks.len() - 1);
         assert!(dump.contains("(b1 -> b2)"), "jump threaded through the hop block");
         let ((wm, ws), (lm, ls)) =
             run_both(&func, 2, 2, |mem| vec![KernelArgValue::GlobalBuffer(mem.alloc_global(16))]);
@@ -3088,5 +3432,328 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How many ops the lowering moved out of the block they have in the
+    /// IR (into a loop preheader).
+    fn moved_ops(compiled: &CompiledKernel) -> usize {
+        let n = compiled.block_starts.len();
+        (0..n)
+            .map(|b| {
+                let start = compiled.block_starts[b] as usize;
+                let end =
+                    compiled.block_starts.get(b + 1).map_or(compiled.code.len(), |&e| e as usize);
+                compiled.pos_of_pc[start..end].iter().filter(|&&(pb, _)| pb as usize != b).count()
+            })
+            .sum()
+    }
+
+    /// Every work-item `trips` times reads its right neighbour's cell and
+    /// `v[far]`, then writes `v[lid] = neighbour / 2 + v[far]` between two
+    /// barriers; `out[gid] = v[lid]` at the end. The loop body computes
+    /// `1`, `lid + 1`, the group size, `&v[far]` and `0.5` afresh every
+    /// trip: the lowering moves those five to the preheader.
+    fn hoisted_loop_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("hoisted_loop", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let v = b.param("v", Type::ptr(AddressSpace::Local, F64));
+        let trips = b.param("trips", Type::Scalar(I64));
+        let far = b.param("far", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let lf = b.cast(lid, I64, F64);
+        let row = b.gep(v, lid, F64);
+        b.store(row, lf, F64);
+        b.barrier();
+        let i = b.fresh(Type::Scalar(I64));
+        let zero = b.const_i64(0);
+        b.mov_into(i, zero);
+        let (header, body, exit) = (b.create_block(), b.create_block(), b.create_block());
+        b.jump(header);
+        b.switch_to(header);
+        let more = b.cmp(CmpOp::Lt, I64, i, trips);
+        b.branch(more, body, exit);
+        b.switch_to(body);
+        let one = b.const_i64(1);
+        let next = b.bin(BinOp::Add, I64, lid, one);
+        let n = b.wi_query(WiQuery::LocalSize, 0);
+        let wrapped = b.bin(BinOp::Rem, I64, next, n);
+        let right = b.gep(v, wrapped, F64);
+        let probe = b.gep(v, far, F64);
+        let x = b.load(right, F64);
+        let z = b.load(probe, F64);
+        b.barrier();
+        let half = b.const_f64(0.5);
+        let y = b.fmul(x, half, F64);
+        let y = b.fadd(y, z, F64);
+        b.store(row, y, F64);
+        b.barrier();
+        let i1 = b.bin(BinOp::Add, I64, i, one);
+        b.mov_into(i, i1);
+        b.jump(header);
+        b.switch_to(exit);
+        let r = b.load(row, F64);
+        let gid = b.global_id(0);
+        let slot = b.gep(out, gid, F64);
+        b.store(slot, r, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn step_limit_sweep_matches_walker_over_a_hoisted_loop() {
+        use KernelArgValue::{GlobalBuffer, LocalBuffer, Scalar};
+        let func = hoisted_loop_kernel();
+        let compiled = CompiledKernel::compile(&func);
+        assert_eq!(
+            moved_ops(&compiled),
+            5,
+            "const 1, lid + 1, local size, gep, const 0.5:\n{compiled}"
+        );
+        let local = 6;
+        let errors = sweep_step_limits(&func, 2 * local, local, |mem| {
+            vec![
+                GlobalBuffer(mem.alloc_global(2 * local * 8)),
+                LocalBuffer(mem.alloc_local(local * 8)),
+                Scalar(Value::I64(3)),
+                Scalar(Value::I64(2)),
+            ]
+        });
+        assert!(errors.len() > 100, "{} limits swept", errors.len());
+        assert!(errors.iter().all(|e| *e == ExecError::StepLimitExceeded.to_string()));
+    }
+
+    #[test]
+    fn overflowing_geps_wrap_and_fail_typed_at_the_access() {
+        use KernelArgValue::{GlobalBuffer, LocalBuffer, Scalar};
+        // A hoisted gep runs even when its loop runs zero times: an index
+        // of i64::MAX must not fail by itself, on either engine.
+        let func = hoisted_loop_kernel();
+        for (trips, far) in [(0, i64::MAX), (0, i64::MIN), (2, i64::MAX), (2, 1 << 40), (2, 3)] {
+            let init = |mem: &mut VecMemory| {
+                vec![
+                    GlobalBuffer(mem.alloc_global(4 * 8)),
+                    LocalBuffer(mem.alloc_local(4 * 8)),
+                    Scalar(Value::I64(trips)),
+                    Scalar(Value::I64(far)),
+                ]
+            };
+            let what = format!("trips={trips} far={far}");
+            match run_both_limited(&func, 4, 4, 0, init) {
+                (Ok((wm, ws)), Ok((lm, ls))) => {
+                    assert!(trips == 0 || far == 3, "{what}: only in-range probes succeed");
+                    assert_eq!(ws, ls, "{what}");
+                    assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "{what}");
+                }
+                (Err(we), Err(le)) => {
+                    assert_eq!(we, le, "{what}");
+                    assert!(trips > 0 && we.contains("out of bounds"), "{what}: {we}");
+                }
+                (walk, lanes) => {
+                    panic!("{what}: walker {:?}, lanes {:?}", walk.is_ok(), lanes.is_ok())
+                }
+            }
+        }
+
+        // Straight-line: the gep wraps, the load fails typed.
+        let mut b = FunctionBuilder::new("far_gep", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, ScalarType::F64));
+        let max = b.const_i64(i64::MAX);
+        let p = b.gep(out, max, ScalarType::F64);
+        let x = b.load(p, ScalarType::F64);
+        b.store(out, x, ScalarType::F64);
+        b.ret();
+        let func = b.finish().expect("valid");
+        let (walk, lanes) = run_both_limited(&func, 2, 2, 0, |mem| {
+            vec![KernelArgValue::GlobalBuffer(mem.alloc_global(8))]
+        });
+        let (we, le) = (walk.expect_err("walker fails"), lanes.expect_err("lanes fail"));
+        assert_eq!(we, le);
+        assert!(we.contains("out of bounds"), "{we}");
+    }
+
+    /// A loop whose body sends odd and even `lid + 1` to two different
+    /// barriers; the lowering moves `1`, `lid + 1`, `2` and the
+    /// `then` arm's leading constant out of the loop.
+    fn diverging_loop_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("diverging_loop", true);
+        let _out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let lid = b.local_id(0);
+        let i = b.fresh(Type::Scalar(I64));
+        let (zero, trips) = (b.const_i64(0), b.const_i64(2));
+        b.mov_into(i, zero);
+        let (header, body, exit) = (b.create_block(), b.create_block(), b.create_block());
+        let (then_bb, else_bb, latch) = (b.create_block(), b.create_block(), b.create_block());
+        b.jump(header);
+        b.switch_to(header);
+        let more = b.cmp(CmpOp::Lt, I64, i, trips);
+        b.branch(more, body, exit);
+        b.switch_to(body);
+        let one = b.const_i64(1);
+        let k = b.bin(BinOp::Add, I64, lid, one);
+        let two = b.const_i64(2);
+        let odd = b.bin(BinOp::Rem, I64, k, two);
+        let even = b.cmp(CmpOp::Eq, I64, odd, zero);
+        b.branch(even, then_bb, else_bb);
+        b.switch_to(then_bb);
+        let _unused = b.const_f64(0.0);
+        b.barrier();
+        b.jump(latch);
+        b.switch_to(else_bb);
+        b.barrier();
+        b.jump(latch);
+        b.switch_to(latch);
+        let i1 = b.bin(BinOp::Add, I64, i, one);
+        b.mov_into(i, i1);
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn divergence_inside_a_hoisted_loop_reports_ir_positions() {
+        let func = diverging_loop_kernel();
+        let compiled = CompiledKernel::compile(&func);
+        assert_eq!(moved_ops(&compiled), 4, "{compiled}");
+        let (walk, lanes) = run_both_limited(&func, 4, 4, 0, |mem| {
+            vec![KernelArgValue::GlobalBuffer(mem.alloc_global(8))]
+        });
+        let (we, le) = (walk.expect_err("walker diverges"), lanes.expect_err("lanes diverge"));
+        assert_eq!(we, le);
+        // Lane 0 (`lid + 1` odd) waits in the `else` arm at its first
+        // instruction; the others in the `then` arm behind the constant
+        // that moved out of the loop, which still counts as position 0.
+        let expected = ExecError::BarrierDivergence { a: (5, 0), b: (4, 1) };
+        assert_eq!(le, expected.to_string());
+    }
+
+    /// One work-item: `out[0] = 2 lid`, then `v = read_pipe(p)`, then
+    /// `out[0] = v + 1 / d`, all in one block, so a stall at the read or
+    /// a trap at the division stops the lane inside the block.
+    fn stop_inside_block_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("stop_inside", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let p = b.param("p", Type::ptr(AddressSpace::Pipe, F64));
+        let d = b.param("d", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let x = b.cast(lid, I64, F64);
+        let two = b.const_f64(2.0);
+        let y = b.fmul(x, two, F64);
+        b.store(out, y, F64);
+        let v = b.pipe_read(p, F64);
+        let one = b.const_i64(1);
+        let q = b.bin(BinOp::Div, I64, one, d);
+        let qf = b.cast(q, I64, F64);
+        let s = b.fadd(v, qf, F64);
+        b.store(out, s, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn a_lane_stopped_inside_a_block_is_charged_the_walkers_prefix() {
+        let func = stop_inside_block_kernel();
+        let compiled = CompiledKernel::compile(&func);
+        let shape = GroupShape::linear(1, 1, 0);
+        for d in [0, 1] {
+            // Each engine's outcome and statistics at the stall, then
+            // after a value arrives in the pipe.
+            let run = |lanes: bool| {
+                let mut mem = VecMemory::new();
+                let mut hub = PipeHub::default();
+                let pipe = hub.create(ScalarType::F64, 1);
+                let args = [
+                    KernelArgValue::GlobalBuffer(mem.alloc_global(8)),
+                    KernelArgValue::Pipe(pipe),
+                    KernelArgValue::Scalar(Value::I64(d)),
+                ];
+                let mut walk = WorkGroupRun::new(&func, shape, &args, 0).expect("args");
+                let mut lane = LanesRun::new(&compiled, shape, &args, 0).expect("args");
+                let mut step = |hub: &mut PipeHub| {
+                    let (outcome, stats) = if lanes {
+                        (lane.run_resumable(&mut mem, &ExactMath, hub), lane.stats())
+                    } else {
+                        (walk.run_resumable(&mut mem, &ExactMath, hub), walk.stats())
+                    };
+                    (outcome.map_err(|e| e.to_string()), stats.clone())
+                };
+                let at_stall = step(&mut hub);
+                hub.try_write(pipe, ScalarType::F64, 0.5f64.to_bits()).expect("pipe");
+                (at_stall, step(&mut hub))
+            };
+            let (walk, lanes) = (run(false), run(true));
+            assert_eq!(walk, lanes, "d={d}");
+            let ((stalled, at_stall), (end, at_end)) = walk;
+            assert_eq!(stalled, Ok(RunOutcome::Stalled), "d={d}");
+            assert_eq!(at_stall.mem.global_stores, 1, "d={d}: the store before the read");
+            assert_eq!(at_stall.ops.cast, 1, "d={d}: the cast before the read, not the one after");
+            if d == 0 {
+                assert!(end.expect_err("traps").contains("division by zero"));
+                assert_eq!(at_end.ops.cast, 1, "the cast after the trapping division");
+            } else {
+                assert_eq!(end, Ok(RunOutcome::Complete));
+                assert_eq!((at_end.ops.cast, at_end.mem.global_stores), (2, 2));
+            }
+        }
+    }
+
+    /// `acc += k` in the loop header, where the body computes
+    /// `k = lid + 1` afterwards: the first trip reads `k` before its
+    /// definition, as 0, so `k` must stay in the loop while the `1` it
+    /// adds moves out. `out[gid] = trips * (lid + 1)`.
+    fn read_before_def_kernel() -> Function {
+        use crate::ir::BinOp;
+        use ScalarType::{F64, I64};
+        let mut b = FunctionBuilder::new("read_before_def", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, F64));
+        let trips = b.param("trips", Type::Scalar(I64));
+        let lid = b.local_id(0);
+        let zero = b.const_i64(0);
+        let (acc, i) = (b.fresh(Type::Scalar(I64)), b.fresh(Type::Scalar(I64)));
+        b.mov_into(acc, zero);
+        b.mov_into(i, zero);
+        let (header, body, exit) = (b.create_block(), b.create_block(), b.create_block());
+        b.jump(header);
+        b.switch_to(body);
+        let one = b.const_i64(1);
+        let k = b.bin(BinOp::Add, I64, lid, one);
+        let i1 = b.bin(BinOp::Add, I64, i, one);
+        b.mov_into(i, i1);
+        b.jump(header);
+        b.switch_to(header);
+        let acc1 = b.bin(BinOp::Add, I64, acc, k);
+        b.mov_into(acc, acc1);
+        let more = b.cmp(CmpOp::Lt, I64, i, trips);
+        b.branch(more, body, exit);
+        b.switch_to(exit);
+        let accf = b.cast(acc, I64, F64);
+        let gid = b.global_id(0);
+        let slot = b.gep(out, gid, F64);
+        b.store(slot, accf, F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn a_register_read_before_its_definition_stays_in_the_loop() {
+        let func = read_before_def_kernel();
+        let compiled = CompiledKernel::compile(&func);
+        assert_eq!(moved_ops(&compiled), 1, "only the constant moves:\n{compiled}");
+        let trips = 3;
+        let ((wm, ws), (lm, ls)) = run_both(&func, 4, 4, |mem| {
+            vec![
+                KernelArgValue::GlobalBuffer(mem.alloc_global(4 * 8)),
+                KernelArgValue::Scalar(Value::I64(trips)),
+            ]
+        });
+        assert_eq!(ws, ls);
+        assert_eq!(wm.global_bytes(0), lm.global_bytes(0));
+        assert_eq!(lm.read_f64(0, 2), (trips * 3) as f64);
     }
 }

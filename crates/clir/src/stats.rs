@@ -58,23 +58,17 @@ pub struct OpCounts {
 
 impl OpCounts {
     pub(crate) fn count_bin(&mut self, op: BinOp, ty: ScalarType) {
-        self.count_bins(op, ty, 1);
-    }
-
-    /// Bulk form of [`Self::count_bin`]: charge `n` executions at once
-    /// (used by the lane engine to charge a whole SIMT group).
-    pub(crate) fn count_bins(&mut self, op: BinOp, ty: ScalarType, n: u64) {
         let f32w = ty == ScalarType::F32;
         if ty.is_float() {
             match op {
-                BinOp::Add | BinOp::Sub => *pick(f32w, &mut self.add32, &mut self.add64) += n,
-                BinOp::Mul => *pick(f32w, &mut self.mul32, &mut self.mul64) += n,
-                BinOp::Div | BinOp::Rem => *pick(f32w, &mut self.div32, &mut self.div64) += n,
-                BinOp::Min | BinOp::Max => *pick(f32w, &mut self.minmax32, &mut self.minmax64) += n,
-                _ => self.int_alu += n,
+                BinOp::Add | BinOp::Sub => *pick(f32w, &mut self.add32, &mut self.add64) += 1,
+                BinOp::Mul => *pick(f32w, &mut self.mul32, &mut self.mul64) += 1,
+                BinOp::Div | BinOp::Rem => *pick(f32w, &mut self.div32, &mut self.div64) += 1,
+                BinOp::Min | BinOp::Max => *pick(f32w, &mut self.minmax32, &mut self.minmax64) += 1,
+                _ => self.int_alu += 1,
             }
         } else {
-            self.int_alu += n;
+            self.int_alu += 1;
         }
     }
 
@@ -186,39 +180,6 @@ impl MemCounts {
                 self.local_load_bytes += bytes as u64;
             }
             AddressSpace::Private => self.private_accesses += 1,
-            AddressSpace::Pipe => unreachable!("pipes are not load/store addressable"),
-        }
-    }
-
-    /// Charge `n` loads of `bytes` bytes each in one call (the
-    /// lane-vectorized engine charges a whole SIMT group at once).
-    pub(crate) fn count_loads(&mut self, space: AddressSpace, bytes: usize, n: u64) {
-        match space {
-            AddressSpace::Global | AddressSpace::Constant => {
-                self.global_loads += n;
-                self.global_load_bytes += bytes as u64 * n;
-            }
-            AddressSpace::Local => {
-                self.local_loads += n;
-                self.local_load_bytes += bytes as u64 * n;
-            }
-            AddressSpace::Private => self.private_accesses += n,
-            AddressSpace::Pipe => unreachable!("pipes are not load/store addressable"),
-        }
-    }
-
-    /// Charge `n` stores of `bytes` bytes each in one call.
-    pub(crate) fn count_stores(&mut self, space: AddressSpace, bytes: usize, n: u64) {
-        match space {
-            AddressSpace::Global | AddressSpace::Constant => {
-                self.global_stores += n;
-                self.global_store_bytes += bytes as u64 * n;
-            }
-            AddressSpace::Local => {
-                self.local_stores += n;
-                self.local_store_bytes += bytes as u64 * n;
-            }
-            AddressSpace::Private => self.private_accesses += n,
             AddressSpace::Pipe => unreachable!("pipes are not load/store addressable"),
         }
     }
@@ -347,6 +308,18 @@ impl ExecStats {
         let mut other = other.clone();
         for (a, b) in self.counters_mut().zip(other.counters_mut()) {
             *a += *b;
+        }
+    }
+
+    /// Add `n` times `profile`'s counters. A profile carries no block
+    /// counts (its `block_execs` is empty), so the block counts of `self`
+    /// stay as they are: this is how the lanes engine charges a block's
+    /// op and memory profile once per execution count.
+    pub(crate) fn add_scaled(&mut self, profile: &ExecStats, n: u64) {
+        debug_assert!(profile.block_execs.is_empty(), "a profile has no block counts");
+        let mut profile = profile.clone();
+        for (a, b) in self.counters_mut().zip(profile.counters_mut()) {
+            *a += *b * n;
         }
     }
 

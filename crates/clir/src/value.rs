@@ -38,10 +38,13 @@ impl PtrValue {
 
 /// Byte `offset` displaced by `count` elements of `size` bytes: the one
 /// pointer-offset rule, shared by [`PtrValue::offset_by`] and the lanes
-/// engine's offset plane so both trap on overflow (in debug builds) alike.
+/// engine's offset plane. It wraps, in every build, so an address
+/// computation never fails by itself: an out-of-range offset fails typed
+/// at the load or store that uses it, and a gep the lanes engine hoists
+/// out of a loop may run on a trip that never uses it.
 #[inline(always)]
 pub(crate) fn displaced(offset: i64, count: i64, size: i64) -> i64 {
-    offset + count * size
+    offset.wrapping_add(count.wrapping_mul(size))
 }
 
 impl fmt::Display for PtrValue {

@@ -811,6 +811,80 @@ fn pooled_shards_share_one_compiled_program() {
 
 /// FNV-1a 64 over `bytes`, continuing from `hash`: a digest that is
 /// stable across toolchains, unlike `DefaultHasher`.
+/// The blocks of a bytecode listing (`CompiledKernel`'s `Display`): each
+/// block's ops and the pcs its terminator may go to.
+fn listing_blocks(listing: &str) -> Vec<(Vec<&str>, Vec<usize>)> {
+    let mut blocks: Vec<(Vec<&str>, Vec<usize>)> = Vec::new();
+    for line in listing.lines() {
+        if line.starts_with('b') && line.ends_with(':') {
+            blocks.push((Vec::new(), Vec::new()));
+        } else if let (Some((_, op)), Some(block)) =
+            (line.trim_start().split_once("  "), blocks.last_mut())
+        {
+            block.0.push(op);
+            block.1 = op
+                .match_indices('@')
+                .map(|(at, _)| op[at + 1..at + 5].parse().expect("pc"))
+                .collect();
+        }
+    }
+    blocks
+}
+
+/// Kernel IV.B's time-step loop as lanes runs it. Its constants, `l + 1`
+/// and the three geps into the local row do not change from step to
+/// step, so the lowering moves them to the preheader: in double
+/// precision the loop runs 31 dispatches per two time steps, where the
+/// IR has 43.
+#[test]
+fn ivb_time_step_loop_runs_no_loop_invariant_op() {
+    let ctx = Context::new(devices::fpga());
+    for precision in [Precision::Double, Precision::Single] {
+        for unroll in [None, Some(2)] {
+            let options = BuildOptions { unroll, ..BuildOptions::default() };
+            let source = KernelArch::Optimized.source(precision);
+            let program =
+                Program::from_source(&ctx, "optimized.cl", &source, &options).expect("IV.B builds");
+            let listing = program
+                .compiled_kernel(KernelArch::Optimized.kernel_name())
+                .expect("compiled kernel")
+                .to_string();
+            let blocks = listing_blocks(&listing);
+            let starts: Vec<usize> = blocks
+                .iter()
+                .scan(0, |pc, (ops, _)| Some(std::mem::replace(pc, *pc + ops.len())))
+                .collect();
+            let block_at = |pc: usize| starts.iter().position(|&s| s == pc).expect("a block start");
+            let reaches = |from: usize, to: usize| {
+                let (mut seen, mut stack) = (vec![false; blocks.len()], vec![from]);
+                while let Some(b) = stack.pop() {
+                    if !std::mem::replace(&mut seen[b], true) {
+                        stack.extend(blocks[b].1.iter().map(|&pc| block_at(pc)));
+                    }
+                }
+                seen[to]
+            };
+            // The loop: the blocks on a cycle (IV.B has one loop).
+            let body: Vec<&str> = (0..blocks.len())
+                .filter(|&b| blocks[b].1.iter().any(|&pc| reaches(block_at(pc), b)))
+                .flat_map(|b| blocks[b].0.iter().copied())
+                .collect();
+            let what = format!("{precision:?} unroll={unroll:?}");
+            for op in &body {
+                assert!(
+                    !op.contains(" = const ")
+                        && !op.contains(" = gep.")
+                        && !op.contains("add.long"),
+                    "{what}: `{op}` inside the loop:\n{listing}"
+                );
+            }
+            if precision == Precision::Double {
+                assert_eq!(body.len(), 31, "{what}:\n{listing}");
+            }
+        }
+    }
+}
+
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
